@@ -22,6 +22,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__, dsl, engine, entanglement, montecarlo, mzi, scenario
 from .network import Combo, NetworkSpec, validate
 
@@ -48,7 +50,7 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
 
 
-def _load_network(path: str, overrides: list[str]) -> tuple[NetworkSpec, str]:
+def _load_network(path: str, overrides: list[str]) -> tuple[engine.CompiledNetwork, str]:
     text = _read_text(path)
     try:
         spec = dsl.parse(text)
@@ -58,11 +60,12 @@ def _load_network(path: str, overrides: list[str]) -> tuple[NetworkSpec, str]:
         spec = apply_overrides(spec, overrides)
     except (KeyError, ValueError) as exc:
         raise CliError(str(exc), EXIT_IO)
-    violations = validate(spec)
-    if violations:
-        listing = "\n".join("  " + str(v) for v in violations)
+    try:
+        net = engine.compile(spec)
+    except engine.StructuralError as exc:
+        listing = "\n".join("  " + str(v) for v in exc.violations)
         raise CliError(f"{path}: network is invalid:\n{listing}", EXIT_VALIDATION)
-    return spec, text
+    return net, text
 
 
 def apply_overrides(spec: NetworkSpec, overrides: list[str]) -> NetworkSpec:
@@ -231,7 +234,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec, text = _load_network(args.net, args.override)
+    net, text = _load_network(args.net, args.override)
+    spec = net.spec
     combo = _resolve_combo(spec, args.combo)
     if args.freqs:
         try:
@@ -247,11 +251,9 @@ def cmd_simulate(args) -> int:
     if not values:
         raise CliError("frequency range is empty", EXIT_IO)
 
-    net = engine.compile(spec)
-    rows = []
-    for f in values:
-        pt = engine.spectrum(net, combo, 2.0 * math.pi * f)
-        rows.append((f, pt.absolute, pt.snl, pt.normalized, pt.db))
+    s = engine.sweep(net, combo, 2.0 * math.pi * np.array(values))
+    rows = list(zip(values, s.absolute.tolist(), s.snl.tolist(),
+                    s.normalized.tolist(), s.db.tolist()))
 
     manifest = make_manifest("simulate", path=args.net, text=text,
                              overrides=args.override)
@@ -280,7 +282,10 @@ def cmd_scenario(args) -> int:
     except KeyError as exc:
         raise CliError(str(exc), EXIT_IO)
 
-    report = scenario.run_experiment(cfg)
+    try:
+        report = scenario.run_experiment(cfg)
+    except scenario.CalibrationError as exc:
+        raise CliError(str(exc), EXIT_NUMERICAL)
     pair = entanglement.CorrelationPair(v_plus=report.v_plus, v_minus=report.v_minus)
     verdict = entanglement.assess(
         pair, beam_levels=(report.phase.beam1, report.phase.beam2))
@@ -312,21 +317,20 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec, text = _load_network(args.net, args.override)
-    combo = _resolve_combo(spec, args.combo)
+    net, text = _load_network(args.net, args.override)
+    combo = _resolve_combo(net.spec, args.combo)
     try:
         freq = dsl.parse_quantity(args.freq, dsl.FREQ)
     except dsl.ParseError as exc:
         raise CliError(f"bad --freq: {exc}", EXIT_IO)
     seed = _seed_from(args)
-    net = engine.compile(spec)
 
     engine_value = None
     if args.mc_override:
         # evaluate the engine on the uncorrupted network, run MC on the
         # corrupted one: a deliberate-mismatch diagnostic
         engine_value = engine.spectrum(net, combo, 2.0 * math.pi * freq).normalized
-        corrupted = apply_overrides(spec, args.mc_override)
+        corrupted = apply_overrides(net.spec, args.mc_override)
         net = engine.compile(corrupted)
 
     cfg = montecarlo.MCConfig(

@@ -15,6 +15,11 @@ c_Y = i(u - w)/2 per input, and a variance spectrum is a weighted sum of the
 input quadrature variances.  All spectra are normalised to the shot-noise
 level of the same detector combination, which for a passive network equals
 the detected carrier flux.
+
+Every entry point is a view of one walk over a whole frequency axis:
+:func:`sweep` evaluates blocks of frequencies per walk, and
+:func:`transfer`, :func:`photocurrent_form` and :func:`spectrum` are its
+one-point views.
 """
 
 from __future__ import annotations
@@ -43,8 +48,19 @@ from .network import (
 )
 
 
+#: Sideband frequencies per pipeline walk in :func:`sweep`.  A port's state
+#: holds 2 * BLOCK * N complex values (+w and -w stacked), so this bounds the
+#: memory of long sweeps on large rosters.
+BLOCK = 256
+
+
 class StructuralError(ValueError):
     """Raised when compiling a spec that does not pass validation."""
+
+    def __init__(self, violations):
+        self.violations = tuple(violations)
+        super().__init__(
+            "spec does not validate: " + "; ".join(str(v) for v in self.violations))
 
 
 @dataclass(frozen=True)
@@ -73,7 +89,6 @@ class CompiledNetwork:
     detector_names: tuple[str, ...]
     detector_ports: tuple[str, ...]
     carriers: tuple[complex, ...]  # per detector
-    loss_ports: tuple[str, ...]  # input port of each Loss (for flux audits)
     unconsumed_ports: tuple[str, ...]
 
     @property
@@ -141,7 +156,6 @@ class LinearForm:
     omega: float
     c_x: np.ndarray  # (N,) complex
     c_y: np.ndarray  # (N,) complex
-    input_names: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -161,8 +175,7 @@ def compile(spec: NetworkSpec) -> CompiledNetwork:  # noqa: A001 - domain verb
     """
     violations = validate(spec)
     if violations:
-        raise StructuralError(
-            "spec does not validate: " + "; ".join(str(v) for v in violations))
+        raise StructuralError(violations)
 
     roster: list[RosterEntry] = []
     for s in spec.sources:
@@ -179,7 +192,6 @@ def compile(spec: NetworkSpec) -> CompiledNetwork:  # noqa: A001 - domain verb
         return name
 
     steps: list[PipelineStep] = []
-    loss_ports: list[str] = []
     for decl in topo_order(spec):
         el = decl.element
         ins = list(decl.inputs)
@@ -188,7 +200,6 @@ def compile(spec: NetworkSpec) -> CompiledNetwork:  # noqa: A001 - domain verb
                 ins.append(inject_vacuum())
         elif isinstance(el, Loss):
             ins.append(inject_vacuum())
-            loss_ports.append(decl.inputs[0])
         steps.append(PipelineStep(el, tuple(ins), decl.output_ports()))
 
     consumed = {p for st in steps for p in st.in_ports}
@@ -204,7 +215,6 @@ def compile(spec: NetworkSpec) -> CompiledNetwork:  # noqa: A001 - domain verb
         detector_names=spec.detector_names(),
         detector_ports=tuple(d.input for d in spec.detectors),
         carriers=(),
-        loss_ports=tuple(loss_ports),
         unconsumed_ports=unconsumed,
     )
     amps = np.array([e.carrier for e in net.roster], dtype=complex)
@@ -212,39 +222,71 @@ def compile(spec: NetworkSpec) -> CompiledNetwork:  # noqa: A001 - domain verb
     return dataclasses.replace(net, carriers=carriers)
 
 
-def _run_pipeline(net: CompiledNetwork, omega: float) -> dict[str, np.ndarray]:
-    n = net.n_inputs
+def _run_pipeline(net: CompiledNetwork, omegas: np.ndarray,
+                  ports: Sequence[str]) -> dict[str, np.ndarray]:
+    """Walk the element pipeline at every sideband frequency in ``omegas``.
+
+    A port's state is an (F, N) array: row f holds the port's operator as a
+    combination of the roster inputs at omegas[f].  Roster inputs start as
+    unit rows when first read.  Every port feeds at most one consumer (see
+    ``validate``), so a state is dropped once read, and never kept for an
+    unconsumed port, unless it is one of ``ports``; live memory is the
+    walk's frontier.  Returns the states of ``ports``.
+    """
+    shape = (omegas.size, net.n_inputs)
+    column = {entry.name: j for j, entry in enumerate(net.roster)}
+    wanted = set(ports)
+    discarded = set(net.unconsumed_ports) - wanted
     state: dict[str, np.ndarray] = {}
-    for j, entry in enumerate(net.roster):
-        row = np.zeros(n, dtype=complex)
-        row[j] = 1.0
-        state[entry.name] = row
+    out: dict[str, np.ndarray] = {}
+
+    def read(port: str) -> np.ndarray:
+        arr = state.pop(port, None)
+        if arr is None:
+            arr = np.zeros(shape, dtype=complex)
+            arr[:, column[port]] = 1.0
+        if port in wanted:
+            out[port] = arr
+        return arr
+
+    def write(port: str, arr: np.ndarray):
+        if port not in discarded:
+            state[port] = arr
+
     for st in net.steps:
         el = st.element
         if isinstance(el, BeamSplitter):
-            a, b = state[st.in_ports[0]], state[st.in_ports[1]]
+            a, b = read(st.in_ports[0]), read(st.in_ports[1])
             r = math.sqrt(max(0.0, 1.0 - el.t * el.t))
-            state[st.out_ports[0]] = el.t * a + r * b
-            state[st.out_ports[1]] = r * a - el.t * b
+            write(st.out_ports[0], el.t * a + r * b)
+            write(st.out_ports[1], r * a - el.t * b)
         elif isinstance(el, PhaseShift):
-            state[st.out_ports[0]] = np.exp(1j * el.phi) * state[st.in_ports[0]]
+            write(st.out_ports[0], np.exp(1j * el.phi) * read(st.in_ports[0]))
         elif isinstance(el, Delay):
-            factor = np.exp(1j * el.carrier_phase) * np.exp(-1j * omega * el.tau)
-            state[st.out_ports[0]] = factor * state[st.in_ports[0]]
+            factor = np.exp(1j * el.carrier_phase) * np.exp(-1j * omegas * el.tau)
+            write(st.out_ports[0], factor[:, None] * read(st.in_ports[0]))
         elif isinstance(el, Loss):
-            a, v = state[st.in_ports[0]], state[st.in_ports[1]]
-            state[st.out_ports[0]] = math.sqrt(el.eta) * a + math.sqrt(1.0 - el.eta) * v
+            a, v = read(st.in_ports[0]), read(st.in_ports[1])
+            write(st.out_ports[0], math.sqrt(el.eta) * a + math.sqrt(1.0 - el.eta) * v)
         else:  # pragma: no cover - union is closed
             raise TypeError(f"unknown element {el!r}")
-    return state
+    for port in ports:
+        if port not in out:
+            read(port)
+    return out
+
+
+def _detector_rows(net: CompiledNetwork, omegas: np.ndarray) -> np.ndarray:
+    """A(w) for every w in ``omegas``: an (F, M, N) array."""
+    state = _run_pipeline(net, omegas, net.detector_ports)
+    return np.stack([state[p] for p in net.detector_ports], axis=1)
 
 
 def transfer(net: CompiledNetwork, omega: float) -> TransferMatrix:
     """Evaluate the input->detector matrix at sideband frequency omega (rad/s)."""
-    state = _run_pipeline(net, omega)
-    a = np.array([state[p] for p in net.detector_ports], dtype=complex)
-    carriers = np.array(net.carriers, dtype=complex) if net.carriers else np.zeros(0, dtype=complex)
-    return TransferMatrix(omega=omega, a=a, carriers=carriers)
+    a = _detector_rows(net, np.array([omega], dtype=float))[0]
+    return TransferMatrix(omega=omega, a=a,
+                          carriers=np.array(net.carriers, dtype=complex))
 
 
 ComboLike = Union[Combo, Mapping[str, float]]
@@ -266,46 +308,84 @@ def combo_weights(net: CompiledNetwork, combo: ComboLike) -> np.ndarray:
     return w
 
 
+def _forms(net: CompiledNetwork, weights: np.ndarray,
+           omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c_X and c_Y of each weight row at each omega, as (F, C, N) arrays.
+
+    +w and -w share one walk.  With real weights the da^dag term
+    alpha w conj(A(-w)) is the conjugate of conj(alpha) w A(-w), so one
+    matmul over the stacked axis gives both halves.
+    """
+    f = omegas.size
+    a = _detector_rows(net, np.concatenate([omegas, -omegas]))
+    g = np.matmul(weights * np.conj(np.array(net.carriers, dtype=complex)), a)
+    u, w = g[:f], np.conj(g[f:])
+    return (u + w) / 2.0, 1j * (u - w) / 2.0
+
+
 def photocurrent_form(net: CompiledNetwork, combo: ComboLike, omega: float) -> LinearForm:
     """Linearised photocurrent fluctuation of a detector combination."""
-    weights = combo_weights(net, combo)
-    alpha = np.array(net.carriers, dtype=complex)
-    a_pos = transfer(net, omega).a
-    a_neg = transfer(net, -omega).a
-    u = (weights * np.conj(alpha)) @ a_pos
-    w = (weights * alpha) @ np.conj(a_neg)
-    return LinearForm(
-        omega=omega,
-        c_x=(u + w) / 2.0,
-        c_y=1j * (u - w) / 2.0,
-        input_names=tuple(e.name for e in net.roster),
-    )
+    c_x, c_y = _forms(net, combo_weights(net, combo)[None, :],
+                      np.array([omega], dtype=float))
+    return LinearForm(omega=omega, c_x=c_x[0, 0], c_y=c_y[0, 0])
 
 
-def spectrum(net: CompiledNetwork, combo: ComboLike, omega: float,
-             inputs=None) -> SpectrumPoint:
-    """Photocurrent variance spectral density of a combo at omega (rad/s).
+@dataclass(frozen=True)
+class SpectrumSweep:
+    """Spectra of one combo, shape (F,), or of C combos, shape (C, F)."""
+
+    absolute: np.ndarray
+    snl: np.ndarray
+    normalized: np.ndarray
+    db: np.ndarray
+
+
+def sweep(net: CompiledNetwork, combo: Union[ComboLike, Sequence[ComboLike]],
+          omegas, inputs=None) -> SpectrumSweep:
+    """Photocurrent variance spectral densities over a frequency axis (rad/s).
 
     ``absolute`` sums |c_X|^2 V_X + |c_Y|^2 V_Y over the roster; ``snl`` is
     the same sum with every variance forced to 1; ``normalized`` is their
     ratio (NaN when no carrier reaches the combo), ``db`` its decibel value.
+    ``combo`` may be a sequence of combos, which share each pipeline walk and
+    give one row each.  The axis is walked in blocks of BLOCK frequencies.
     """
-    form = photocurrent_form(net, combo, omega)
+    single = isinstance(combo, (Combo, Mapping))
+    combos = [combo] if single else list(combo)
+    weights = np.array([combo_weights(net, c) for c in combos])
+    omegas = np.asarray(omegas, dtype=float).reshape(-1)
     spectra = net.input_spectra(inputs)
-    px = np.abs(form.c_x) ** 2
-    py = np.abs(form.c_y) ** 2
-    vx = np.array([s.vx_at(omega) for s in spectra])
-    vy = np.array([s.vy_at(omega) for s in spectra])
-    absolute = float(px @ vx + py @ vy)
-    snl_val = float(np.sum(px) + np.sum(py))
-    if snl_val > 0.0:
-        normalized = absolute / snl_val
-        db = 10.0 * math.log10(normalized) if normalized > 0.0 else -math.inf
-    else:
-        normalized = math.nan
-        db = math.nan
-    return SpectrumPoint(omega=omega, absolute=absolute, snl=snl_val,
-                         normalized=normalized, db=db)
+    absolute = np.empty((len(combos), omegas.size))
+    snl_vals = np.empty_like(absolute)
+    for lo in range(0, omegas.size, BLOCK):
+        block = omegas[lo:lo + BLOCK]
+        c_x, c_y = _forms(net, weights, block)
+        px, py = np.abs(c_x) ** 2, np.abs(c_y) ** 2
+        vx = np.empty((block.size, net.n_inputs))
+        vy = np.empty_like(vx)
+        for j, s in enumerate(spectra):
+            vx[:, j] = s.vx_at(block)
+            vy[:, j] = s.vy_at(block)
+        absolute[:, lo:lo + BLOCK] = (np.einsum("fcn,fn->cf", px, vx)
+                                      + np.einsum("fcn,fn->cf", py, vy))
+        snl_vals[:, lo:lo + BLOCK] = (px + py).sum(axis=2).T
+    lit = snl_vals > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = np.where(lit, absolute / snl_vals, math.nan)
+        db = np.where(lit, 10.0 * np.log10(normalized), math.nan)
+    if single:
+        absolute, snl_vals, normalized, db = absolute[0], snl_vals[0], normalized[0], db[0]
+    return SpectrumSweep(absolute=absolute, snl=snl_vals, normalized=normalized, db=db)
+
+
+def spectrum(net: CompiledNetwork, combo: ComboLike, omega: float,
+             inputs=None) -> SpectrumPoint:
+    """Photocurrent variance spectral density of a combo at omega (rad/s):
+    the one-point view of :func:`sweep`."""
+    s = sweep(net, combo, [omega], inputs)
+    return SpectrumPoint(omega=omega, absolute=float(s.absolute[0]),
+                         snl=float(s.snl[0]), normalized=float(s.normalized[0]),
+                         db=float(s.db[0]))
 
 
 def snl(net: CompiledNetwork, combo: ComboLike) -> float:
@@ -362,18 +442,17 @@ class FluxAudit:
 
 def flux_audit(net: CompiledNetwork) -> FluxAudit:
     """Carrier-flux bookkeeping: sources vs detected + discarded + unconsumed."""
-    state = _run_pipeline(net, 0.0)
+    losses = [st for st in net.steps if isinstance(st.element, Loss)]
+    state = _run_pipeline(net, np.zeros(1), (
+        *net.detector_ports, *net.unconsumed_ports, *(st.in_ports[0] for st in losses)))
     amps = np.array([e.carrier for e in net.roster], dtype=complex)
 
     def port_flux(port: str) -> float:
-        return float(abs(state[port] @ amps) ** 2)
+        return float(abs(state[port][0] @ amps) ** 2)
 
     detected = sum(port_flux(p) for p in net.detector_ports)
     unconsumed = sum(port_flux(p) for p in net.unconsumed_ports)
-    lost = 0.0
-    for st in net.steps:
-        if isinstance(st.element, Loss):
-            lost += (1.0 - st.element.eta) * port_flux(st.in_ports[0])
+    lost = sum((1.0 - st.element.eta) * port_flux(st.in_ports[0]) for st in losses)
     return FluxAudit(
         source_flux=net.source_flux(),
         detected_flux=float(detected),

@@ -210,7 +210,7 @@ def _quadrature_stream(rng: np.random.Generator, n: int, cfg: MCConfig,
             return white
         return math.sqrt(constant) * white
     freqs = np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate)
-    gains = np.sqrt([variance_fn(2.0 * math.pi * f) for f in freqs])
+    gains = np.sqrt(variance_fn(2.0 * math.pi * freqs))
     return np.fft.irfft(np.fft.rfft(white) * gains, n)
 
 

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 
 #: name prefix reserved for compile-time artifacts (injected vacuum ports)
@@ -97,24 +99,18 @@ class QuadSpectrum:
     def is_constant(self) -> bool:
         return self.omegas is None
 
-    def _interp(self, table: tuple[float, ...], omega: float) -> float:
-        grid = self.omegas
-        w = abs(omega)
-        if w <= grid[0]:
-            return table[0]
-        if w >= grid[-1]:
-            return table[-1]
-        for i in range(len(grid) - 1):
-            if grid[i] <= w <= grid[i + 1]:
-                frac = (w - grid[i]) / (grid[i + 1] - grid[i])
-                return table[i] + frac * (table[i + 1] - table[i])
-        return table[-1]
+    def _at(self, value, table, omega):
+        if self.is_constant:
+            return value if np.ndim(omega) == 0 else np.full(np.shape(omega), value)
+        return np.interp(np.abs(omega), self.omegas, table)
 
-    def vx_at(self, omega: float) -> float:
-        return self.vx if self.is_constant else self._interp(self.vx_table, omega)
+    def vx_at(self, omega):
+        """V_X at omega (rad/s), a scalar or an array; even in omega."""
+        return self._at(self.vx, self.vx_table, omega)
 
-    def vy_at(self, omega: float) -> float:
-        return self.vy if self.is_constant else self._interp(self.vy_table, omega)
+    def vy_at(self, omega):
+        """V_Y at omega (rad/s), a scalar or an array; even in omega."""
+        return self._at(self.vy, self.vy_table, omega)
 
     def heisenberg_ok(self) -> bool:
         """Check V_X * V_Y >= 1 on the grid.

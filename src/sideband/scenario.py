@@ -42,6 +42,10 @@ from .network import (
 FIFTY_FIFTY = math.sqrt(0.5)
 
 
+class CalibrationError(ValueError):
+    """The calibration targets need a detection loss outside [0, 1]."""
+
+
 def db_to_variance(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
@@ -125,14 +129,23 @@ class ExperimentConfig:
         return db_to_variance(self.excess_db)
 
     def fitted_detection_loss(self) -> float:
-        """Loss solving (1 - l) v_ideal + l = amp_sum_target."""
+        """Loss solving (1 - l) v_ideal + l = amp_sum_target.
+
+        Raises CalibrationError when that loss falls outside [0, 1]: the
+        squeezing cannot reach the target with a physical loss.
+        """
         if self.detection_loss is not None:
             return self.detection_loss
         v_ideal = 0.5 * (self.vx1 + self.vx2)
         if abs(1.0 - v_ideal) < 1e-12:
             return 0.0
         loss = (self.amp_sum_target - v_ideal) / (1.0 - v_ideal)
-        return min(1.0, max(0.0, loss))
+        if not 0.0 <= loss <= 1.0:
+            raise CalibrationError(
+                f"infeasible calibration: amp_sum_target {self.amp_sum_target:g} "
+                f"with mean squeezed variance {v_ideal:.6g} needs detection "
+                f"loss {loss:.6g}, outside [0, 1]")
+        return loss
 
 
 def experiment_network(cfg: ExperimentConfig, mode: str) -> NetworkSpec:
@@ -253,10 +266,9 @@ def run_experiment(cfg: ExperimentConfig | None = None) -> ExperimentReport:
     results = {}
     for mode in ("amplitude", "phase"):
         net = engine.compile(experiment_network(cfg, mode))
-        corr = engine.spectrum(net, correlation_weights(mode), omega).normalized
-        anti = engine.spectrum(net, correlation_weights(mode, anti=True), omega).normalized
-        b1 = engine.spectrum(net, beam_weights(mode, 1), omega).normalized
-        b2 = engine.spectrum(net, beam_weights(mode, 2), omega).normalized
+        combos = (correlation_weights(mode), correlation_weights(mode, anti=True),
+                  beam_weights(mode, 1), beam_weights(mode, 2))
+        corr, anti, b1, b2 = engine.sweep(net, combos, [omega]).normalized[:, 0].tolist()
         if cfg.excess_correlation != 0.0:
             eta = (1.0 - det_loss) * ((1.0 - vis_loss) if mode == "phase" else 1.0)
             b_level, anti_level = _diagnostic_levels(cfg, mode, eta)

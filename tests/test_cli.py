@@ -1,8 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from sideband import cli, dsl, engine, mzi
 from sideband.cli import main
+from sideband.network import validate
 
 MZ_THETA_PI = """\
 source a squeezed amp=100 vx=-2.1dB vy=+18dB;
@@ -112,6 +116,41 @@ class TestSimulate:
         assert main(["simulate", "--net", preset_path("mz_phase"),
                      "--combo", "prod", "--freqs", "20MHz"]) == 2
 
+    def test_sweep_over_several_blocks_matches_closed_form(self, preset_path, tmp_path):
+        path = preset_path("mz_phase")
+        spec = dsl.parse(open(path).read())
+        delay = next(e.element for e in spec.elements if e.name == "LONG")
+        noise = next(s.spec.noise for s in spec.sources if s.name == "a")
+        out = str(tmp_path / "long.csv")
+        assert main(["simulate", "--net", path, "--combo", "diff",
+                     "--freqs", "0Hz:60MHz:0.1MHz", "--out", out]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert len(rows) == 601 > engine.BLOCK
+        theta = 2 * math.pi * rows[:, 0] * delay.tau
+        expected = [mzi.diff_variance(t, delay.carrier_phase, noise.vx, noise.vy)
+                    for t in theta]
+        assert np.abs(rows[:, 3] - expected).max() <= 1e-9
+
+    def test_validates_once(self, preset_path, monkeypatch, capsys):
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return validate(spec)
+
+        monkeypatch.setattr(cli, "validate", counting)
+        monkeypatch.setattr(engine, "validate", counting)
+        assert main(["simulate", "--net", preset_path("mz_phase")]) == 0
+        assert len(calls) == 1
+
+    def test_invalid_network_message(self, tmp_path, capsys):
+        path = write(tmp_path, "open.net",
+                     "source a coherent amp=1; delay L from a tau=1ns; "
+                     "det D from L.out; det E from L.out;")
+        assert main(["simulate", "--net", path, "--freqs", "1MHz"]) == 4
+        err = capsys.readouterr().err
+        assert f"{path}: network is invalid:\n  [double-driven]" in err
+
     def test_bad_override_target(self, preset_path):
         assert main(["simulate", "--net", preset_path("mz_phase"),
                      "--combo", "sum", "--freqs", "20MHz",
@@ -154,6 +193,15 @@ class TestScenario:
         d1["manifest"].pop("timestamp")
         d2["manifest"].pop("timestamp")
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+    @pytest.mark.parametrize("squeezing", ["3", "-1.5"])
+    def test_infeasible_calibration_is_numerical_error(self, squeezing, capsys):
+        assert main(["scenario", "--override", f"squeezing_db={squeezing}"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: infeasible calibration") and "\n" not in err
+        assert "Traceback" not in err
 
     def test_unknown_override_key(self):
         assert main(["scenario", "--override", "bogus=1"]) == 2

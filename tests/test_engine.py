@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sideband import engine, mzi, scenario
 from sideband.network import (
@@ -15,6 +17,7 @@ from sideband.network import (
     NetworkSpec,
     QuadSpectrum,
     SourceDecl,
+    Vacuum,
 )
 
 import netgen
@@ -314,3 +317,117 @@ class TestShotNoiseFloor:
             assert engine.spectrum(net, combo, omega).normalized == pytest.approx(
                 1.0, abs=1e-9)
             count += 1
+
+
+def _axis(seed: int, extra: int) -> np.ndarray:
+    """A frequency axis longer than one block with 0, negative and repeated w."""
+    gen = np.random.default_rng(seed)
+    omegas = gen.uniform(-2 * math.pi * 40e6, 2 * math.pi * 40e6, engine.BLOCK + extra)
+    omegas[0] = 0.0
+    omegas[1] = -omegas[2]
+    omegas[-1] = omegas[3]
+    omegas[engine.BLOCK] = omegas[engine.BLOCK - 1]  # repeated across a block edge
+    return omegas
+
+
+def _assert_close(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    assert np.array_equal(np.isneginf(got), np.isneginf(expected))
+    ok = np.isfinite(expected)
+    scale = np.maximum(np.abs(expected[ok]), 1.0)
+    assert np.all(np.abs(got[ok] - expected[ok]) <= 1e-12 * scale)
+
+
+def _assert_sweeps_close(got, expected):
+    for field in ("absolute", "snl", "normalized", "db"):
+        _assert_close(getattr(got, field), getattr(expected, field))
+
+
+SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+class TestSweep:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEEDS, extra=st.integers(min_value=1, max_value=engine.BLOCK))
+    def test_rows_equal_single_point_sweeps(self, seed, extra):
+        rng = random.Random(seed)
+        spec = netgen.random_spec(rng)
+        net = engine.compile(spec)
+        combo = netgen.random_combo(rng, spec)
+        omegas = _axis(seed, extra)
+        got = engine.sweep(net, combo, omegas)
+        assert got.absolute.shape == omegas.shape
+        for i, omega in enumerate(omegas):
+            one = engine.sweep(net, combo, [omega])
+            for field in ("absolute", "snl", "normalized", "db"):
+                _assert_close(getattr(got, field)[i:i + 1], getattr(one, field))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEEDS, extra=st.integers(min_value=1, max_value=engine.BLOCK))
+    def test_multi_combo_rows_equal_single_combo_sweeps(self, seed, extra):
+        rng = random.Random(seed)
+        spec = netgen.random_spec(rng)
+        net = engine.compile(spec)
+        combos = [netgen.random_combo(rng, spec) for _ in range(3)]
+        combos.append({name: rng.uniform(-2.0, 2.0) for name in spec.detector_names()})
+        omegas = _axis(seed, extra)
+        got = engine.sweep(net, combos, omegas)
+        assert got.normalized.shape == (len(combos), omegas.size)
+        for row, combo in enumerate(combos):
+            one = engine.sweep(net, combo, omegas)
+            for field in ("absolute", "snl", "normalized", "db"):
+                _assert_close(getattr(got, field)[row], getattr(one, field))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEEDS, dark=st.booleans())
+    def test_nan_exactly_where_no_carrier_reaches_the_combo(self, seed, dark):
+        rng = random.Random(seed)
+        spec = netgen.random_spec(rng)
+        if dark:  # every source a vacuum: no carrier anywhere
+            spec = dataclasses.replace(spec, sources=tuple(
+                SourceDecl(s.name, Vacuum()) for s in spec.sources))
+        net = engine.compile(spec)
+        combo = netgen.random_combo(rng, spec)
+        got = engine.sweep(net, combo, _axis(seed, 1))
+        unlit = got.snl == 0.0
+        if dark:
+            assert unlit.all()
+        assert np.isnan(got.normalized[unlit]).all() and np.isnan(got.db[unlit]).all()
+        assert not np.isnan(got.normalized[~unlit]).any()
+        assert not np.isnan(got.db[~unlit]).any()
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEEDS, extra=st.integers(min_value=1, max_value=engine.BLOCK))
+    def test_stacked_transfer_rows_are_orthonormal(self, seed, extra):
+        # passivity: with every hidden vacuum in the roster, the detector
+        # rows of A(w) are rows of a unitary, lossy networks included
+        rng = random.Random(seed)
+        net = engine.compile(netgen.random_spec(rng))
+        a = engine._detector_rows(net, _axis(seed, extra))
+        gram = np.matmul(a, np.conj(np.swapaxes(a, 1, 2)))
+        assert np.abs(gram - np.eye(net.n_detectors)).max() < 1e-12
+
+    def test_mz_closed_form_over_several_blocks(self):
+        net = mz_net(phi=0.9, vx=0.617, vy=63.0)
+        omegas = np.linspace(-3 * OMEGA, 3 * OMEGA, 3 * engine.BLOCK + 7)
+        got = engine.sweep(net, DIFF, omegas).normalized
+        expected = [mzi.diff_variance(w * TAU, 0.9, 0.617, 63.0) for w in omegas]
+        assert np.abs(got - expected).max() <= 1e-9
+
+    def test_tabulated_inputs_match_scalar_lookup(self):
+        noise = QuadSpectrum.tabulated(
+            [0.0, OMEGA, 2 * OMEGA], [0.6, 0.7, 0.8], [80.0, 63.0, 50.0])
+        net = mz_net()
+        omegas = np.linspace(-3 * OMEGA, 3 * OMEGA, engine.BLOCK + 3)
+        got = engine.sweep(net, DIFF, omegas, inputs={"a": noise})
+        for i in (0, 1, engine.BLOCK // 2, engine.BLOCK + 1, engine.BLOCK + 2):
+            pt = engine.spectrum(net, DIFF, omegas[i], inputs={"a": noise})
+            assert got.normalized[i] == pytest.approx(pt.normalized, rel=1e-12)
+
+    def test_spectrum_is_the_one_point_view(self):
+        net = mz_net()
+        s = engine.sweep(net, SUM, [OMEGA])
+        pt = engine.spectrum(net, SUM, OMEGA)
+        assert (pt.absolute, pt.snl, pt.normalized, pt.db) == (
+            s.absolute[0], s.snl[0], s.normalized[0], s.db[0])

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sideband import engine
@@ -155,3 +156,32 @@ def test_valid_specs_compile():
         assert validate(spec) == []
         net = engine.compile(spec)
         assert net.n_detectors == len(spec.detectors)
+
+
+def _loop_interp(grid, table, omega):
+    """Reference lookup: linear interpolation in |omega|, clamped at the ends."""
+    w = abs(omega)
+    if w <= grid[0]:
+        return table[0]
+    if w >= grid[-1]:
+        return table[-1]
+    for i in range(len(grid) - 1):
+        if grid[i] <= w <= grid[i + 1]:
+            return table[i] + (w - grid[i]) / (grid[i + 1] - grid[i]) * (table[i + 1] - table[i])
+
+
+def test_tabulated_lookup_takes_arrays():
+    grid, vx, vy = [1.0, 10.0, 20.0, 35.0], [1.0, 2.0, 4.0, 3.0], [4.0, 2.0, 1.0, 1.5]
+    spec = QuadSpectrum.tabulated(grid, vx, vy)
+    omegas = np.concatenate([np.linspace(-50.0, 50.0, 401), grid, [0.0]])
+    got_x, got_y = spec.vx_at(omegas), spec.vy_at(omegas)
+    assert got_x.shape == got_y.shape == omegas.shape
+    for w, x, y in zip(omegas, got_x, got_y):
+        assert x == pytest.approx(_loop_interp(grid, vx, w), rel=1e-14)
+        assert y == pytest.approx(_loop_interp(grid, vy, w), rel=1e-14)
+
+
+def test_constant_lookup_broadcasts_over_arrays():
+    spec = QuadSpectrum.constant(0.5, 3.0)
+    assert spec.vx_at(7.0) == 0.5
+    assert np.array_equal(spec.vy_at(np.zeros((2, 3))), np.full((2, 3), 3.0))

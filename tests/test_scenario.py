@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -115,3 +116,21 @@ def test_mz_network_builder_passes_through_noise():
 def test_config_override_rejects_unknown_key():
     with pytest.raises(KeyError):
         scenario.config_with_overrides(ExperimentConfig(), {"bogus": 1.0})
+
+
+@pytest.mark.parametrize("squeezing_db", [3.0, -1.5])
+def test_infeasible_calibration_raises(squeezing_db):
+    # +3 dB needs a loss above 1, -1.5 dB a negative one, to reach 0.63
+    cfg = ExperimentConfig(squeezing1_db=squeezing_db, squeezing2_db=squeezing_db)
+    with pytest.raises(scenario.CalibrationError, match="outside"):
+        cfg.fitted_detection_loss()
+    with pytest.raises(scenario.CalibrationError):
+        run_experiment(cfg)
+
+
+def test_calibration_at_the_feasible_edges():
+    # a target equal to the squeezed level needs no loss, a target of 1 all
+    cfg = ExperimentConfig(squeezing1_db=-3.0, squeezing2_db=-3.0)
+    assert replace(cfg, amp_sum_target=cfg.vx1).fitted_detection_loss() == pytest.approx(
+        0.0, abs=1e-12)
+    assert replace(cfg, amp_sum_target=1.0).fitted_detection_loss() == 1.0
