@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -276,10 +277,13 @@ def cmd_scenario(args) -> int:
         if "=" not in item:
             raise CliError(f"override must look like key=value: {item!r}", EXIT_IO)
         key, raw = item.split("=", 1)
-        overrides[key] = float(raw)
+        try:
+            overrides[key] = float(raw)
+        except ValueError:
+            raise CliError(f"override {key} needs a number, got {raw!r}", EXIT_IO)
     try:
         cfg = scenario.config_with_overrides(scenario.ExperimentConfig(), overrides)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise CliError(str(exc), EXIT_IO)
 
     try:
@@ -333,14 +337,14 @@ def cmd_oracle(args) -> int:
         corrupted = apply_overrides(net.spec, args.mc_override)
         net = engine.compile(corrupted)
 
-    cfg = montecarlo.MCConfig(
-        sample_rate=args.sample_rate or 8.0 * freq,
-        seed=seed,
-        segment_length=args.segment_length,
-        segment_count=args.segments,
-        window=args.window,
-    )
     try:
+        cfg = montecarlo.MCConfig(
+            sample_rate=args.sample_rate or 8.0 * freq,
+            seed=seed,
+            segment_length=args.segment_length,
+            segment_count=args.segments,
+            window=args.window,
+        )
         result = montecarlo.cross_validate(net, combo, 2.0 * math.pi * freq, cfg,
                                            engine_value=engine_value)
     except montecarlo.MCError as exc:
@@ -379,7 +383,9 @@ def cmd_design(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sideband",
         description="Quantum-noise spectra of passive optical networks at rf "

@@ -21,7 +21,9 @@ how the calibration is done on the bench.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,7 @@ from .network import BeamSplitter, Delay, Loss, PhaseShift, VACUUM_SPECTRUM
 
 DELAY_TOLERANCE = 1e-6  # max |tau*f_s - round(tau*f_s)|
 STREAM_MAGIC = b"SBMCS1\x00\x00"
+STREAM_HEADER = "<8sdQQQ"  # magic, sample rate, detectors, samples, seed
 
 
 class MCError(ValueError):
@@ -201,17 +204,96 @@ def expand_taps(net: engine.CompiledNetwork, cfg: MCConfig) -> list[list[tuple[i
     return out
 
 
-def _quadrature_stream(rng: np.random.Generator, n: int, cfg: MCConfig,
-                       variance_fn, constant: float | None) -> np.ndarray:
-    """White or FFT-colored Gaussian samples with per-sample variance V."""
-    white = rng.standard_normal(n)
-    if constant is not None:
-        if constant == 1.0:
-            return white
-        return math.sqrt(constant) * white
-    freqs = np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate)
-    gains = np.sqrt(variance_fn(2.0 * math.pi * freqs))
-    return np.fft.irfft(np.fft.rfft(white) * gains, n)
+def _workers() -> int:
+    """Threads that draw input streams: one per core this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _draw(seed: np.random.SeedSequence, spec, cfg: MCConfig,
+          x: np.ndarray, y: np.ndarray):
+    """Fill x and y with one input's quadrature samples.
+
+    Tabulated spectra are FFT-coloured to their variance; constant spectra
+    stay unit-variance white noise, their variance is folded into the taps.
+    """
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(out=x)
+    rng.standard_normal(out=y)
+    if spec.is_constant:
+        return
+    n = x.size
+    omegas = 2.0 * math.pi * np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate)
+    for buf, variance_fn in ((x, spec.vx_at), (y, spec.vy_at)):
+        shaped = np.fft.rfft(buf)
+        shaped *= np.sqrt(variance_fn(omegas))
+        buf[:] = np.fft.irfft(shaped, n)
+
+
+def _streams(net: engine.CompiledNetwork, cfg: MCConfig, weights: np.ndarray,
+             inputs, root: np.random.SeedSequence) -> np.ndarray:
+    """Weighted photocurrent streams sum_k weights[r, k] n_k(t), DC included.
+
+    Each input's taps fold into one complex coefficient per row and distinct
+    delay: weights, conj(alpha_k), the tap gains and, for constant spectra,
+    sqrt(V_X) and sqrt(V_Y).  Inputs are drawn on a thread pool, at most
+    workers + 1 in flight in a fixed set of buffers, and the calling thread
+    adds them in roster order, so the result is bit-identical for any worker
+    count.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    spectra = net.input_spectra(inputs)
+    taps = expand_taps(net, cfg)
+    n = cfg.total_samples
+    conj_alphas = np.conj(np.array(net.carriers, dtype=complex))
+    children = root.spawn(net.n_inputs)
+
+    folded: list[dict[int, np.ndarray]] = [{} for _ in range(net.n_inputs)]
+    for k, det in enumerate(taps):
+        for j, d, g in det:
+            d %= n  # circular shift, like a roll by d
+            term = weights[:, k] * (conj_alphas[k] * g)
+            folded[j][d] = folded[j].get(d, 0.0) + term
+    jobs = []
+    for j, spec in enumerate(spectra):
+        sx, sy = ((math.sqrt(spec.vx), math.sqrt(spec.vy)) if spec.is_constant
+                  else (1.0, 1.0))
+        coefs = [(d, c.real * sx, -c.imag * sy)
+                 for d, c in sorted(folded[j].items()) if c.any()]
+        if coefs:
+            jobs.append((children[j], spec, coefs))
+
+    out = np.zeros((weights.shape[0], n))
+    t, u = np.empty(n), np.empty(n)
+    workers = _workers()
+    # a ring of buffers: input i draws into slot i % len(ring), and input
+    # i + len(ring) is submitted once input i has been added
+    ring = [(np.empty(n), np.empty(n)) for _ in range(min(workers + 1, len(jobs)))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        def submit(i):
+            seed, spec, _ = jobs[i]
+            return pool.submit(_draw, seed, spec, cfg, *ring[i % len(ring)])
+
+        pending = deque(submit(i) for i in range(len(ring)))
+        for i, (_, _, coefs) in enumerate(jobs):
+            pending.popleft().result()
+            x, y = ring[i % len(ring)]
+            for d, cx, cy in coefs:
+                for r in range(out.shape[0]):
+                    if cx[r] == 0.0 and cy[r] == 0.0:
+                        continue
+                    np.multiply(x, cx[r], out=t)
+                    np.multiply(y, cy[r], out=u)
+                    t += u
+                    out[r, d:] += t[:n - d]
+                    out[r, :d] += t[n - d:]
+            if i + len(ring) < len(jobs):
+                pending.append(submit(i + len(ring)))
+
+    out += (weights @ np.abs(conj_alphas) ** 2)[:, None]  # DC photocurrent
+    return out
 
 
 def simulate(net: engine.CompiledNetwork, cfg: MCConfig, inputs=None,
@@ -219,43 +301,15 @@ def simulate(net: engine.CompiledNetwork, cfg: MCConfig, inputs=None,
     """Sample per-detector photocurrent streams; bit-reproducible per seed.
 
     Input generation is keyed by roster position on spawned substreams, so
-    streams are independent of element evaluation order and may be produced
-    concurrently without changing the result.
+    streams are independent of element evaluation order and of the number
+    of threads drawing them.
     """
-    for st in net.steps:
-        if isinstance(st.element, Delay):
-            cfg.delay_samples(st.element.tau)  # raises early on a bad f_s
-
-    spectra = net.input_spectra(inputs)
-    taps = expand_taps(net, cfg)
-    n = cfg.total_samples
-    alphas = np.array(net.carriers, dtype=complex)
-
     root = substream if substream is not None else np.random.SeedSequence(cfg.seed)
-    children = root.spawn(net.n_inputs)
-
-    streams = np.zeros((net.n_detectors, n))
-    for j, (entry, spec) in enumerate(zip(net.roster, spectra)):
-        used = [(k, d, g) for k, det in enumerate(taps) for (jj, d, g) in det if jj == j]
-        if not used:
-            continue
-        rng = np.random.default_rng(children[j])
-        x = _quadrature_stream(rng, n, cfg, spec.vx_at,
-                               spec.vx if spec.is_constant else None)
-        y = _quadrature_stream(rng, n, cfg, spec.vy_at,
-                               spec.vy if spec.is_constant else None)
-        for k, d, g in used:
-            z = np.conj(alphas[k]) * g
-            xs = np.roll(x, d) if d else x
-            ys = np.roll(y, d) if d else y
-            streams[k] += z.real * xs - z.imag * ys
-
-    streams += (np.abs(alphas) ** 2)[:, None]  # DC photocurrent
     return MCStreams(
         sample_rate=cfg.sample_rate,
         seed=cfg.seed,
         detector_names=net.detector_names,
-        streams=streams,
+        streams=_streams(net, cfg, np.eye(net.n_detectors), inputs, root),
     )
 
 
@@ -268,12 +322,21 @@ def _window(cfg: MCConfig) -> np.ndarray:
     return np.hanning(cfg.segment_length)
 
 
+def _bin_index(omega: float, cfg: MCConfig) -> int:
+    """The FFT bin of a segment nearest to omega, clamped to [0, L/2]."""
+    bin_width = cfg.sample_rate / cfg.segment_length
+    m = int(round(omega / (2.0 * math.pi) / bin_width))
+    return min(max(m, 0), cfg.segment_length // 2)
+
+
 def segment_powers(stream: np.ndarray, omega: float, settings: AnalyzerSettings,
                    cfg: MCConfig) -> np.ndarray:
     """Per-segment bin powers at omega, coherent-gain normalised.
 
     A sinusoid of amplitude A exactly on the bin gives A^2/2; white noise of
-    variance s^2 gives s^2 / (L/2) per bin with a rectangular window.
+    variance s^2 gives s^2 / (L/2) per bin with a rectangular window.  The
+    one bin is read as two real projections onto win*cos and win*sin, with
+    each segment's mean removed through the kernels' sums.
     """
     length = cfg.segment_length
     f_nyq_omega = math.pi * cfg.sample_rate
@@ -288,14 +351,16 @@ def segment_powers(stream: np.ndarray, omega: float, settings: AnalyzerSettings,
         raise MCError(
             f"stream too short: {stream.size} < {cfg.total_samples} samples")
 
-    m = int(round(omega / (2.0 * math.pi) / bin_width))
-    m = min(max(m, 0), length // 2)
+    m = _bin_index(omega, cfg)
     win = _window(cfg)
+    angle = (2.0 * math.pi / length) * ((m * np.arange(length)) % length)
+    kernel = np.stack([win * np.cos(angle), win * np.sin(angle),
+                       np.full(length, 1.0 / length)], axis=1)
     segments = stream[:cfg.total_samples].reshape(cfg.segment_count, length)
-    segments = segments - segments.mean(axis=1, keepdims=True)
-    bins = np.fft.rfft(segments * win, axis=1)[:, m]
+    proj = segments @ kernel  # (K, 3): cos and sin projections, segment mean
+    proj = proj[:, :2] - proj[:, 2:] * kernel[:, :2].sum(axis=0)
     one_sided = 2.0 if 0 < m < length // 2 else 1.0
-    return one_sided * np.abs(bins) ** 2 / (win.sum() ** 2)
+    return one_sided * (proj ** 2).sum(axis=1) / (win.sum() ** 2)
 
 
 def video_average(powers: np.ndarray, settings: AnalyzerSettings,
@@ -317,15 +382,19 @@ def periodogram(stream: np.ndarray, omega: float, settings: AnalyzerSettings,
     Segment powers pass through the VBW moving average and the estimate is
     the mean of that trace; for stationary input this is an unbiased bin
     power (and identical to the plain Welch mean when VBW covers the whole
-    record).  The reported standard error is estimate * sqrt(2/K), the
-    Gaussian-data convention for K averaged variance estimates.
+    record).  The reported standard error is estimate * sqrt(1/K) for a
+    complex bin (0 < m < L/2), whose power is exponentially distributed,
+    and estimate * sqrt(2/K) for the real bins m = 0 and m = L/2, whose
+    power is chi-squared with one degree of freedom.
     """
     powers = segment_powers(np.asarray(stream, dtype=float), omega, settings, cfg)
     if settings.subtract_electronic:
         powers = powers - settings.electronic_floor
     trace = video_average(powers, settings, cfg)
     estimate = float(trace.mean())
-    stderr = abs(estimate) * math.sqrt(2.0 / cfg.segment_count)
+    m = _bin_index(omega, cfg)
+    rel_var = 1.0 if 0 < m < cfg.segment_length // 2 else 2.0
+    stderr = abs(estimate) * math.sqrt(rel_var / cfg.segment_count)
     return MCEstimate(omega=omega, estimate=estimate, stderr=stderr,
                       segments=cfg.segment_count)
 
@@ -339,25 +408,21 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
     vacuum-input re-run on an independent substream; z is the discrepancy in
     combined standard errors.  The requested frequency snaps to the nearest
     FFT bin and the engine reference is evaluated there, so both sides see
-    the same sideband.  engine_value can be overridden to test deliberate
-    mismatches.
+    the same sideband.  Only the combo's stream is accumulated, one per run.
+    engine_value can be overridden to test deliberate mismatches.
     """
     cfg.check_frequency(omega)
     if settings is None:
         settings = AnalyzerSettings(rbw=cfg.sample_rate / cfg.segment_length,
                                     vbw=cfg.sample_rate / cfg.segment_length)
-    bin_width = cfg.sample_rate / cfg.segment_length
-    m = int(round(omega / (2.0 * math.pi) / bin_width))
-    omega = 2.0 * math.pi * m * bin_width
-    root = np.random.SeedSequence(cfg.seed)
-    signal_ss, vacuum_ss = root.spawn(2)
+    omega = 2.0 * math.pi * _bin_index(omega, cfg) * (cfg.sample_rate / cfg.segment_length)
+    signal_ss, vacuum_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    weights = engine.combo_weights(net, combo)[None, :]
 
-    signal = simulate(net, cfg, inputs=inputs, substream=signal_ss)
-    vacuum_inputs = [VACUUM_SPECTRUM] * net.n_inputs
-    vacuum = simulate(net, cfg, inputs=vacuum_inputs, substream=vacuum_ss)
-
-    est_sig = periodogram(signal.combo_stream(net, combo), omega, settings, cfg)
-    est_vac = periodogram(vacuum.combo_stream(net, combo), omega, settings, cfg)
+    est_sig = periodogram(_streams(net, cfg, weights, inputs, signal_ss)[0],
+                          omega, settings, cfg)
+    est_vac = periodogram(_streams(net, cfg, weights, [VACUUM_SPECTRUM] * net.n_inputs,
+                                   vacuum_ss)[0], omega, settings, cfg)
     if est_vac.estimate <= 0.0:
         raise MCError("vacuum reference power is not positive; no carrier in combo?")
 
@@ -377,7 +442,10 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
 # Stream dumps: little-endian float64 with a fixed binary header
 
 def dump_streams(path, mc: MCStreams):
-    header = struct.pack("<8sdQQQ", STREAM_MAGIC, mc.sample_rate,
+    bad = [name for name in mc.detector_names if "," in name]
+    if bad:
+        raise MCError(f"detector names {bad} contain a comma and cannot be loaded back")
+    header = struct.pack(STREAM_HEADER, STREAM_MAGIC, mc.sample_rate,
                          len(mc.detector_names), mc.length, mc.seed)
     names = ",".join(mc.detector_names).encode()
     with open(path, "wb") as fh:
@@ -388,13 +456,22 @@ def dump_streams(path, mc: MCStreams):
 
 
 def load_streams(path) -> MCStreams:
+    head_size = struct.calcsize(STREAM_HEADER) + 8  # fixed header + name length
     with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<8sdQQQ"))
-        if len(head) < struct.calcsize("<8sdQQQ") or head[:8] != STREAM_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(head_size)
+        if head[:8] != STREAM_MAGIC:
             raise MCError(f"not a stream dump: bad magic {head[:8]!r}")
-        magic, f_s, m, length, seed = struct.unpack("<8sdQQQ", head)
-        (name_len,) = struct.unpack("<Q", fh.read(8))
-        names = tuple(fh.read(name_len).decode().split(",")) if name_len else ()
+        if len(head) < head_size:
+            raise MCError(f"truncated stream dump: {size} bytes, header needs {head_size}")
+        magic, f_s, m, length, seed, name_len = struct.unpack(STREAM_HEADER + "Q", head)
+        expected = head_size + name_len + 8 * m * length
+        if size != expected:
+            raise MCError(f"truncated or over-long stream dump: {size} bytes, "
+                          f"its header describes {expected}")
+        names = tuple(fh.read(name_len).decode().split(",")) if m else ()
+        if len(names) != m:
+            raise MCError(f"stream dump names {len(names)} detectors for {m} streams")
         data = np.frombuffer(fh.read(8 * m * length), dtype="<f8").reshape(m, length)
     return MCStreams(sample_rate=f_s, seed=seed, detector_names=names,
                      streams=data.copy())

@@ -112,6 +112,23 @@ class ExperimentConfig:
     pulse_multiple: int = 2
     excess_correlation: float = 0.0
 
+    def __post_init__(self):
+        loss = self.detection_loss
+        for key, ok, want in (
+            ("visibility", 0.0 <= self.visibility <= 1.0, "lie in [0, 1]"),
+            ("detection_loss", loss is None or 0.0 <= loss < 1.0, "lie in [0, 1)"),
+            ("excess_correlation", -1.0 <= self.excess_correlation <= 1.0,
+             "lie in [-1, 1]"),
+            ("excess_db", math.isfinite(self.excess_db), "be finite"),
+            ("carrier", math.isfinite(self.carrier) and self.carrier != 0.0,
+             "be finite and non-zero"),
+            ("rep_rate_hz", math.isfinite(self.rep_rate_hz) and self.rep_rate_hz > 0.0,
+             "be finite and positive"),
+            ("pulse_multiple", self.pulse_multiple >= 1, "be at least 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must {want}, got {getattr(self, key)!r}")
+
     @property
     def design(self) -> mzi.PulsedDesign:
         return mzi.pulsed_design(self.rep_rate_hz, self.pulse_multiple)
@@ -294,6 +311,8 @@ def config_with_overrides(cfg: ExperimentConfig, overrides: dict[str, float]) ->
             updates["squeezing1_db"] = value
             updates["squeezing2_db"] = value
         elif key == "pulse_multiple":
+            if not float(value).is_integer():
+                raise ValueError(f"pulse_multiple must be a whole number, got {value!r}")
             updates[key] = int(value)
         elif key in ("squeezing1_db", "squeezing2_db", "excess_db", "visibility",
                      "amp_sum_target", "detection_loss", "carrier", "rep_rate_hz",

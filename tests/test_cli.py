@@ -206,6 +206,29 @@ class TestScenario:
     def test_unknown_override_key(self):
         assert main(["scenario", "--override", "bogus=1"]) == 2
 
+    @pytest.mark.parametrize("override,key", [
+        ("visibility=abc", "visibility"),
+        ("visibility=1.5", "visibility"),
+        ("detection_loss=1", "detection_loss"),
+        ("pulse_multiple=2.5", "pulse_multiple"),
+    ])
+    def test_bad_override_value_is_usage_error(self, override, key, capsys):
+        assert main(["scenario", "--override", override]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: ") and key in err and "\n" not in err
+
+    def test_parser_keeps_no_state_between_calls(self, tmp_path):
+        first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        assert main(["scenario", "--override", "visibility=0.9", "--out", first]) == 0
+        assert main(["scenario", "--out", second]) == 0
+        assert load_json(first)["manifest"]["overrides"] == ["visibility=0.9"]
+        doc = load_json(second)
+        assert "overrides" not in doc["manifest"]
+        assert doc["config"]["visibility"] == 0.85
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestOracle:
     def test_engine_agreement_passes(self, tmp_path, capsys):
@@ -232,6 +255,12 @@ class TestOracle:
         doc = json.loads(capsys.readouterr().out)
         assert code == 5
         assert abs(doc["result"]["z"]) > 5
+
+    def test_zero_frequency_is_numerical_error(self, tmp_path, capsys):
+        path = write(tmp_path, "mz.net", MZ_THETA_PI)
+        assert main(["oracle", "--net", path, "--freq", "0Hz"]) == 5
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
         path = write(tmp_path, "mz.net", MZ_THETA_PI)

@@ -1,11 +1,16 @@
+import dataclasses
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
 
 from sideband import engine, montecarlo, scenario
 from sideband.montecarlo import AnalyzerSettings, MCConfig, MCError
-from sideband.network import Combo, QuadSpectrum
+from sideband.network import VACUUM_SPECTRUM, Combo, Delay, QuadSpectrum
+
+import netgen
 
 F_M = 20.5e6
 OMEGA = 2 * math.pi * F_M
@@ -121,12 +126,16 @@ class TestPeriodogram:
             montecarlo.periodogram(np.zeros(10), OMEGA, settings, c)
 
     def test_stderr_convention(self):
+        # a complex bin's power is exponential (relative variance 1); the real
+        # bins 0 and L/2 are chi-squared with one degree of freedom (2)
         c = cfg(segments=1024, length=64)
         stream = np.random.default_rng(0).normal(0, 1, c.total_samples)
         settings = AnalyzerSettings(rbw=c.sample_rate / 64, vbw=c.sample_rate / 64)
-        est = montecarlo.periodogram(stream, 2 * np.pi * 10 * c.sample_rate / 64,
-                                     settings, c)
-        assert est.stderr == pytest.approx(est.estimate * math.sqrt(2 / 1024))
+        # 31.75 bins, just below Nyquist, snaps to bin L/2 = 32
+        for bins, rel_var in ((10, 1), (0, 2), (31.75, 2)):
+            est = montecarlo.periodogram(stream, 2 * np.pi * bins * c.sample_rate / 64,
+                                         settings, c)
+            assert est.stderr == pytest.approx(est.estimate * math.sqrt(rel_var / 1024))
 
 
 class TestCrossValidate:
@@ -207,6 +216,121 @@ class TestCrossValidate:
                                       cfg(segments=16, length=64))
 
 
+def integer_delay_net(rng, fs):
+    """A random netgen network whose delays are whole samples at fs."""
+    spec = netgen.random_spec(rng)
+    elements = tuple(
+        dataclasses.replace(e, element=Delay(round(e.element.tau * fs) / fs,
+                                             e.element.carrier_phase))
+        if isinstance(e.element, Delay) else e
+        for e in spec.elements)
+    return dataclasses.replace(spec, elements=elements)
+
+
+TABULATED = QuadSpectrum.tabulated([0.0, OMEGA / 2, OMEGA, 2 * OMEGA],
+                                   [0.6, 0.62, 0.65, 0.7], [90.0, 75.0, 63.0, 40.0])
+
+
+class TestComboStreams:
+    """cross_validate accumulates only the combo's stream; it must equal the
+    combo of simulate's per-detector streams on the same substreams."""
+
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_cross_validate_stream_is_combo_of_detector_streams(self, tabulated,
+                                                                monkeypatch):
+        rng = random.Random(404 + tabulated)
+        c = cfg(seed=17, segments=16, length=64)
+        seen = []
+        periodogram = montecarlo.periodogram
+
+        def capture(stream, *args):
+            seen.append(stream.copy())
+            return periodogram(stream, *args)
+
+        monkeypatch.setattr(montecarlo, "periodogram", capture)
+        checked = 0
+        while checked < 12:
+            spec = integer_delay_net(rng, c.sample_rate)
+            net = engine.compile(spec)
+            combo = netgen.random_combo(rng, spec)
+            if engine.snl(net, combo) < 1e-9:
+                continue
+            inputs = {s.name: TABULATED for s in spec.sources} if tabulated else None
+            seen.clear()
+            montecarlo.cross_validate(net, combo, OMEGA, c, inputs=inputs)
+            weights = engine.combo_weights(net, combo)
+            signal_ss, vacuum_ss = np.random.SeedSequence(c.seed).spawn(2)
+            vacua = [VACUUM_SPECTRUM] * net.n_inputs
+            for got, run_inputs, ss in ((seen[0], inputs, signal_ss),
+                                        (seen[1], vacua, vacuum_ss)):
+                ref = weights @ montecarlo.simulate(net, c, inputs=run_inputs,
+                                                    substream=ss).streams
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            checked += 1
+
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_simulate_matches_rolled_tap_sum(self, tabulated):
+        # reference: every tap as a rolled copy of the input's own draws
+        rng = random.Random(505 + tabulated)
+        c = cfg(seed=23, segments=8, length=64)
+        n = c.total_samples
+        omegas = 2 * np.pi * np.fft.rfftfreq(n, d=1 / c.sample_rate)
+        for _ in range(8):
+            spec = integer_delay_net(rng, c.sample_rate)
+            net = engine.compile(spec)
+            inputs = {s.name: TABULATED for s in spec.sources} if tabulated else None
+            got = montecarlo.simulate(net, c, inputs=inputs).streams
+            ref = np.tile((np.abs(net.carriers) ** 2)[:, None], (1, n))
+            children = np.random.SeedSequence(c.seed).spawn(net.n_inputs)
+            taps = montecarlo.expand_taps(net, c)
+            for j, q in enumerate(net.input_spectra(inputs)):
+                draws = np.random.default_rng(children[j]).standard_normal((2, n))
+                x, y = (np.fft.irfft(np.fft.rfft(w) * np.sqrt(v(omegas)), n)
+                        for w, v in zip(draws, (q.vx_at, q.vy_at)))
+                for k, det in enumerate(taps):
+                    for jj, d, g in det:
+                        if jj == j:
+                            z = np.conj(net.carriers[k]) * g
+                            ref[k] += np.roll(z.real * x - z.imag * y, d)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_worker_count_does_not_change_streams(self, monkeypatch):
+        net = engine.compile(scenario.experiment_network(
+            scenario.ExperimentConfig(), "phase"))
+        c = cfg(seed=5, segments=32, length=64)
+        inputs = {"s1": TABULATED}
+        default = montecarlo.simulate(net, c, inputs=inputs).streams
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a reused buffer would show
+        try:
+            for workers in (1, 3, 8):
+                monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+                again = montecarlo.simulate(net, c, inputs=inputs).streams
+                assert np.array_equal(again, default), workers
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestSegmentPowers:
+    @pytest.mark.parametrize("window", ["hann", "rect"])
+    def test_single_bin_matches_full_rfft(self, window):
+        c = cfg(segments=64, length=128, window=window)
+        length = c.segment_length
+        stream = 3.0 + np.random.default_rng(8).normal(0, 2.0, c.total_samples)
+        settings = AnalyzerSettings(rbw=c.sample_rate / length,
+                                    vbw=c.sample_rate / length)
+        win = np.hanning(length) if window == "hann" else np.ones(length)
+        segments = stream.reshape(c.segment_count, length)
+        segments = segments - segments.mean(axis=1, keepdims=True)
+        spectrum = np.abs(np.fft.rfft(segments * win, axis=1)) ** 2 / win.sum() ** 2
+        scale = 1e-12 * spectrum.max()
+        for m, omega_bins in ((0, 0.0), (10, 10.0), (length // 2, length / 2 - 0.25)):
+            omega = 2 * np.pi * omega_bins * c.sample_rate / length
+            got = montecarlo.segment_powers(stream, omega, settings, c)
+            ref = (2.0 if 0 < m < length // 2 else 1.0) * spectrum[:, m]
+            assert np.max(np.abs(got - ref)) <= scale, m
+
+
 class TestTabulatedInputs:
     def test_shaped_spectrum_tracks_engine(self):
         # tabulated spectra route through FFT coloring; the engine reads the
@@ -235,6 +359,24 @@ class TestStreamDumps:
         assert back.seed == mc.seed
         assert back.detector_names == mc.detector_names
         assert np.array_equal(back.streams, mc.streams)
+
+    def test_truncated_dump(self, tmp_path):
+        net = mz_net()
+        mc = montecarlo.simulate(net, cfg(seed=2, segments=16, length=64))
+        path = tmp_path / "streams.bin"
+        montecarlo.dump_streams(path, mc)
+        whole = path.read_bytes()
+        for cut in (len(whole) - 8, 40, 12):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(MCError, match="truncated"):
+                montecarlo.load_streams(path)
+
+    def test_comma_in_detector_name_refused(self, tmp_path):
+        mc = montecarlo.MCStreams(sample_rate=1e6, seed=0, detector_names=("a,b", "c"),
+                                  streams=np.zeros((2, 8)))
+        with pytest.raises(MCError, match="comma"):
+            montecarlo.dump_streams(tmp_path / "streams.bin", mc)
+        assert not (tmp_path / "streams.bin").exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
