@@ -51,16 +51,28 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
 
 
+def _parse_flag(flag: str, text: str, parse, *args):
+    """Parse a flag's value with a DSL parser; malformed text is a usage error."""
+    try:
+        return parse(text, *args)
+    except dsl.ParseError as exc:
+        raise CliError(f"bad {flag} {text!r}: {exc.diagnostic.message}", EXIT_IO)
+
+
+def _with_overrides(spec: NetworkSpec, overrides: list[str]) -> NetworkSpec:
+    try:
+        return apply_overrides(spec, overrides)
+    except (KeyError, ValueError) as exc:
+        raise CliError(str(exc), EXIT_IO)
+
+
 def _load_network(path: str, overrides: list[str]) -> tuple[engine.CompiledNetwork, str]:
     text = _read_text(path)
     try:
         spec = dsl.parse(text)
     except dsl.ParseError as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE)
-    try:
-        spec = apply_overrides(spec, overrides)
-    except (KeyError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_IO)
+    spec = _with_overrides(spec, overrides)
     try:
         net = engine.compile(spec)
     except engine.StructuralError as exc:
@@ -81,18 +93,21 @@ def apply_overrides(spec: NetworkSpec, overrides: list[str]) -> NetworkSpec:
         target, raw = item.split("=", 1)
         name, param = target.split(".", 1)
         hit = False
-        for i, decl in enumerate(elements):
-            if decl.name != name:
-                continue
-            elements[i] = dataclasses.replace(
-                decl, element=_override_element(decl.element, param, raw))
-            hit = True
-        for i, decl in enumerate(sources):
-            if decl.name != name:
-                continue
-            sources[i] = dataclasses.replace(
-                decl, spec=_override_source(decl.spec, param, raw))
-            hit = True
+        try:
+            for i, decl in enumerate(elements):
+                if decl.name != name:
+                    continue
+                elements[i] = dataclasses.replace(
+                    decl, element=_override_element(decl.element, param, raw))
+                hit = True
+            for i, decl in enumerate(sources):
+                if decl.name != name:
+                    continue
+                sources[i] = dataclasses.replace(
+                    decl, spec=_override_source(decl.spec, param, raw))
+                hit = True
+        except dsl.ParseError as exc:
+            raise ValueError(f"override {item!r}: {exc.diagnostic.message}") from None
         if not hit:
             raise KeyError(f"override target {name!r} not found in network")
     return dataclasses.replace(spec, sources=tuple(sources), elements=tuple(elements))
@@ -140,7 +155,10 @@ def _resolve_combo(spec: NetworkSpec, text: str | None) -> Combo:
             return spec.measurements[0].combo
         text = "sum"
     if text.startswith("single:"):
-        idx = int(text.split(":", 1)[1])
+        try:
+            idx = int(text.split(":", 1)[1])
+        except ValueError:
+            raise CliError(f"single:K needs a detector index, got {text!r}", EXIT_IO)
         if not 0 <= idx < len(detectors):
             raise CliError(f"single:{idx} out of range (have {len(detectors)} detectors)",
                            EXIT_IO)
@@ -161,15 +179,16 @@ def _resolve_combo(spec: NetworkSpec, text: str | None) -> Combo:
 
 
 def _seed_from(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
+    seed = getattr(args, "seed", None)
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}", EXIT_IO)
-    return 0
+    if seed is not None and seed < 0:
+        raise CliError(f"seed must be a non-negative integer, got {seed}", EXIT_IO)
+    return seed or 0
 
 
 def make_manifest(command: str, *, path: str | None = None, text: str | None = None,
@@ -239,10 +258,7 @@ def cmd_simulate(args) -> int:
     spec = net.spec
     combo = _resolve_combo(spec, args.combo)
     if args.freqs:
-        try:
-            freqs = dsl.parse_frequency_range(args.freqs)
-        except dsl.ParseError as exc:
-            raise CliError(f"bad --freqs: {exc}", EXIT_IO)
+        freqs = _parse_flag("--freqs", args.freqs, dsl.parse_frequency_range)
     elif spec.measurements:
         freqs = spec.measurements[0].freqs
     else:
@@ -290,7 +306,11 @@ def cmd_scenario(args) -> int:
         report = scenario.run_experiment(cfg)
     except scenario.CalibrationError as exc:
         raise CliError(str(exc), EXIT_NUMERICAL)
-    pair = entanglement.CorrelationPair(v_plus=report.v_plus, v_minus=report.v_minus)
+    try:
+        pair = entanglement.CorrelationPair(v_plus=report.v_plus, v_minus=report.v_minus)
+    except ValueError as exc:  # no carrier reaches a readout: V is NaN
+        raise CliError(f"{exc}: V+ = {report.v_plus:g}, V- = {report.v_minus:g}",
+                       EXIT_NUMERICAL)
     verdict = entanglement.assess(
         pair, beam_levels=(report.phase.beam1, report.phase.beam2))
 
@@ -323,10 +343,7 @@ def cmd_scenario(args) -> int:
 def cmd_oracle(args) -> int:
     net, text = _load_network(args.net, args.override)
     combo = _resolve_combo(net.spec, args.combo)
-    try:
-        freq = dsl.parse_quantity(args.freq, dsl.FREQ)
-    except dsl.ParseError as exc:
-        raise CliError(f"bad --freq: {exc}", EXIT_IO)
+    freq = _parse_flag("--freq", args.freq, dsl.parse_quantity, dsl.FREQ)
     seed = _seed_from(args)
 
     engine_value = None
@@ -334,8 +351,7 @@ def cmd_oracle(args) -> int:
         # evaluate the engine on the uncorrupted network, run MC on the
         # corrupted one: a deliberate-mismatch diagnostic
         engine_value = engine.spectrum(net, combo, 2.0 * math.pi * freq).normalized
-        corrupted = apply_overrides(net.spec, args.mc_override)
-        net = engine.compile(corrupted)
+        net = engine.compile(_with_overrides(net.spec, args.mc_override))
 
     try:
         cfg = montecarlo.MCConfig(
@@ -365,17 +381,20 @@ def cmd_design(args) -> int:
     if (args.frep is None) == (args.fm is None):
         raise CliError("give exactly one of --frep (with --n) or --fm", EXIT_IO)
     rows = []
-    if args.fm is not None:
-        f_m = dsl.parse_quantity(args.fm, dsl.FREQ)
-        delta_l = mzi.delay_for_frequency(f_m)
-        rows.append({"n": None, "f_m_hz": f_m, "delta_l_m": delta_l,
-                     "tau_s": delta_l / scenario.SPEED_OF_LIGHT})
-    else:
-        f_rep = dsl.parse_quantity(args.frep, dsl.FREQ)
-        for n in range(1, args.n + 1):
-            d = mzi.pulsed_design(f_rep, n)
-            rows.append({"n": n, "f_m_hz": d.f_m, "delta_l_m": d.delta_l,
-                         "tau_s": d.delta_l / scenario.SPEED_OF_LIGHT})
+    try:
+        if args.fm is not None:
+            f_m = _parse_flag("--fm", args.fm, dsl.parse_quantity, dsl.FREQ)
+            delta_l = mzi.delay_for_frequency(f_m)
+            rows.append({"n": None, "f_m_hz": f_m, "delta_l_m": delta_l,
+                         "tau_s": delta_l / scenario.SPEED_OF_LIGHT})
+        else:
+            f_rep = _parse_flag("--frep", args.frep, dsl.parse_quantity, dsl.FREQ)
+            for n in range(1, args.n + 1):
+                d = mzi.pulsed_design(f_rep, n)
+                rows.append({"n": n, "f_m_hz": d.f_m, "delta_l_m": d.delta_l,
+                             "tau_s": d.delta_l / scenario.SPEED_OF_LIGHT})
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_IO)
     payload = {"manifest": make_manifest("design"), "designs": rows}
     _emit_json(payload, args.out)
     return EXIT_OK

@@ -234,6 +234,16 @@ class _Parser:
         return self.convert(tok, dim)
 
     def convert(self, tok: Token, dim: str) -> float:
+        """A number token in the base unit of ``dim``; it must be finite."""
+        try:
+            value = self._scaled(tok, dim)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise self.error(f"number out of range: {tok.text!r}", tok)
+        return value
+
+    def _scaled(self, tok: Token, dim: str) -> float:
         unit, value = tok.unit, tok.value
         if dim == PLAIN:
             if unit is not None:

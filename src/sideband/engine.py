@@ -3,7 +3,11 @@
 A compiled network maps the annihilation fluctuation operators of its inputs
 at sideband frequency w to the operators at the detector ports through an
 M x N complex matrix A(w), built by walking the element pipeline in
-topological order.  Carriers follow the same pipeline with the sideband
+topological order.  Compiling turns each element into its linear map, stated
+once in :func:`_linear_map`: rows of output-by-input gains and a sideband
+delay tau, so an output port is sum_i gains[o][i] e^{-i w tau} in_i.  The
+walk here and the Monte-Carlo delay taps both read those maps and nothing
+else of the element.  Carriers follow the same pipeline with the sideband
 factor of each delay removed, i.e. the carrier vector equals A(0) applied to
 the source amplitudes.
 
@@ -131,9 +135,32 @@ class CompiledNetwork:
 
 @dataclass(frozen=True)
 class PipelineStep:
+    """One element with resolved ports and its linear map (see _linear_map)."""
+
     element: object
     in_ports: tuple[str, ...]
     out_ports: tuple[str, ...]
+    gains: tuple[tuple[complex, ...], ...]  # one row per output, one gain per input
+    tau: float  # sideband delay in seconds
+
+
+def _linear_map(el) -> tuple[tuple[tuple[complex, ...], ...], float]:
+    """An element's output-by-input gains and its sideband delay tau (s).
+
+    The only statement of element physics: at sideband w, output o is
+    sum_i gains[o][i] e^{-i w tau} in_i; the carrier sees w = 0.  A Loss is
+    a beamsplitter against a hidden vacuum, its second input.
+    """
+    if isinstance(el, BeamSplitter):
+        r = math.sqrt(max(0.0, 1.0 - el.t * el.t))
+        return ((el.t, r), (r, -el.t)), 0.0
+    if isinstance(el, PhaseShift):
+        return ((np.exp(1j * el.phi),),), 0.0
+    if isinstance(el, Delay):
+        return ((np.exp(1j * el.carrier_phase),),), el.tau
+    if isinstance(el, Loss):
+        return ((math.sqrt(el.eta), math.sqrt(1.0 - el.eta)),), 0.0
+    raise TypeError(f"unknown element {el!r}")  # pragma: no cover - union is closed
 
 
 @dataclass(frozen=True)
@@ -171,7 +198,8 @@ def compile(spec: NetworkSpec) -> CompiledNetwork:  # noqa: A001 - domain verb
     """Compile a validated spec into an ordered pipeline with vacuum roster.
 
     Deterministic and idempotent: the roster is declared sources first, then
-    injected vacua in traversal order (every Loss contributes exactly one).
+    injected vacua in traversal order, one for every input of an element's
+    linear map that the spec leaves open (every Loss contributes exactly one).
     """
     violations = validate(spec)
     if violations:
@@ -193,14 +221,12 @@ def compile(spec: NetworkSpec) -> CompiledNetwork:  # noqa: A001 - domain verb
 
     steps: list[PipelineStep] = []
     for decl in topo_order(spec):
-        el = decl.element
+        gains, tau = _linear_map(decl.element)
         ins = list(decl.inputs)
-        if isinstance(el, BeamSplitter):
-            while len(ins) < 2:
-                ins.append(inject_vacuum())
-        elif isinstance(el, Loss):
+        while len(ins) < len(gains[0]):
             ins.append(inject_vacuum())
-        steps.append(PipelineStep(el, tuple(ins), decl.output_ports()))
+        steps.append(PipelineStep(decl.element, tuple(ins), decl.output_ports(),
+                                  gains, tau))
 
     consumed = {p for st in steps for p in st.in_ports}
     consumed.update(d.input for d in spec.detectors)
@@ -254,22 +280,16 @@ def _run_pipeline(net: CompiledNetwork, omegas: np.ndarray,
             state[port] = arr
 
     for st in net.steps:
-        el = st.element
-        if isinstance(el, BeamSplitter):
-            a, b = read(st.in_ports[0]), read(st.in_ports[1])
-            r = math.sqrt(max(0.0, 1.0 - el.t * el.t))
-            write(st.out_ports[0], el.t * a + r * b)
-            write(st.out_ports[1], r * a - el.t * b)
-        elif isinstance(el, PhaseShift):
-            write(st.out_ports[0], np.exp(1j * el.phi) * read(st.in_ports[0]))
-        elif isinstance(el, Delay):
-            factor = np.exp(1j * el.carrier_phase) * np.exp(-1j * omegas * el.tau)
-            write(st.out_ports[0], factor[:, None] * read(st.in_ports[0]))
-        elif isinstance(el, Loss):
-            a, v = read(st.in_ports[0]), read(st.in_ports[1])
-            write(st.out_ports[0], math.sqrt(el.eta) * a + math.sqrt(1.0 - el.eta) * v)
-        else:  # pragma: no cover - union is closed
-            raise TypeError(f"unknown element {el!r}")
+        ins = [read(p) for p in st.in_ports]
+        gains = st.gains
+        if st.tau:
+            delay = np.exp(-1j * omegas * st.tau)
+            gains = [[(g * delay)[:, None] for g in row] for row in gains]
+        for port, row in zip(st.out_ports, gains):
+            acc = row[0] * ins[0]
+            if len(row) > 1:
+                acc += row[1] * ins[1]
+            write(port, acc)
     for port in ports:
         if port not in out:
             read(port)

@@ -3,9 +3,10 @@
 Each network input carries independent stationary Gaussian quadrature
 processes X(t), Y(t) with the variances of its QuadSpectrum (white across
 the band, or shaped by FFT coloring for tabulated spectra, with vacuum
-variance 1 per sample).  The compiled element pipeline is expanded into
-delay taps per detector -- passive elements only ever combine delayed,
-phase-rotated copies -- and photocurrent fluctuation streams are
+variance 1 per sample).  The compiled pipeline is expanded into delay taps
+per detector by applying each step's linear map -- its gains, and a shift
+by its delay tau in samples -- the same maps the frequency-domain engine
+walks.  Photocurrent fluctuation streams are
 dn_k(t) = 2 Re(conj(alpha_k) sum taps), sampled at a rate that makes every
 delay a whole number of samples (circular-buffer shifts).
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .network import BeamSplitter, Delay, Loss, PhaseShift, VACUUM_SPECTRUM
+from .network import VACUUM_SPECTRUM
 
 DELAY_TOLERANCE = 1e-6  # max |tau*f_s - round(tau*f_s)|
 STREAM_MAGIC = b"SBMCS1\x00\x00"
@@ -51,8 +52,8 @@ class MCConfig:
     window: str = "hann"
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise MCError("sample rate must be positive")
+        if not 0.0 < self.sample_rate < math.inf:
+            raise MCError("sample rate must be finite and positive")
         if self.segment_length < 8 or self.segment_count < 2:
             raise MCError("need segment_length >= 8 and segment_count >= 2")
         if self.window not in ("hann", "rect"):
@@ -158,44 +159,20 @@ class CrossValidation:
 def expand_taps(net: engine.CompiledNetwork, cfg: MCConfig) -> list[list[tuple[int, int, complex]]]:
     """Per-detector tap lists (roster index, delay in samples, complex gain).
 
-    Walks the same compiled pipeline as the frequency-domain engine, so both
-    views share one structural source of truth.
+    Applies each compiled step's gains and delay, the same linear maps the
+    frequency-domain engine walks, so both views share one statement of the
+    element physics.
     """
-    taps: dict[str, dict[tuple[int, int], complex]] = {}
-    for j, entry in enumerate(net.roster):
-        taps[entry.name] = {(j, 0): 1.0 + 0j}
-
-    def scaled(port: str, gain: complex, shift: int = 0):
-        out: dict[tuple[int, int], complex] = {}
-        for (j, d), g in taps[port].items():
-            out[(j, d + shift)] = g * gain
-        return out
-
-    def merged(a, b):
-        out = dict(a)
-        for key, g in b.items():
-            out[key] = out.get(key, 0j) + g
-        return out
-
+    taps = {entry.name: {(j, 0): 1.0 + 0j} for j, entry in enumerate(net.roster)}
     for st in net.steps:
-        el = st.element
-        if isinstance(el, BeamSplitter):
-            r = math.sqrt(max(0.0, 1.0 - el.t * el.t))
-            a, b = st.in_ports
-            taps[st.out_ports[0]] = merged(scaled(a, el.t), scaled(b, r))
-            taps[st.out_ports[1]] = merged(scaled(a, r), scaled(b, -el.t))
-        elif isinstance(el, PhaseShift):
-            taps[st.out_ports[0]] = scaled(st.in_ports[0], np.exp(1j * el.phi))
-        elif isinstance(el, Delay):
-            shift = cfg.delay_samples(el.tau)
-            taps[st.out_ports[0]] = scaled(
-                st.in_ports[0], np.exp(1j * el.carrier_phase), shift)
-        elif isinstance(el, Loss):
-            a, v = st.in_ports
-            taps[st.out_ports[0]] = merged(
-                scaled(a, math.sqrt(el.eta)), scaled(v, math.sqrt(1.0 - el.eta)))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown element {el!r}")
+        shift = cfg.delay_samples(st.tau)
+        for port, row in zip(st.out_ports, st.gains):
+            out: dict[tuple[int, int], complex] = {}
+            for src, gain in zip(st.in_ports, row):
+                for (j, d), g in taps[src].items():
+                    key = (j, d + shift)
+                    out[key] = out.get(key, 0j) + g * gain
+            taps[port] = out
 
     out = []
     for port in net.detector_ports:

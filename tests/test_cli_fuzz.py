@@ -1,0 +1,149 @@
+"""Exit-code contract under bad input: every subcommand ends with a
+documented code (0 ok, 2 usage, 3 parse, 4 validation, 5 numerical) and
+never lets an exception escape."""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sideband import presets
+from sideband.cli import main
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+
+# flag values: zero, negative, non-numeric, non-finite and malformed
+# quantities, plus a few good ones so that later checks are reached
+QUANTITIES = st.sampled_from([
+    "0", "0Hz", "-1", "-20.5MHz", "abc", "", "nan", "inf", "1e400", "1e-300",
+    "20.5MHz", "82MHz", "5 MHz", "1..2", "20.5MHz:", "7.32m", "24.390243902439025ns",
+    "-3dB", "+15dB", "0.5", "2",
+])
+FREQ_RANGES = st.sampled_from([
+    "0", "-1MHz", "abc", "", "1MHz:0:1kHz", "1MHz:2MHz:0", "1MHz:2MHz:-1kHz",
+    "1MHz:2MHz", "1MHz::1kHz", "20.5MHz", "15MHz:25MHz:0.5MHz", "1e400", "0:1e400:1e399",
+])
+COMBOS = st.sampled_from([
+    "sum", "diff", "prod", "", "single:0", "single:1", "single:9", "single:-1",
+    "single:x", "single:", "single:1.5", "measure:PM", "measure:BEAM1",
+    "measure:NOPE", "measure:",
+])
+OVERRIDES = st.one_of(
+    st.builds("{}.{}={}".format,
+              st.sampled_from(["B1", "LONG", "a", "v", "s1", "ARM1", "DET1", "NOPE", ""]),
+              st.sampled_from(["t", "tau", "length", "carrier_phase", "phi", "eta",
+                               "amp", "vx", "vy", "x", ""]),
+              QUANTITIES),
+    st.sampled_from(["", "=", "B1", "B1.t", ".=", "B1=1", "=1"]),
+)
+SCENARIO_OVERRIDES = st.one_of(
+    st.builds("{}={}".format,
+              st.sampled_from(["visibility", "detection_loss", "squeezing_db",
+                               "excess_db", "excess_correlation", "pulse_multiple",
+                               "rep_rate_hz", "carrier", "nope", ""]),
+              QUANTITIES),
+    st.sampled_from(["", "=", "visibility"]),
+)
+NETS = st.sampled_from(["@mz_phase", "@entangled_phase", "@garbage", "@missing"])
+SMALL_INTS = st.sampled_from(["0", "-1", "1", "2", "8", "abc", "1e3"])
+
+
+def _flag(name, values):
+    """An optional --name=value pair (the = form lets negatives through)."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+def _repeated(name, values):
+    return st.lists(values, max_size=2).map(
+        lambda vs: [f"--{name}={v}" for v in vs])
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [a for p in ps for a in p])
+
+
+ARGV = st.one_of(
+    _argv("validate", NETS.map(lambda n: [n])),
+    _argv("simulate", NETS.map(lambda n: ["--net", n]), _flag("freqs", FREQ_RANGES),
+          _flag("combo", COMBOS), _repeated("override", OVERRIDES),
+          _flag("format", st.sampled_from(["csv", "json", "xml"]))),
+    _argv("oracle", NETS.map(lambda n: ["--net", n]), _flag("freq", QUANTITIES),
+          _flag("combo", COMBOS), _flag("seed", st.sampled_from(["-1", "0", "7", "x"])),
+          # always a small sampling plan: valid runs stay fast
+          SMALL_INTS.map(lambda v: [f"--segments={v}"]),
+          st.sampled_from(["0", "-8", "7", "64", "abc"]).map(
+              lambda v: [f"--segment-length={v}"]),
+          _flag("sample-rate", st.sampled_from(["0", "-1", "nan", "inf", "abc", "164e6"])),
+          _repeated("override", OVERRIDES), _repeated("mc-override", OVERRIDES)),
+    _argv("scenario", _repeated("override", SCENARIO_OVERRIDES)),
+    _argv("design", _flag("fm", QUANTITIES), _flag("frep", QUANTITIES),
+          _flag("n", SMALL_INTS)),
+)
+
+
+@pytest.fixture(scope="module")
+def nets(tmp_path_factory):
+    root = tmp_path_factory.mktemp("nets")
+    paths = {"@missing": str(root / "missing.net")}
+    for name in ("mz_phase", "entangled_phase"):
+        (root / f"{name}.net").write_text(presets.load(name))
+        paths[f"@{name}"] = str(root / f"{name}.net")
+    (root / "garbage.net").write_text("source a coherent amp=;\n")
+    paths["@garbage"] = str(root / "garbage.net")
+    return paths
+
+
+def run(argv):
+    """Exit code and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(argv=ARGV)
+def test_every_run_ends_with_a_documented_code(nets, argv):
+    argv = [nets.get(a, a) for a in argv]
+    code, _ = run(argv)
+    assert code in EXIT_CODES, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--fm", "0"],
+    ["design", "--frep", "0"],
+    ["design", "--fm", "abc"],
+    ["simulate", "--net", "@mz_phase", "--combo", "single:x"],
+    ["simulate", "--net", "@mz_phase", "--combo", "single:"],
+    ["simulate", "--net", "@mz_phase", "--override", "B1.t=abc"],
+    ["oracle", "--net", "@mz_phase", "--freq", "20.5MHz", "--combo", "single:x"],
+    ["oracle", "--net", "@mz_phase", "--freq", "20.5MHz", "--mc-override", "NOPE.t=1"],
+    ["oracle", "--net", "@mz_phase", "--freq", "20.5MHz", "--mc-override", "B1.t=abc"],
+    ["oracle", "--net", "@mz_phase", "--freq", "20.5MHz", "--seed", "-1"],
+    ["simulate", "--net", "@mz_phase", "--freqs", "0:1e400:1e399"],
+    ["simulate", "--net", "@mz_phase", "--override", "a.vy=100000dB"],
+    ["design", "--fm", "1e400"],
+])
+def test_bad_values_are_one_line_usage_errors(nets, argv):
+    code, err = run([nets.get(a, a) for a in argv])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--net", "@entangled_phase", "--freq", "20.5MHz", "--segments", "8",
+     "--segment-length", "64", "--sample-rate=nan"],
+    ["oracle", "--net", "@entangled_phase", "--freq", "20.5MHz", "--segments", "8",
+     "--segment-length", "64", "--sample-rate=inf"],
+    # no carrier reaches the phase readout, so V- is NaN
+    ["scenario", "--override", "visibility=0"],
+    ["scenario", "--override", "visibility=1e-300"],
+])
+def test_impossible_numbers_are_one_line_numerical_errors(nets, argv):
+    code, err = run([nets.get(a, a) for a in argv])
+    assert code == 5
+    assert err.startswith("error: ") and err.count("\n") == 1

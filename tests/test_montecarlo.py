@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from sideband import engine, montecarlo, scenario
+from sideband import cli, dsl, engine, montecarlo, presets, scenario
 from sideband.montecarlo import AnalyzerSettings, MCConfig, MCError
-from sideband.network import VACUUM_SPECTRUM, Combo, Delay, QuadSpectrum
+from sideband.network import VACUUM_SPECTRUM, Combo, Delay, Loss, QuadSpectrum
 
 import netgen
 
@@ -309,6 +309,40 @@ class TestComboStreams:
                 assert np.array_equal(again, default), workers
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestTaps:
+    def test_tap_sum_is_the_transfer_matrix(self):
+        # taps and engine walk the same step maps: the taps' sum of
+        # g e^{-i w d / f_s} must rebuild A(w)
+        rng = random.Random(606)
+        c = cfg()
+        lossy = open_ports = 0
+        for _ in range(40):
+            net = engine.compile(integer_delay_net(rng, c.sample_rate))
+            losses = sum(isinstance(st.element, Loss) for st in net.steps)
+            vacua = sum(e.injected for e in net.roster)
+            lossy += losses > 0
+            open_ports += vacua > losses
+            taps = montecarlo.expand_taps(net, c)
+            for omega in (rng.uniform(-2e9, 2e9) for _ in range(3)):
+                a = np.zeros((net.n_detectors, net.n_inputs), dtype=complex)
+                for k, det in enumerate(taps):
+                    for j, d, g in det:
+                        a[k, j] += g * np.exp(-1j * omega * d / c.sample_rate)
+                assert np.max(np.abs(a - engine.transfer(net, omega).a)) <= 1e-12
+        assert lossy >= 5 and open_ports >= 5
+
+    def test_bundled_presets_at_164_mhz(self):
+        c = cfg(fs=164e6)
+        for name in ("entangled_phase", "entangled_amplitude"):
+            montecarlo.expand_taps(engine.compile(dsl.parse(presets.load(name))), c)
+        mz = dsl.parse(presets.load("mz_phase"))  # length=7.32m: 4.0044 samples
+        with pytest.raises(MCError, match="integer number of samples"):
+            montecarlo.expand_taps(engine.compile(mz), c)
+        mz = cli.apply_overrides(mz, ["LONG.tau=24.390243902439025ns"])
+        taps = montecarlo.expand_taps(engine.compile(mz), c)
+        assert {d for det in taps for _, d, _ in det} == {0, 4}
 
 
 class TestSegmentPowers:
