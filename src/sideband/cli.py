@@ -209,26 +209,28 @@ def make_manifest(command: str, *, path: str | None = None, text: str | None = N
     return manifest
 
 
-def _emit_json(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
+def _emit(text: str, out: str | None):
+    """Write text to the file ``out``, or to stdout when no file is given."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}", EXIT_IO)
+
+
+def _emit_json(payload: dict, out: str | None):
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _emit_csv(rows: list[tuple], header: str, out: str | None, manifest: dict):
     body = header + "\n" + "\n".join(
         ",".join(f"{v:.12g}" for v in row) for row in rows) + "\n"
+    _emit(body, out)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-        with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        sys.stdout.write(body)
+        _emit_json(manifest, out + ".manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +266,10 @@ def cmd_simulate(args) -> int:
     else:
         raise CliError("no --freqs given and the network has no measure statement",
                        EXIT_IO)
-    values = freqs.values()
+    try:
+        values = freqs.values()
+    except ValueError as exc:  # only a --freqs range: validate refuses a measure's
+        raise CliError(f"bad --freqs {args.freqs!r}: {exc}", EXIT_IO)
     if not values:
         raise CliError("frequency range is empty", EXIT_IO)
 

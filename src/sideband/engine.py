@@ -22,8 +22,7 @@ the detected carrier flux.
 
 Every entry point is a view of one walk over a whole frequency axis:
 :func:`sweep` evaluates blocks of frequencies per walk, and
-:func:`transfer`, :func:`photocurrent_form` and :func:`spectrum` are its
-one-point views.
+:func:`transfer` and :func:`spectrum` are its one-point views.
 """
 
 from __future__ import annotations
@@ -103,12 +102,6 @@ class CompiledNetwork:
     def n_detectors(self) -> int:
         return len(self.detector_names)
 
-    def roster_index(self, name: str) -> int:
-        for i, entry in enumerate(self.roster):
-            if entry.name == name:
-                return i
-        raise KeyError(name)
-
     def input_spectra(self, inputs=None) -> list[QuadSpectrum]:
         """Resolve per-roster quadrature spectra.
 
@@ -170,19 +163,6 @@ class TransferMatrix:
     omega: float
     a: np.ndarray  # (M, N) complex
     carriers: np.ndarray  # (M,) complex
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """Photocurrent-fluctuation coefficients over all input quadratures.
-
-    The combined detector photocurrent fluctuation at sideband w is
-    sum_j c_x[j] dX_j(w) + c_y[j] dY_j(w), units sqrt(photon flux).
-    """
-
-    omega: float
-    c_x: np.ndarray  # (N,) complex
-    c_y: np.ndarray  # (N,) complex
 
 
 @dataclass(frozen=True)
@@ -341,13 +321,6 @@ def _forms(net: CompiledNetwork, weights: np.ndarray,
     g = np.matmul(weights * np.conj(np.array(net.carriers, dtype=complex)), a)
     u, w = g[:f], np.conj(g[f:])
     return (u + w) / 2.0, 1j * (u - w) / 2.0
-
-
-def photocurrent_form(net: CompiledNetwork, combo: ComboLike, omega: float) -> LinearForm:
-    """Linearised photocurrent fluctuation of a detector combination."""
-    c_x, c_y = _forms(net, combo_weights(net, combo)[None, :],
-                      np.array([omega], dtype=float))
-    return LinearForm(omega=omega, c_x=c_x[0, 0], c_y=c_y[0, 0])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 #: relative mismatch of the two beams' individual noise levels above which
 #: the symmetric-state EoF value gets a warning
@@ -50,19 +49,6 @@ class EntanglementReport:
         if self.warnings:
             out["warnings"] = list(self.warnings)
         return out
-
-
-def correlation_variances(spectra: Mapping[str, float]) -> CorrelationPair:
-    """Build a CorrelationPair from normalised combo spectra.
-
-    Expects keys 'amp_sum' and 'phase_diff' (engine or Monte-Carlo values,
-    already shot-noise normalised); raises on a missing combo.
-    """
-    missing = [k for k in ("amp_sum", "phase_diff") if k not in spectra]
-    if missing:
-        raise ValueError(f"missing combo spectra: {', '.join(missing)}")
-    return CorrelationPair(v_plus=float(spectra["amp_sum"]),
-                           v_minus=float(spectra["phase_diff"]))
 
 
 def duan_product(pair: CorrelationPair) -> tuple[float, bool]:

@@ -10,20 +10,17 @@ walks.  Photocurrent fluctuation streams are
 dn_k(t) = 2 Re(conj(alpha_k) sum taps), sampled at a rate that makes every
 delay a whole number of samples (circular-buffer shifts).
 
-Spectra come from a Welch periodogram with a spectrum-analyzer flavour:
-segment width plays the resolution bandwidth, a post-detection moving
-average over segment powers emulates the video bandwidth, and a known
-electronic noise floor can be subtracted in absolute power before
-normalisation.  Shot-noise references are measured by re-running the same
-network with vacuum inputs on an independent random substream, mirroring
-how the calibration is done on the bench.
+Spectra come from a Welch periodogram read at one FFT bin: the mean of the
+segments' bin powers, at a resolution of one bin width f_s / L.  Shot-noise
+references are measured by re-running the same network with vacuum inputs
+on an independent random substream, mirroring how the calibration is done
+on the bench.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import struct
 from collections import deque
 from dataclasses import dataclass
 
@@ -33,8 +30,6 @@ from . import engine
 from .network import VACUUM_SPECTRUM
 
 DELAY_TOLERANCE = 1e-6  # max |tau*f_s - round(tau*f_s)|
-STREAM_MAGIC = b"SBMCS1\x00\x00"
-STREAM_HEADER = "<8sdQQQ"  # magic, sample rate, detectors, samples, seed
 
 
 class MCError(ValueError):
@@ -63,10 +58,6 @@ class MCConfig:
     def total_samples(self) -> int:
         return self.segment_length * self.segment_count
 
-    @property
-    def duration(self) -> float:
-        return self.total_samples / self.sample_rate
-
     def check_frequency(self, omega: float):
         if not 0.0 <= omega:
             raise MCError("measurement frequency must be >= 0")
@@ -86,22 +77,6 @@ class MCConfig:
 
 
 @dataclass(frozen=True)
-class AnalyzerSettings:
-    """Spectrum-analyzer emulation: RBW/VBW and electronic-noise handling."""
-
-    rbw: float = 300e3
-    vbw: float = 30.0
-    electronic_floor: float = 0.0  # absolute bin power
-    subtract_electronic: bool = False
-
-    def __post_init__(self):
-        if self.rbw <= 0 or self.vbw <= 0:
-            raise MCError("RBW and VBW must be positive")
-        if self.vbw > self.rbw:
-            raise MCError("VBW must not exceed RBW")
-
-
-@dataclass(frozen=True)
 class MCEstimate:
     omega: float
     estimate: float
@@ -113,14 +88,7 @@ class MCEstimate:
 class MCStreams:
     """Per-detector photocurrent sample streams (DC level included)."""
 
-    sample_rate: float
-    seed: int
-    detector_names: tuple[str, ...]
-    streams: np.ndarray  # (M, T) float64
-
-    @property
-    def length(self) -> int:
-        return self.streams.shape[1]
+    streams: np.ndarray  # (M, T) float64, rows in net.detector_names order
 
     def combo_stream(self, net: engine.CompiledNetwork, combo) -> np.ndarray:
         weights = engine.combo_weights(net, combo)
@@ -188,18 +156,15 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _draw(seed: np.random.SeedSequence, spec, cfg: MCConfig,
-          x: np.ndarray, y: np.ndarray):
-    """Fill x and y with one input's quadrature samples.
-
-    Tabulated spectra are FFT-coloured to their variance; constant spectra
-    stay unit-variance white noise, their variance is folded into the taps.
-    """
+def _draw(seed: np.random.SeedSequence, x: np.ndarray, y: np.ndarray):
+    """Fill x and y with one input's unit-variance white noise."""
     rng = np.random.default_rng(seed)
     rng.standard_normal(out=x)
     rng.standard_normal(out=y)
-    if spec.is_constant:
-        return
+
+
+def _colour(spec, cfg: MCConfig, x: np.ndarray, y: np.ndarray):
+    """FFT-colour white x and y in place to a tabulated spectrum's variances."""
     n = x.size
     omegas = 2.0 * math.pi * np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate)
     for buf, variance_fn in ((x, spec.vx_at), (y, spec.vy_at)):
@@ -217,7 +182,10 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, weights: np.ndarray,
     sqrt(V_X) and sqrt(V_Y).  Inputs are drawn on a thread pool, at most
     workers + 1 in flight in a fixed set of buffers, and the calling thread
     adds them in roster order, so the result is bit-identical for any worker
-    count.
+    count.  The calling thread also colours tabulated inputs: freed on a draw
+    thread, the colouring's FFT temporaries (16 MiB at 2^21 samples) stay in
+    that thread's malloc arena for as long as thread timing decides, and peak
+    memory would vary from run to run.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -250,13 +218,14 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, weights: np.ndarray,
     ring = [(np.empty(n), np.empty(n)) for _ in range(min(workers + 1, len(jobs)))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         def submit(i):
-            seed, spec, _ = jobs[i]
-            return pool.submit(_draw, seed, spec, cfg, *ring[i % len(ring)])
+            return pool.submit(_draw, jobs[i][0], *ring[i % len(ring)])
 
         pending = deque(submit(i) for i in range(len(ring)))
-        for i, (_, _, coefs) in enumerate(jobs):
+        for i, (_, spec, coefs) in enumerate(jobs):
             pending.popleft().result()
             x, y = ring[i % len(ring)]
+            if not spec.is_constant:
+                _colour(spec, cfg, x, y)
             for d, cx, cy in coefs:
                 for r in range(out.shape[0]):
                     if cx[r] == 0.0 and cy[r] == 0.0:
@@ -282,16 +251,11 @@ def simulate(net: engine.CompiledNetwork, cfg: MCConfig, inputs=None,
     of threads drawing them.
     """
     root = substream if substream is not None else np.random.SeedSequence(cfg.seed)
-    return MCStreams(
-        sample_rate=cfg.sample_rate,
-        seed=cfg.seed,
-        detector_names=net.detector_names,
-        streams=_streams(net, cfg, np.eye(net.n_detectors), inputs, root),
-    )
+    return MCStreams(_streams(net, cfg, np.eye(net.n_detectors), inputs, root))
 
 
 # ---------------------------------------------------------------------------
-# Welch periodogram with analyzer emulation
+# Welch periodogram at one bin
 
 def _window(cfg: MCConfig) -> np.ndarray:
     if cfg.window == "rect":
@@ -306,8 +270,7 @@ def _bin_index(omega: float, cfg: MCConfig) -> int:
     return min(max(m, 0), cfg.segment_length // 2)
 
 
-def segment_powers(stream: np.ndarray, omega: float, settings: AnalyzerSettings,
-                   cfg: MCConfig) -> np.ndarray:
+def segment_powers(stream: np.ndarray, omega: float, cfg: MCConfig) -> np.ndarray:
     """Per-segment bin powers at omega, coherent-gain normalised.
 
     A sinusoid of amplitude A exactly on the bin gives A^2/2; white noise of
@@ -319,11 +282,6 @@ def segment_powers(stream: np.ndarray, omega: float, settings: AnalyzerSettings,
     f_nyq_omega = math.pi * cfg.sample_rate
     if not 0.0 <= omega < f_nyq_omega:
         raise MCError(f"frequency {omega:g} rad/s outside [0, pi*f_s)")
-    bin_width = cfg.sample_rate / length
-    if not 0.5 <= bin_width / settings.rbw <= 2.0:
-        raise MCError(
-            f"segment length {length} gives bin width {bin_width:g} Hz, "
-            f"inconsistent with RBW {settings.rbw:g} Hz")
     if stream.size < cfg.total_samples:
         raise MCError(
             f"stream too short: {stream.size} < {cfg.total_samples} samples")
@@ -340,35 +298,17 @@ def segment_powers(stream: np.ndarray, omega: float, settings: AnalyzerSettings,
     return one_sided * (proj ** 2).sum(axis=1) / (win.sum() ** 2)
 
 
-def video_average(powers: np.ndarray, settings: AnalyzerSettings,
-                  cfg: MCConfig) -> np.ndarray:
-    """Moving average over segment powers emulating the VBW filter."""
-    segment_rate = cfg.sample_rate / cfg.segment_length
-    width = max(1, int(round(segment_rate / settings.vbw)))
-    width = min(width, powers.size)
-    if width == 1:
-        return powers
-    kernel = np.ones(width) / width
-    return np.convolve(powers, kernel, mode="valid")
+def periodogram(stream: np.ndarray, omega: float, cfg: MCConfig) -> MCEstimate:
+    """Welch-averaged bin power at omega.
 
-
-def periodogram(stream: np.ndarray, omega: float, settings: AnalyzerSettings,
-                cfg: MCConfig) -> MCEstimate:
-    """Welch-averaged bin power at omega with analyzer emulation.
-
-    Segment powers pass through the VBW moving average and the estimate is
-    the mean of that trace; for stationary input this is an unbiased bin
-    power (and identical to the plain Welch mean when VBW covers the whole
-    record).  The reported standard error is estimate * sqrt(1/K) for a
+    The estimate is the mean of the K segment powers, an unbiased bin power
+    for stationary input.  The reported standard error is estimate * sqrt(1/K) for a
     complex bin (0 < m < L/2), whose power is exponentially distributed,
     and estimate * sqrt(2/K) for the real bins m = 0 and m = L/2, whose
     power is chi-squared with one degree of freedom.
     """
-    powers = segment_powers(np.asarray(stream, dtype=float), omega, settings, cfg)
-    if settings.subtract_electronic:
-        powers = powers - settings.electronic_floor
-    trace = video_average(powers, settings, cfg)
-    estimate = float(trace.mean())
+    powers = segment_powers(np.asarray(stream, dtype=float), omega, cfg)
+    estimate = float(powers.mean())
     m = _bin_index(omega, cfg)
     rel_var = 1.0 if 0 < m < cfg.segment_length // 2 else 2.0
     stderr = abs(estimate) * math.sqrt(rel_var / cfg.segment_count)
@@ -377,8 +317,7 @@ def periodogram(stream: np.ndarray, omega: float, settings: AnalyzerSettings,
 
 
 def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
-                   cfg: MCConfig, settings: AnalyzerSettings | None = None,
-                   inputs=None, engine_value: float | None = None) -> CrossValidation:
+                   cfg: MCConfig, inputs=None, engine_value: float | None = None) -> CrossValidation:
     """Compare the engine's normalised spectrum against a Monte-Carlo run.
 
     The Monte-Carlo value is the ratio of the signal-run bin power to a
@@ -389,17 +328,13 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
     engine_value can be overridden to test deliberate mismatches.
     """
     cfg.check_frequency(omega)
-    if settings is None:
-        settings = AnalyzerSettings(rbw=cfg.sample_rate / cfg.segment_length,
-                                    vbw=cfg.sample_rate / cfg.segment_length)
     omega = 2.0 * math.pi * _bin_index(omega, cfg) * (cfg.sample_rate / cfg.segment_length)
     signal_ss, vacuum_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     weights = engine.combo_weights(net, combo)[None, :]
 
-    est_sig = periodogram(_streams(net, cfg, weights, inputs, signal_ss)[0],
-                          omega, settings, cfg)
+    est_sig = periodogram(_streams(net, cfg, weights, inputs, signal_ss)[0], omega, cfg)
     est_vac = periodogram(_streams(net, cfg, weights, [VACUUM_SPECTRUM] * net.n_inputs,
-                                   vacuum_ss)[0], omega, settings, cfg)
+                                   vacuum_ss)[0], omega, cfg)
     if est_vac.estimate <= 0.0:
         raise MCError("vacuum reference power is not positive; no carrier in combo?")
 
@@ -414,41 +349,3 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
                            mc_value=mc_value, stderr=stderr, z=float(z),
                            segments=cfg.segment_count)
 
-
-# ---------------------------------------------------------------------------
-# Stream dumps: little-endian float64 with a fixed binary header
-
-def dump_streams(path, mc: MCStreams):
-    bad = [name for name in mc.detector_names if "," in name]
-    if bad:
-        raise MCError(f"detector names {bad} contain a comma and cannot be loaded back")
-    header = struct.pack(STREAM_HEADER, STREAM_MAGIC, mc.sample_rate,
-                         len(mc.detector_names), mc.length, mc.seed)
-    names = ",".join(mc.detector_names).encode()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(struct.pack("<Q", len(names)))
-        fh.write(names)
-        fh.write(mc.streams.astype("<f8").tobytes())
-
-
-def load_streams(path) -> MCStreams:
-    head_size = struct.calcsize(STREAM_HEADER) + 8  # fixed header + name length
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(head_size)
-        if head[:8] != STREAM_MAGIC:
-            raise MCError(f"not a stream dump: bad magic {head[:8]!r}")
-        if len(head) < head_size:
-            raise MCError(f"truncated stream dump: {size} bytes, header needs {head_size}")
-        magic, f_s, m, length, seed, name_len = struct.unpack(STREAM_HEADER + "Q", head)
-        expected = head_size + name_len + 8 * m * length
-        if size != expected:
-            raise MCError(f"truncated or over-long stream dump: {size} bytes, "
-                          f"its header describes {expected}")
-        names = tuple(fh.read(name_len).decode().split(",")) if m else ()
-        if len(names) != m:
-            raise MCError(f"stream dump names {len(names)} detectors for {m} streams")
-        data = np.frombuffer(fh.read(8 * m * length), dtype="<f8").reshape(m, length)
-    return MCStreams(sample_rate=f_s, seed=seed, detector_names=names,
-                     streams=data.copy())

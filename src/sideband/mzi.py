@@ -15,26 +15,6 @@ from .network import SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
-class MZConfig:
-    """Operating point of the unbalanced interferometer."""
-
-    theta: float
-    phi: float
-    vx: float
-    vy: float
-
-    def __post_init__(self):
-        if self.vx <= 0 or self.vy <= 0:
-            raise ValueError("quadrature variances must be positive")
-
-    def sum_variance(self) -> float:
-        return sum_variance(self.theta, self.vx)
-
-    def diff_variance(self) -> float:
-        return diff_variance(self.theta, self.phi, self.vx, self.vy)
-
-
-@dataclass(frozen=True)
 class PulsedDesign:
     """Arm-length / measurement-frequency pair allowed by a pulse train.
 
@@ -74,7 +54,7 @@ def delay_for_frequency(f_m: float) -> float:
     """Arm-length difference (m) putting theta = pi at frequency f_m (Hz)."""
     if f_m <= 0:
         raise ValueError("measurement frequency must be positive")
-    return SPEED_OF_LIGHT / (2.0 * f_m)
+    return _finite_length(SPEED_OF_LIGHT / (2.0 * f_m), "measurement frequency", f_m)
 
 
 def frequency_for_delay(delta_l: float) -> float:
@@ -93,9 +73,16 @@ def pulsed_design(f_rep: float, n: int) -> PulsedDesign:
     return PulsedDesign(
         f_rep=f_rep,
         n=n,
-        delta_l=SPEED_OF_LIGHT * n / f_rep,
+        delta_l=_finite_length(SPEED_OF_LIGHT * n / f_rep, "repetition rate", f_rep),
         f_m=f_rep / (2.0 * n),
     )
+
+
+def _finite_length(delta_l: float, what: str, value: float) -> float:
+    if not math.isfinite(delta_l):
+        raise ValueError(f"{what} {value:g} Hz is too small: the arm-length "
+                         "difference overflows")
+    return delta_l
 
 
 def visibility_to_loss(visibility: float) -> float:

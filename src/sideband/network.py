@@ -22,6 +22,10 @@ SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 #: name prefix reserved for compile-time artifacts (injected vacuum ports)
 RESERVED_PREFIX = "__"
 
+#: the most points a FreqRange may hold; a longer range is refused before
+#: any point is built
+MAX_SWEEP_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ComplexAmp:
@@ -41,13 +45,6 @@ class ComplexAmp:
     @property
     def value(self) -> complex:
         return complex(self.re, self.im)
-
-    @property
-    def flux(self) -> float:
-        return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0.0 and self.im == 0.0
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,6 @@ class BeamSplitter:
     t: float
 
     n_inputs = 2
-    n_outputs = 2
 
 
 @dataclass(frozen=True)
@@ -181,7 +177,6 @@ class PhaseShift:
     phi: float
 
     n_inputs = 1
-    n_outputs = 1
 
 
 @dataclass(frozen=True)
@@ -198,16 +193,11 @@ class Delay:
     carrier_phase: float = 0.0
 
     n_inputs = 1
-    n_outputs = 1
 
     @property
     def delta_l(self) -> float:
         """Equivalent arm-length difference in meters (c * tau)."""
         return SPEED_OF_LIGHT * self.tau
-
-    @classmethod
-    def from_length(cls, delta_l: float, carrier_phase: float = 0.0) -> "Delay":
-        return cls(tau=delta_l / SPEED_OF_LIGHT, carrier_phase=carrier_phase)
 
 
 @dataclass(frozen=True)
@@ -221,7 +211,6 @@ class Loss:
     eta: float
 
     n_inputs = 1
-    n_outputs = 1
 
 
 Element = Union[BeamSplitter, PhaseShift, Delay, Loss]
@@ -296,10 +285,14 @@ class FreqRange:
     step: float
 
     def values(self) -> tuple[float, ...]:
+        """The points; ValueError if there are more than MAX_SWEEP_POINTS."""
         if self.step <= 0 or self.stop < self.start:
             return ()
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return tuple(self.start + i * self.step for i in range(n))
+        steps = (self.stop - self.start) / self.step + 1e-9
+        if not steps < MAX_SWEEP_POINTS:  # also an infinite or NaN count
+            raise ValueError(f"more than {MAX_SWEEP_POINTS} frequencies "
+                             f"({self.start:g}:{self.stop:g}:{self.step:g})")
+        return tuple(self.start + i * self.step for i in range(int(math.floor(steps)) + 1))
 
 
 @dataclass(frozen=True)
@@ -439,7 +432,12 @@ def validate(spec: NetworkSpec) -> list[Violation]:
                                      f"measurement references unknown detector {d!r}"))
         if m.combo.kind in ("sum", "diff") and len(set(m.combo.detectors)) != 2:
             out.append(Violation("combo", m.name, "sum/diff needs two distinct detectors"))
-        for f in m.freqs.values():
+        try:
+            freqs = m.freqs.values()
+        except ValueError as exc:
+            out.append(Violation("range", m.name, str(exc)))
+            freqs = ()
+        for f in freqs:
             if f < 0 or not math.isfinite(f):
                 out.append(Violation("range", m.name, "frequencies must be finite and >= 0"))
 

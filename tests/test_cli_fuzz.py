@@ -4,6 +4,7 @@ never lets an exception escape."""
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,13 +17,14 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 # flag values: zero, negative, non-numeric, non-finite and malformed
 # quantities, plus a few good ones so that later checks are reached
 QUANTITIES = st.sampled_from([
-    "0", "0Hz", "-1", "-20.5MHz", "abc", "", "nan", "inf", "1e400", "1e-300",
+    "0", "0Hz", "-1", "-20.5MHz", "abc", "", "nan", "inf", "1e400", "1e-300", "1e-320",
     "20.5MHz", "82MHz", "5 MHz", "1..2", "20.5MHz:", "7.32m", "24.390243902439025ns",
     "-3dB", "+15dB", "0.5", "2",
 ])
 FREQ_RANGES = st.sampled_from([
     "0", "-1MHz", "abc", "", "1MHz:0:1kHz", "1MHz:2MHz:0", "1MHz:2MHz:-1kHz",
     "1MHz:2MHz", "1MHz::1kHz", "20.5MHz", "15MHz:25MHz:0.5MHz", "1e400", "0:1e400:1e399",
+    "0:1e300:1e-300", "0:1e300:1", "1e-300:2e-300:1e-320",
 ])
 COMBOS = st.sampled_from([
     "sum", "diff", "prod", "", "single:0", "single:1", "single:9", "single:-1",
@@ -45,7 +47,12 @@ SCENARIO_OVERRIDES = st.one_of(
               QUANTITIES),
     st.sampled_from(["", "=", "visibility"]),
 )
-NETS = st.sampled_from(["@mz_phase", "@entangled_phase", "@garbage", "@missing"])
+NETS = st.sampled_from(["@mz_phase", "@entangled_phase", "@garbage", "@missing",
+                        "@huge_sweep"])
+# --out: a writable file, a directory, a file in a missing directory, and a
+# CSV whose manifest sidecar path is a directory
+OUT = st.one_of(st.just([]), st.sampled_from(
+    ["@out_file", "@out_dir", "@no_dir", "@sidecar_dir"]).map(lambda p: ["--out", p]))
 SMALL_INTS = st.sampled_from(["0", "-1", "1", "2", "8", "abc", "1e3"])
 
 
@@ -67,7 +74,7 @@ ARGV = st.one_of(
     _argv("validate", NETS.map(lambda n: [n])),
     _argv("simulate", NETS.map(lambda n: ["--net", n]), _flag("freqs", FREQ_RANGES),
           _flag("combo", COMBOS), _repeated("override", OVERRIDES),
-          _flag("format", st.sampled_from(["csv", "json", "xml"]))),
+          _flag("format", st.sampled_from(["csv", "json", "xml"])), OUT),
     _argv("oracle", NETS.map(lambda n: ["--net", n]), _flag("freq", QUANTITIES),
           _flag("combo", COMBOS), _flag("seed", st.sampled_from(["-1", "0", "7", "x"])),
           # always a small sampling plan: valid runs stay fast
@@ -75,10 +82,10 @@ ARGV = st.one_of(
           st.sampled_from(["0", "-8", "7", "64", "abc"]).map(
               lambda v: [f"--segment-length={v}"]),
           _flag("sample-rate", st.sampled_from(["0", "-1", "nan", "inf", "abc", "164e6"])),
-          _repeated("override", OVERRIDES), _repeated("mc-override", OVERRIDES)),
-    _argv("scenario", _repeated("override", SCENARIO_OVERRIDES)),
+          _repeated("override", OVERRIDES), _repeated("mc-override", OVERRIDES), OUT),
+    _argv("scenario", _repeated("override", SCENARIO_OVERRIDES), OUT),
     _argv("design", _flag("fm", QUANTITIES), _flag("frep", QUANTITIES),
-          _flag("n", SMALL_INTS)),
+          _flag("n", SMALL_INTS), OUT),
 )
 
 
@@ -91,26 +98,41 @@ def nets(tmp_path_factory):
         paths[f"@{name}"] = str(root / f"{name}.net")
     (root / "garbage.net").write_text("source a coherent amp=;\n")
     paths["@garbage"] = str(root / "garbage.net")
+    # a measure statement whose point count overflows to inf
+    (root / "huge_sweep.net").write_text(
+        presets.load("mz_phase").replace("15MHz:25MHz:0.5MHz", "0:1e300:1e-300", 1))
+    paths["@huge_sweep"] = str(root / "huge_sweep.net")
+    paths["@out_file"] = str(root / "out.txt")
+    paths["@out_dir"] = str(root)
+    paths["@no_dir"] = str(root / "missing" / "out.txt")
+    (root / "sidecar.csv.manifest.json").mkdir()
+    paths["@sidecar_dir"] = str(root / "sidecar.csv")
     return paths
 
 
 def run(argv):
-    """Exit code and stderr of one in-process CLI run."""
+    """Exit code, stdout and stderr of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(argv=ARGV)
 def test_every_run_ends_with_a_documented_code(nets, argv):
     argv = [nets.get(a, a) for a in argv]
-    code, _ = run(argv)
+    code, out, _ = run(argv)
     assert code in EXIT_CODES, argv
+    if argv[0] == "design" and code == 0 and "--out" not in argv:
+        json.loads(out, parse_constant=_no_constant)  # no Infinity or NaN
 
 
 @pytest.mark.parametrize("argv", [
@@ -127,9 +149,17 @@ def test_every_run_ends_with_a_documented_code(nets, argv):
     ["simulate", "--net", "@mz_phase", "--freqs", "0:1e400:1e399"],
     ["simulate", "--net", "@mz_phase", "--override", "a.vy=100000dB"],
     ["design", "--fm", "1e400"],
+    ["design", "--fm", "1e-320"],
+    ["design", "--frep", "1e-320"],
+    ["simulate", "--net", "@mz_phase", "--freqs", "0:1e300:1e-300"],
+    ["simulate", "--net", "@mz_phase", "--freqs", "0:1e300:1"],
+    ["design", "--fm", "20MHz", "--out", "@no_dir"],
+    ["simulate", "--net", "@mz_phase", "--out", "@out_dir"],
+    ["simulate", "--net", "@mz_phase", "--out", "@sidecar_dir"],
+    ["scenario", "--out", "@no_dir"],
 ])
 def test_bad_values_are_one_line_usage_errors(nets, argv):
-    code, err = run([nets.get(a, a) for a in argv])
+    code, _, err = run([nets.get(a, a) for a in argv])
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -144,6 +174,16 @@ def test_bad_values_are_one_line_usage_errors(nets, argv):
     ["scenario", "--override", "visibility=1e-300"],
 ])
 def test_impossible_numbers_are_one_line_numerical_errors(nets, argv):
-    code, err = run([nets.get(a, a) for a in argv])
+    code, _, err = run([nets.get(a, a) for a in argv])
     assert code == 5
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "@huge_sweep"],
+    ["simulate", "--net", "@huge_sweep"],
+])
+def test_huge_measure_range_is_a_range_violation(nets, argv):
+    code, _, err = run([nets.get(a, a) for a in argv])
+    assert code == 4
+    assert "[range] PM: more than" in err

@@ -3,24 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from sideband import entanglement
 from sideband.entanglement import CorrelationPair, assess, duan_product, eof_symmetric
 
 
 class TestCorrelationVariances:
-    def test_builds_from_combo_mapping(self):
-        pair = entanglement.correlation_variances(
-            {"amp_sum": 0.63, "phase_diff": 0.76})
-        assert pair.v_plus == 0.63 and pair.v_minus == 0.76
-
-    def test_missing_combo_is_an_error(self):
-        with pytest.raises(ValueError, match="missing combo"):
-            entanglement.correlation_variances({"amp_sum": 0.63})
-
     def test_vacuum_pair(self):
-        pair = entanglement.correlation_variances(
-            {"amp_sum": 1.0, "phase_diff": 1.0})
-        delta, witnessed = duan_product(pair)
+        delta, witnessed = duan_product(CorrelationPair(1.0, 1.0))
         assert delta == 1.0 and not witnessed
 
     def test_rejects_nonpositive(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sideband import cli, dsl, engine, montecarlo, presets, scenario
-from sideband.montecarlo import AnalyzerSettings, MCConfig, MCError
+from sideband.montecarlo import MCConfig, MCError
 from sideband.network import VACUUM_SPECTRUM, Combo, Delay, Loss, QuadSpectrum
 
 import netgen
@@ -48,7 +48,7 @@ class TestSimulate:
         for k, name in enumerate(net.detector_names):
             flux = abs(net.carriers[k]) ** 2
             sample_var = mc.streams[k].var()
-            se = flux * math.sqrt(2.0 / mc.length)
+            se = flux * math.sqrt(2.0 / mc.streams.shape[1])
             assert abs(sample_var - flux) <= 3 * se, name
 
     def test_delay_must_be_integer_samples(self):
@@ -72,9 +72,7 @@ class TestPeriodogram:
         t = np.arange(c.total_samples) / c.sample_rate
         amp = 3.7
         stream = amp * np.sin(2 * np.pi * f * t)
-        settings = AnalyzerSettings(rbw=c.sample_rate / c.segment_length,
-                                    vbw=c.sample_rate / c.segment_length)
-        est = montecarlo.periodogram(stream, 2 * np.pi * f, settings, c)
+        est = montecarlo.periodogram(stream, 2 * np.pi * f, c)
         assert est.estimate == pytest.approx(amp ** 2 / 2, rel=0.01)
 
     def test_white_noise_level(self):
@@ -82,59 +80,31 @@ class TestPeriodogram:
         rng = np.random.default_rng(11)
         sigma2 = 2.5
         stream = rng.normal(0, math.sqrt(sigma2), c.total_samples)
-        settings = AnalyzerSettings(rbw=c.sample_rate / 256, vbw=c.sample_rate / 256)
         expected = sigma2 / (256 / 2)
         for m in (10, 40, 100):
             omega = 2 * np.pi * m * c.sample_rate / 256
-            est = montecarlo.periodogram(stream, omega, settings, c)
+            est = montecarlo.periodogram(stream, omega, c)
             assert abs(est.estimate - expected) <= 3 * est.stderr
-
-    def test_electronic_noise_subtraction_recovers_signal(self):
-        net = mz_net()
-        c = cfg(seed=21, segments=1024)
-        mc = montecarlo.simulate(net, c)
-        stream = mc.combo_stream(net, DIFF)
-        rng = np.random.default_rng(5150)
-        sigma2_e = 1e4  # electronic floor comparable to the signal
-        noisy = stream + rng.normal(0, math.sqrt(sigma2_e), stream.size)
-        floor = sigma2_e / (c.segment_length / 2)  # rect-window bin power
-        s0 = AnalyzerSettings(rbw=c.sample_rate / 512, vbw=c.sample_rate / 512)
-        s1 = AnalyzerSettings(rbw=c.sample_rate / 512, vbw=c.sample_rate / 512,
-                              electronic_floor=floor, subtract_electronic=True)
-        c_rect = cfg(seed=21, segments=1024, window="rect")
-        clean = montecarlo.periodogram(stream, OMEGA, s0, c_rect)
-        corrected = montecarlo.periodogram(noisy, OMEGA, s1, c_rect)
-        assert abs(corrected.estimate - clean.estimate) <= 3 * clean.stderr
 
     def test_frequency_bounds(self):
         c = cfg(segments=16, length=64)
         stream = np.zeros(c.total_samples)
-        settings = AnalyzerSettings(rbw=c.sample_rate / 64, vbw=c.sample_rate / 64)
         with pytest.raises(MCError, match="outside"):
-            montecarlo.periodogram(stream, 2 * np.pi * c.sample_rate, settings, c)
-
-    def test_rbw_consistency_check(self):
-        c = cfg(segments=16, length=512)
-        stream = np.zeros(c.total_samples)
-        with pytest.raises(MCError, match="RBW"):
-            montecarlo.periodogram(stream, OMEGA, AnalyzerSettings(rbw=30e3, vbw=30.0), c)
+            montecarlo.periodogram(stream, 2 * np.pi * c.sample_rate, c)
 
     def test_short_stream_rejected(self):
         c = cfg(segments=16, length=64)
-        settings = AnalyzerSettings(rbw=c.sample_rate / 64, vbw=c.sample_rate / 64)
         with pytest.raises(MCError, match="too short"):
-            montecarlo.periodogram(np.zeros(10), OMEGA, settings, c)
+            montecarlo.periodogram(np.zeros(10), OMEGA, c)
 
     def test_stderr_convention(self):
         # a complex bin's power is exponential (relative variance 1); the real
         # bins 0 and L/2 are chi-squared with one degree of freedom (2)
         c = cfg(segments=1024, length=64)
         stream = np.random.default_rng(0).normal(0, 1, c.total_samples)
-        settings = AnalyzerSettings(rbw=c.sample_rate / 64, vbw=c.sample_rate / 64)
         # 31.75 bins, just below Nyquist, snaps to bin L/2 = 32
         for bins, rel_var in ((10, 1), (0, 2), (31.75, 2)):
-            est = montecarlo.periodogram(stream, 2 * np.pi * bins * c.sample_rate / 64,
-                                         settings, c)
+            est = montecarlo.periodogram(stream, 2 * np.pi * bins * c.sample_rate / 64, c)
             assert est.stderr == pytest.approx(est.estimate * math.sqrt(rel_var / 1024))
 
 
@@ -258,13 +228,12 @@ class TestComboStreams:
             inputs = {s.name: TABULATED for s in spec.sources} if tabulated else None
             seen.clear()
             montecarlo.cross_validate(net, combo, OMEGA, c, inputs=inputs)
-            weights = engine.combo_weights(net, combo)
             signal_ss, vacuum_ss = np.random.SeedSequence(c.seed).spawn(2)
             vacua = [VACUUM_SPECTRUM] * net.n_inputs
             for got, run_inputs, ss in ((seen[0], inputs, signal_ss),
                                         (seen[1], vacua, vacuum_ss)):
-                ref = weights @ montecarlo.simulate(net, c, inputs=run_inputs,
-                                                    substream=ss).streams
+                ref = montecarlo.simulate(net, c, inputs=run_inputs,
+                                          substream=ss).combo_stream(net, combo)
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
             checked += 1
 
@@ -351,8 +320,6 @@ class TestSegmentPowers:
         c = cfg(segments=64, length=128, window=window)
         length = c.segment_length
         stream = 3.0 + np.random.default_rng(8).normal(0, 2.0, c.total_samples)
-        settings = AnalyzerSettings(rbw=c.sample_rate / length,
-                                    vbw=c.sample_rate / length)
         win = np.hanning(length) if window == "hann" else np.ones(length)
         segments = stream.reshape(c.segment_count, length)
         segments = segments - segments.mean(axis=1, keepdims=True)
@@ -360,7 +327,7 @@ class TestSegmentPowers:
         scale = 1e-12 * spectrum.max()
         for m, omega_bins in ((0, 0.0), (10, 10.0), (length // 2, length / 2 - 0.25)):
             omega = 2 * np.pi * omega_bins * c.sample_rate / length
-            got = montecarlo.segment_powers(stream, omega, settings, c)
+            got = montecarlo.segment_powers(stream, omega, c)
             ref = (2.0 if 0 < m < length // 2 else 1.0) * spectrum[:, m]
             assert np.max(np.abs(got - ref)) <= scale, m
 
@@ -381,39 +348,3 @@ class TestTabulatedInputs:
         assert result.engine_value == pytest.approx(63.0, rel=1e-6)
         assert abs(result.z) <= 4  # coloring leaks a little across bins
 
-
-class TestStreamDumps:
-    def test_round_trip(self, tmp_path):
-        net = mz_net()
-        mc = montecarlo.simulate(net, cfg(seed=2, segments=16, length=64))
-        path = tmp_path / "streams.bin"
-        montecarlo.dump_streams(path, mc)
-        back = montecarlo.load_streams(path)
-        assert back.sample_rate == mc.sample_rate
-        assert back.seed == mc.seed
-        assert back.detector_names == mc.detector_names
-        assert np.array_equal(back.streams, mc.streams)
-
-    def test_truncated_dump(self, tmp_path):
-        net = mz_net()
-        mc = montecarlo.simulate(net, cfg(seed=2, segments=16, length=64))
-        path = tmp_path / "streams.bin"
-        montecarlo.dump_streams(path, mc)
-        whole = path.read_bytes()
-        for cut in (len(whole) - 8, 40, 12):
-            path.write_bytes(whole[:cut])
-            with pytest.raises(MCError, match="truncated"):
-                montecarlo.load_streams(path)
-
-    def test_comma_in_detector_name_refused(self, tmp_path):
-        mc = montecarlo.MCStreams(sample_rate=1e6, seed=0, detector_names=("a,b", "c"),
-                                  streams=np.zeros((2, 8)))
-        with pytest.raises(MCError, match="comma"):
-            montecarlo.dump_streams(tmp_path / "streams.bin", mc)
-        assert not (tmp_path / "streams.bin").exists()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a stream dump at all")
-        with pytest.raises(MCError, match="magic"):
-            montecarlo.load_streams(path)

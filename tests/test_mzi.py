@@ -42,13 +42,6 @@ class TestDiffVariance:
                   for t in [i * math.pi / 64 for i in range(65)]]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_config_wrapper(self):
-        cfg = mzi.MZConfig(theta=math.pi, phi=math.pi / 2, vx=0.617, vy=63.0)
-        assert cfg.diff_variance() == 63.0
-        assert cfg.sum_variance() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            mzi.MZConfig(theta=0.0, phi=0.0, vx=-1.0, vy=1.0)
-
 
 class TestDelayDesign:
     def test_delay_for_paper_frequency(self):

@@ -15,6 +15,7 @@ from sideband.network import (
     Loss,
     NetworkSpec,
     QuadSpectrum,
+    SPEED_OF_LIGHT,
     SourceDecl,
     SqueezedCoherent,
     validate,
@@ -143,7 +144,7 @@ def test_complex_amp_requires_finite():
 
 
 def test_delay_stores_consistent_length():
-    d = Delay.from_length(7.32, carrier_phase=0.5)
+    d = Delay(7.32 / SPEED_OF_LIGHT, 0.5)
     assert d.delta_l == pytest.approx(7.32, abs=1e-12)
     assert d.tau == 7.32 / 299792458.0
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from sideband import engine, mzi, scenario
+from sideband import dsl, engine, mzi, presets, scenario
 from sideband.network import Combo, QuadSpectrum, validate
 from sideband.scenario import (
     ExperimentConfig,
@@ -20,6 +20,14 @@ def test_networks_validate():
     cfg = ExperimentConfig()
     for mode in ("phase", "amplitude"):
         assert validate(experiment_network(cfg, mode)) == []
+
+
+@pytest.mark.parametrize("mode", ["phase", "amplitude"])
+def test_entangled_presets_are_the_default_experiment(mode):
+    preset = dsl.parse(presets.load(f"entangled_{mode}"))
+    built = experiment_network(ExperimentConfig(), mode)
+    assert preset == built
+    assert dsl.serialize(preset) == dsl.serialize(built)
 
 
 def test_ideal_correlations_equal_mean_input_squeezing():
