@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, dsl, engine, entanglement, montecarlo, mzi, scenario
-from .network import Combo, NetworkSpec, validate
+from .network import MAX_SWEEP_POINTS, Combo, NetworkSpec, validate
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -226,8 +226,9 @@ def _emit_json(payload: dict, out: str | None):
 
 
 def _emit_csv(rows: list[tuple], header: str, out: str | None, manifest: dict):
-    body = header + "\n" + "\n".join(
-        ",".join(f"{v:.12g}" for v in row) for row in rows) + "\n"
+    """Write the header and one line per row, every value formatted %.12g."""
+    line = ",".join(["%.12g"] * (header.count(",") + 1))
+    body = header + "\n" + "\n".join([line % row for row in rows]) + "\n"
     _emit(body, out)
     if out:
         _emit_json(manifest, out + ".manifest.json")
@@ -385,6 +386,9 @@ def cmd_oracle(args) -> int:
 def cmd_design(args) -> int:
     if (args.frep is None) == (args.fm is None):
         raise CliError("give exactly one of --frep (with --n) or --fm", EXIT_IO)
+    if not 1 <= args.n <= MAX_SWEEP_POINTS:
+        raise CliError(f"--n must be between 1 and {MAX_SWEEP_POINTS}, got {args.n}",
+                       EXIT_IO)
     rows = []
     try:
         if args.fm is not None:

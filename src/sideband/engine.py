@@ -2,14 +2,20 @@
 
 A compiled network maps the annihilation fluctuation operators of its inputs
 at sideband frequency w to the operators at the detector ports through an
-M x N complex matrix A(w), built by walking the element pipeline in
-topological order.  Compiling turns each element into its linear map, stated
-once in :func:`_linear_map`: rows of output-by-input gains and a sideband
-delay tau, so an output port is sum_i gains[o][i] e^{-i w tau} in_i.  The
-walk here and the Monte-Carlo delay taps both read those maps and nothing
-else of the element.  Carriers follow the same pipeline with the sideband
-factor of each delay removed, i.e. the carrier vector equals A(0) applied to
-the source amplitudes.
+M x N complex matrix A(w).  Compiling turns each element into its linear
+map, stated once in :func:`_linear_map`: rows of output-by-input gains and a
+sideband delay tau, so an output port is sum_i gains[o][i] e^{-i w tau} in_i.
+The walks here and the Monte-Carlo delay taps read those maps and nothing
+else of the element.
+
+Carriers are one complex number per port: :func:`compile` walks the source
+amplitudes forward through the maps at w = 0 (the sideband factor of each
+delay removed), so the carrier vector equals A(0) applied to the source
+amplitudes.  Fluctuations are evaluated in reverse (adjoint) mode: a
+spectrum needs only a few rows of A(w) combined with detector weights, so
+:func:`_adjoint` seeds each detector port with its weights and walks the
+pipeline backwards, carrying R weight rows per port instead of the N roster
+columns a forward walk carries.
 
 Because every element is passive, the conjugate-operator rows need no extra
 state: the da^dag response at +w is conj(A(-w)).  Photocurrent linear forms
@@ -20,14 +26,15 @@ input quadrature variances.  All spectra are normalised to the shot-noise
 level of the same detector combination, which for a passive network equals
 the detected carrier flux.
 
-Every entry point is a view of one walk over a whole frequency axis:
-:func:`sweep` evaluates blocks of frequencies per walk, and
-:func:`transfer` and :func:`spectrum` are its one-point views.
+Every entry point is a view of one reverse walk over a whole frequency
+axis: :func:`sweep` evaluates blocks of frequencies per walk,
+:func:`spectrum` is its one-point view, and :func:`transfer` seeds the walk
+with the M identity rows.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -51,9 +58,9 @@ from .network import (
 )
 
 
-#: Sideband frequencies per pipeline walk in :func:`sweep`.  A port's state
-#: holds 2 * BLOCK * N complex values (+w and -w stacked), so this bounds the
-#: memory of long sweeps on large rosters.
+#: Sideband frequencies per pipeline walk in :func:`sweep`.  A walk returns
+#: 2 * BLOCK * R * N complex coefficients (+w and -w stacked, R combos), so
+#: this bounds the memory of long sweeps on large rosters.
 BLOCK = 256
 
 
@@ -194,8 +201,10 @@ def compile(spec: NetworkSpec) -> CompiledNetwork:  # noqa: A001 - domain verb
             injected=False,
         ))
 
+    vacua = itertools.count()
+
     def inject_vacuum() -> str:
-        name = f"{RESERVED_PREFIX}vac{sum(1 for e in roster if e.injected)}"
+        name = f"{RESERVED_PREFIX}vac{next(vacua)}"
         roster.append(RosterEntry(name, VACUUM_SPECTRUM, 0j, injected=True))
         return name
 
@@ -214,77 +223,72 @@ def compile(spec: NetworkSpec) -> CompiledNetwork:  # noqa: A001 - domain verb
     produced += [p for st in steps for p in st.out_ports]
     unconsumed = tuple(p for p in produced if p not in consumed)
 
-    net = CompiledNetwork(
+    detector_ports = tuple(d.input for d in spec.detectors)
+    amps = _carrier_amplitudes(roster, steps)
+    return CompiledNetwork(
         spec=spec,
         roster=tuple(roster),
         steps=tuple(steps),
         detector_names=spec.detector_names(),
-        detector_ports=tuple(d.input for d in spec.detectors),
-        carriers=(),
+        detector_ports=detector_ports,
+        carriers=tuple(amps[p] for p in detector_ports),
         unconsumed_ports=unconsumed,
     )
-    amps = np.array([e.carrier for e in net.roster], dtype=complex)
-    carriers = tuple(complex(c) for c in transfer(net, 0.0).a @ amps)
-    return dataclasses.replace(net, carriers=carriers)
 
 
-def _run_pipeline(net: CompiledNetwork, omegas: np.ndarray,
-                  ports: Sequence[str]) -> dict[str, np.ndarray]:
-    """Walk the element pipeline at every sideband frequency in ``omegas``.
+def _carrier_amplitudes(roster: Sequence[RosterEntry],
+                        steps: Sequence[PipelineStep]) -> dict[str, complex]:
+    """Carrier amplitude of every port: the source amplitudes walked forward
+    at w = 0, one complex number per port."""
+    amps = {e.name: complex(e.carrier) for e in roster}
+    for st in steps:
+        ins = [amps[p] for p in st.in_ports]
+        for port, row in zip(st.out_ports, st.gains):
+            amps[port] = complex(sum(g * a for g, a in zip(row, ins)))
+    return amps
 
-    A port's state is an (F, N) array: row f holds the port's operator as a
-    combination of the roster inputs at omegas[f].  Roster inputs start as
-    unit rows when first read.  Every port feeds at most one consumer (see
-    ``validate``), so a state is dropped once read, and never kept for an
-    unconsumed port, unless it is one of ``ports``; live memory is the
-    walk's frontier.  Returns the states of ``ports``.
+
+def _adjoint(net: CompiledNetwork, seeds: np.ndarray,
+             omegas: np.ndarray) -> np.ndarray:
+    """seeds @ A(w) for every w in ``omegas``: an (F, R, N) array.
+
+    ``seeds`` holds R rows over the M detectors.  Each detector port starts
+    with its seed column, and the walk visits the pipeline backwards,
+    pushing each output's adjoint into the step's inputs through
+    gains[o][i] e^{-i w tau}; a step with no live output is skipped.  An
+    adjoint is an (R,) row until a delay makes it an (F, R) array.  The walk
+    ends with each roster input holding its column, so the cost scales with
+    R, not with the roster size N.
     """
-    shape = (omegas.size, net.n_inputs)
-    column = {entry.name: j for j, entry in enumerate(net.roster)}
-    wanted = set(ports)
-    discarded = set(net.unconsumed_ports) - wanted
-    state: dict[str, np.ndarray] = {}
-    out: dict[str, np.ndarray] = {}
+    f = omegas.size
+    adj: dict[str, np.ndarray] = {}
 
-    def read(port: str) -> np.ndarray:
-        arr = state.pop(port, None)
-        if arr is None:
-            arr = np.zeros(shape, dtype=complex)
-            arr[:, column[port]] = 1.0
-        if port in wanted:
-            out[port] = arr
-        return arr
+    def add(port: str, value: np.ndarray):
+        held = adj.get(port)
+        adj[port] = value if held is None else held + value
 
-    def write(port: str, arr: np.ndarray):
-        if port not in discarded:
-            state[port] = arr
-
-    for st in net.steps:
-        ins = [read(p) for p in st.in_ports]
-        gains = st.gains
-        if st.tau:
-            delay = np.exp(-1j * omegas * st.tau)
-            gains = [[(g * delay)[:, None] for g in row] for row in gains]
-        for port, row in zip(st.out_ports, gains):
-            acc = row[0] * ins[0]
-            if len(row) > 1:
-                acc += row[1] * ins[1]
-            write(port, acc)
-    for port in ports:
-        if port not in out:
-            read(port)
+    for k, port in enumerate(net.detector_ports):
+        add(port, seeds[:, k])
+    for st in reversed(net.steps):
+        outs = [(adj.pop(p), row) for p, row in zip(st.out_ports, st.gains) if p in adj]
+        if not outs:
+            continue
+        delay = np.exp(-1j * omegas * st.tau)[:, None] if st.tau else None
+        for bar, row in outs:
+            if delay is not None:
+                bar = bar * delay
+            for port, g in zip(st.in_ports, row):
+                add(port, g * bar)
+    out = np.zeros((f, seeds.shape[0], net.n_inputs), dtype=complex)
+    for j, entry in enumerate(net.roster):
+        if entry.name in adj:
+            out[:, :, j] = adj[entry.name]
     return out
-
-
-def _detector_rows(net: CompiledNetwork, omegas: np.ndarray) -> np.ndarray:
-    """A(w) for every w in ``omegas``: an (F, M, N) array."""
-    state = _run_pipeline(net, omegas, net.detector_ports)
-    return np.stack([state[p] for p in net.detector_ports], axis=1)
 
 
 def transfer(net: CompiledNetwork, omega: float) -> TransferMatrix:
     """Evaluate the input->detector matrix at sideband frequency omega (rad/s)."""
-    a = _detector_rows(net, np.array([omega], dtype=float))[0]
+    a = _adjoint(net, np.eye(net.n_detectors), np.array([omega], dtype=float))[0]
     return TransferMatrix(omega=omega, a=a,
                           carriers=np.array(net.carriers, dtype=complex))
 
@@ -312,13 +316,13 @@ def _forms(net: CompiledNetwork, weights: np.ndarray,
            omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """c_X and c_Y of each weight row at each omega, as (F, C, N) arrays.
 
-    +w and -w share one walk.  With real weights the da^dag term
-    alpha w conj(A(-w)) is the conjugate of conj(alpha) w A(-w), so one
-    matmul over the stacked axis gives both halves.
+    +w and -w share one reverse walk.  With real weights the da^dag term
+    alpha w conj(A(-w)) is the conjugate of conj(alpha) w A(-w), so seeding
+    with the rows w conj(alpha) over the stacked axis gives both halves.
     """
     f = omegas.size
-    a = _detector_rows(net, np.concatenate([omegas, -omegas]))
-    g = np.matmul(weights * np.conj(np.array(net.carriers, dtype=complex)), a)
+    seeds = weights * np.conj(np.array(net.carriers, dtype=complex))
+    g = _adjoint(net, seeds, np.concatenate([omegas, -omegas]))
     u, w = g[:f], np.conj(g[f:])
     return (u + w) / 2.0, 1j * (u - w) / 2.0
 
@@ -348,19 +352,17 @@ def sweep(net: CompiledNetwork, combo: Union[ComboLike, Sequence[ComboLike]],
     weights = np.array([combo_weights(net, c) for c in combos])
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
     spectra = net.input_spectra(inputs)
+    distinct = list(dict.fromkeys(spectra))  # injected vacua share one spectrum
+    column = [distinct.index(s) for s in spectra]
     absolute = np.empty((len(combos), omegas.size))
     snl_vals = np.empty_like(absolute)
     for lo in range(0, omegas.size, BLOCK):
         block = omegas[lo:lo + BLOCK]
         c_x, c_y = _forms(net, weights, block)
         px, py = np.abs(c_x) ** 2, np.abs(c_y) ** 2
-        vx = np.empty((block.size, net.n_inputs))
-        vy = np.empty_like(vx)
-        for j, s in enumerate(spectra):
-            vx[:, j] = s.vx_at(block)
-            vy[:, j] = s.vy_at(block)
-        absolute[:, lo:lo + BLOCK] = (np.einsum("fcn,fn->cf", px, vx)
-                                      + np.einsum("fcn,fn->cf", py, vy))
+        v = np.array([(s.vx_at(block), s.vy_at(block)) for s in distinct])[column]
+        absolute[:, lo:lo + BLOCK] = (np.einsum("fcn,nf->cf", px, v[:, 0])
+                                      + np.einsum("fcn,nf->cf", py, v[:, 1]))
         snl_vals[:, lo:lo + BLOCK] = (px + py).sum(axis=2).T
     lit = snl_vals > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -436,12 +438,10 @@ class FluxAudit:
 def flux_audit(net: CompiledNetwork) -> FluxAudit:
     """Carrier-flux bookkeeping: sources vs detected + discarded + unconsumed."""
     losses = [st for st in net.steps if isinstance(st.element, Loss)]
-    state = _run_pipeline(net, np.zeros(1), (
-        *net.detector_ports, *net.unconsumed_ports, *(st.in_ports[0] for st in losses)))
-    amps = np.array([e.carrier for e in net.roster], dtype=complex)
+    amps = _carrier_amplitudes(net.roster, net.steps)
 
     def port_flux(port: str) -> float:
-        return float(abs(state[port][0] @ amps) ** 2)
+        return abs(amps[port]) ** 2
 
     detected = sum(port_flux(p) for p in net.detector_ports)
     unconsumed = sum(port_flux(p) for p in net.unconsumed_ports)

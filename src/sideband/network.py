@@ -437,9 +437,8 @@ def validate(spec: NetworkSpec) -> list[Violation]:
         except ValueError as exc:
             out.append(Violation("range", m.name, str(exc)))
             freqs = ()
-        for f in freqs:
-            if f < 0 or not math.isfinite(f):
-                out.append(Violation("range", m.name, "frequencies must be finite and >= 0"))
+        if not all(f >= 0 and math.isfinite(f) for f in freqs):
+            out.append(Violation("range", m.name, "frequencies must be finite and >= 0"))
 
     out.extend(_cycle_violations(spec))
     return out

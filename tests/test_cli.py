@@ -52,6 +52,18 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.net"]) == 2
 
+    def test_negative_measure_range_is_one_violation(self, mz_phase_text, tmp_path,
+                                                     capsys):
+        text = mz_phase_text.replace(
+            "measure PM diff(C,D) freqs=15MHz:25MHz:0.5MHz;",
+            "measure PM diff(C,D) freqs=-0.4MHz:0.4MHz:1Hz;")
+        assert "-0.4MHz" in text
+        assert main(["validate", write(tmp_path, "neg.net", text)]) == 4
+        err = capsys.readouterr().err
+        assert "1 violation(s)" in err
+        assert err.count("[range] PM: frequencies must be finite and >= 0") == 1
+        assert len(validate(dsl.parse(text))) == 1
+
 
 class TestSimulate:
     def test_csv_sweep_peaks_at_design_frequency(self, preset_path, tmp_path):
@@ -155,6 +167,18 @@ class TestSimulate:
         assert main(["simulate", "--net", preset_path("mz_phase"),
                      "--combo", "sum", "--freqs", "20MHz",
                      "--override", "nosuch.t=0.5"]) == 2
+
+    def test_csv_rows_format_like_per_value_fstrings(self, capsys):
+        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e-300,
+                    1e300, -1e300, 5e-324, 1.7976931348623157e308, 20.5e6, 1.0]
+        gen = np.random.default_rng(5)
+        rows = [tuple(float(v) for v in gen.choice(specials, 5)) for _ in range(200)]
+        rows += [tuple(gen.standard_normal(5).tolist()) for _ in range(200)]
+        rows += [tuple((10.0 ** gen.uniform(-300, 300, 5)).tolist()) for _ in range(200)]
+        cli._emit_csv(rows, "f_hz,abs,snl,norm,db", None, {})
+        expected = "f_hz,abs,snl,norm,db\n" + "\n".join(
+            ",".join(f"{v:.12g}" for v in row) for row in rows) + "\n"
+        assert capsys.readouterr().out == expected
 
 
 class TestScenario:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sideband import presets
 from sideband.cli import main
+from sideband.network import MAX_SWEEP_POINTS
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -54,6 +55,9 @@ NETS = st.sampled_from(["@mz_phase", "@entangled_phase", "@garbage", "@missing",
 OUT = st.one_of(st.just([]), st.sampled_from(
     ["@out_file", "@out_dir", "@no_dir", "@sidecar_dir"]).map(lambda p: ["--out", p]))
 SMALL_INTS = st.sampled_from(["0", "-1", "1", "2", "8", "abc", "1e3"])
+# design --n: below 1, small, malformed, and above MAX_SWEEP_POINTS
+DESIGN_NS = st.sampled_from(["0", "-3", "1", "2", "8", "abc", "1e3",
+                             str(MAX_SWEEP_POINTS + 1), "100000000", str(10 ** 30)])
 
 
 def _flag(name, values):
@@ -85,7 +89,7 @@ ARGV = st.one_of(
           _repeated("override", OVERRIDES), _repeated("mc-override", OVERRIDES), OUT),
     _argv("scenario", _repeated("override", SCENARIO_OVERRIDES), OUT),
     _argv("design", _flag("fm", QUANTITIES), _flag("frep", QUANTITIES),
-          _flag("n", SMALL_INTS), OUT),
+          _flag("n", DESIGN_NS), OUT),
 )
 
 
@@ -157,6 +161,10 @@ def test_every_run_ends_with_a_documented_code(nets, argv):
     ["simulate", "--net", "@mz_phase", "--out", "@out_dir"],
     ["simulate", "--net", "@mz_phase", "--out", "@sidecar_dir"],
     ["scenario", "--out", "@no_dir"],
+    ["design", "--frep", "82MHz", "--n", "0"],
+    ["design", "--frep", "82MHz", "--n=-3"],
+    ["design", "--frep", "82MHz", "--n", str(MAX_SWEEP_POINTS + 1)],
+    ["design", "--frep", "82MHz", "--n", "100000000"],
 ])
 def test_bad_values_are_one_line_usage_errors(nets, argv):
     code, _, err = run([nets.get(a, a) for a in argv])

@@ -21,6 +21,7 @@ from sideband.network import (
 )
 
 import netgen
+from reference_walk import forward_reference, run_pipeline
 
 TAU = 1.0 / (2 * 20.5e6)  # theta = pi at 20.5 MHz
 OMEGA = 2 * math.pi * 20.5e6
@@ -415,7 +416,7 @@ class TestSweep:
         # rows of A(w) are rows of a unitary, lossy networks included
         rng = random.Random(seed)
         net = engine.compile(netgen.random_spec(rng))
-        a = engine._detector_rows(net, _axis(seed, extra))
+        a = forward_reference(net, _axis(seed, extra))
         gram = np.matmul(a, np.conj(np.swapaxes(a, 1, 2)))
         assert np.abs(gram - np.eye(net.n_detectors)).max() < 1e-12
 
@@ -442,3 +443,85 @@ class TestSweep:
         pt = engine.spectrum(net, SUM, OMEGA)
         assert (pt.absolute, pt.snl, pt.normalized, pt.db) == (
             s.absolute[0], s.snl[0], s.normalized[0], s.db[0])
+
+
+def _walk_net(seed: int, lossy: bool, direct: bool):
+    """A random network; ``direct`` adds a detector reading a source port."""
+    rng = random.Random(seed)
+    spec = netgen.random_spec(rng, force_loss=lossy)
+    if direct:
+        spec = dataclasses.replace(
+            spec,
+            sources=spec.sources + (SourceDecl("SX", Coherent(ComplexAmp(
+                rng.uniform(1.0, 200.0), rng.uniform(-50.0, 50.0)))),),
+            detectors=spec.detectors + (DetectorDecl("DX", "SX"),))
+    return rng, engine.compile(spec)
+
+
+def _assert_within(got, expected, scale):
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * scale
+
+
+class TestReverseWalk:
+    """The reverse walk against the forward reference walk."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, lossy=st.booleans(), direct=st.booleans(),
+           n_combos=st.integers(min_value=1, max_value=4),
+           extra=st.integers(min_value=1, max_value=engine.BLOCK))
+    def test_forms_and_sweep_equal_the_forward_reference(
+            self, seed, lossy, direct, n_combos, extra):
+        rng, net = _walk_net(seed, lossy, direct)
+        weights = np.array([[rng.choice((-1.0, 0.0, 1.0, rng.uniform(-2.0, 2.0)))
+                             for _ in range(net.n_detectors)] for _ in range(n_combos)])
+        omegas = _axis(seed, extra)
+        alpha = np.array(net.carriers, dtype=complex)
+        scale = max(np.abs(alpha).max(), 1.0) * max(np.abs(weights).max(), 1.0)
+
+        g = np.matmul(weights * np.conj(alpha),
+                      forward_reference(net, np.concatenate([omegas, -omegas])))
+        u, w = g[:omegas.size], np.conj(g[omegas.size:])
+        c_x, c_y = engine._forms(net, weights, omegas)
+        _assert_within(c_x, (u + w) / 2.0, scale)
+        _assert_within(c_y, 1j * (u - w) / 2.0, scale)
+
+        # the blocked sweep over the same axis, from the reference forms
+        combos = [dict(zip(net.detector_names, row)) for row in weights]
+        got = engine.sweep(net, combos, omegas)
+        px, py = np.abs((u + w) / 2.0) ** 2, np.abs((u - w) / 2.0) ** 2
+        v = np.array([[s.vx, s.vy] for s in net.input_spectra()])
+        _assert_within(got.absolute, np.einsum("fcn,n->cf", px, v[:, 0])
+                       + np.einsum("fcn,n->cf", py, v[:, 1]), scale ** 2)
+        _assert_within(got.snl, (px + py).sum(axis=2).T, scale ** 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, lossy=st.booleans(), direct=st.booleans())
+    def test_transfer_equals_the_forward_reference(self, seed, lossy, direct):
+        _, net = _walk_net(seed, lossy, direct)
+        omegas = _axis(seed, 1)
+        for omega in (*omegas[:4], omegas[-1]):
+            _assert_within(engine.transfer(net, omega).a,
+                           forward_reference(net, [omega])[0], 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, lossy=st.booleans(), direct=st.booleans())
+    def test_carrier_walk_equals_the_forward_reference(self, seed, lossy, direct):
+        _, net = _walk_net(seed, lossy, direct)
+        amps = np.array([e.carrier for e in net.roster], dtype=complex)
+        scale = max(np.abs(amps).max(), 1.0)
+        _assert_within(np.array(net.carriers, dtype=complex),
+                       forward_reference(net, [0.0])[0] @ amps, scale)
+
+        losses = [step for step in net.steps if isinstance(step.element, Loss)]
+        state = run_pipeline(net, [0.0], (*net.detector_ports, *net.unconsumed_ports,
+                                          *(step.in_ports[0] for step in losses)))
+
+        def flux(port):
+            return abs(state[port][0] @ amps) ** 2
+
+        balance = net.source_flux() - (
+            sum(flux(p) for p in net.detector_ports)
+            + sum(flux(p) for p in net.unconsumed_ports)
+            + sum((1.0 - step.element.eta) * flux(step.in_ports[0]) for step in losses))
+        assert abs(engine.flux_audit(net).balance - balance) <= 1e-12 * scale ** 2
