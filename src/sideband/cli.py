@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, dsl, engine, entanglement, montecarlo, mzi, scenario
-from .network import MAX_SWEEP_POINTS, Combo, NetworkSpec, validate
+from .network import Combo, NetworkSpec, validate
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -35,6 +35,7 @@ EXIT_VALIDATION = 4
 EXIT_NUMERICAL = 5
 
 SEED_ENV_VAR = "SIDEBAND_SEED"
+MAX_DESIGN_ROWS = 1000  # design --frep lists pulse delays 1..n
 
 
 class CliError(Exception):
@@ -352,23 +353,22 @@ def cmd_oracle(args) -> int:
     freq = _parse_flag("--freq", args.freq, dsl.parse_quantity, dsl.FREQ)
     seed = _seed_from(args)
 
-    engine_value = None
+    # the engine reads the uncorrupted network and the Monte-Carlo runs the
+    # corrupted one: a deliberate-mismatch diagnostic
+    reference = net
     if args.mc_override:
-        # evaluate the engine on the uncorrupted network, run MC on the
-        # corrupted one: a deliberate-mismatch diagnostic
-        engine_value = engine.spectrum(net, combo, 2.0 * math.pi * freq).normalized
         net = engine.compile(_with_overrides(net.spec, args.mc_override))
 
     try:
         cfg = montecarlo.MCConfig(
-            sample_rate=args.sample_rate or 8.0 * freq,
+            sample_rate=8.0 * freq if args.sample_rate is None else args.sample_rate,
             seed=seed,
             segment_length=args.segment_length,
             segment_count=args.segments,
             window=args.window,
         )
         result = montecarlo.cross_validate(net, combo, 2.0 * math.pi * freq, cfg,
-                                           engine_value=engine_value)
+                                           reference=reference)
     except montecarlo.MCError as exc:
         raise CliError(str(exc), EXIT_NUMERICAL)
 
@@ -386,8 +386,8 @@ def cmd_oracle(args) -> int:
 def cmd_design(args) -> int:
     if (args.frep is None) == (args.fm is None):
         raise CliError("give exactly one of --frep (with --n) or --fm", EXIT_IO)
-    if not 1 <= args.n <= MAX_SWEEP_POINTS:
-        raise CliError(f"--n must be between 1 and {MAX_SWEEP_POINTS}, got {args.n}",
+    if not 1 <= args.n <= MAX_DESIGN_ROWS:
+        raise CliError(f"--n must be between 1 and {MAX_DESIGN_ROWS}, got {args.n}",
                        EXIT_IO)
     rows = []
     try:

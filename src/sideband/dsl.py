@@ -77,174 +77,129 @@ class SerializeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | number | punct | eof
-    text: str
-    line: int
-    column: int
-    value: float | None = None
-    unit: str | None = None
-
-
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_UNIT_RE = re.compile(r"[A-Za-z]+")
-_PUNCT = ";=,():."
-
-
-def _lex(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    lines = text.splitlines() or [""]
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def diag(msg: str, ln: int, cl: int) -> ParseError:
-        snippet = lines[ln - 1] if ln - 1 < len(lines) else ""
-        return ParseError(ParseDiagnostic(ln, cl, msg, snippet))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m and (ch.isdigit() or ch in "+-."):
-            num_text = m.group(0)
-            start_col = col
-            i = m.end()
-            col += len(num_text)
-            unit = None
-            um = _UNIT_RE.match(text, i)
-            if um:
-                unit = um.group(0)
-                i = um.end()
-                col += len(unit)
-            try:
-                value = float(num_text)
-            except ValueError:
-                raise diag(f"malformed number {num_text!r}", line, start_col)
-            tokens.append(Token("number", num_text + (unit or ""), line, start_col,
-                                value=value, unit=unit))
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            ident = m.group(0)
-            tokens.append(Token("ident", ident, line, col))
-            i = m.end()
-            col += len(ident)
-            continue
-        raise diag(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+# One match per token; the kind is the name of the group that matched.
+# Whitespace matches nothing, so finditer steps over it.  A comment that runs
+# to a newline matches no named group and is dropped; one that ends the text
+# is skipped by the eof lookahead, so eof sits at its '#'.
+_TOKEN_RE = re.compile(r"""
+      (?P<number> (?P<num> [+-]? (?: \d+\.?\d* | \.\d+ ) (?: [eE][+-]?\d+ )? )
+                  (?P<unit> [A-Za-z]+ )? )
+    | (?P<punct> [;=,():.] )
+    | (?P<ident> [A-Za-z_][A-Za-z0-9_]* )
+    | (?P<eof> (?= (?: \#[^\n]* )? \Z ) )
+    | \#[^\n]*
+    | (?P<bad> [^ \t\r\n] )
+""", re.VERBOSE)
 
 
 class _Parser:
+    """Recursive descent over token matches: ``tok.lastgroup`` is the kind,
+    ``tok[0]`` the text and ``tok.start()`` the offset into the text."""
+
     def __init__(self, text: str):
         self.text = text
         self.lines = text.splitlines() or [""]
-        self.tokens = _lex(text)
+        self.tokens: list[re.Match] = []
+        for tok in _TOKEN_RE.finditer(text):
+            if tok.lastgroup == "bad":
+                raise self.error(f"unexpected character {tok[0]!r}", tok)
+            if tok.lastgroup:
+                self.tokens.append(tok)
+            if tok.lastgroup == "eof":
+                break
         self.pos = 0
-        self.names: dict[str, Token] = {}
+        self.names: set[str] = set()
 
     # -- token plumbing
 
-    def peek(self) -> Token:
+    def peek(self) -> re.Match:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> re.Match:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok.lastgroup != "eof":
             self.pos += 1
         return tok
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        snippet = self.lines[tok.line - 1] if tok.line - 1 < len(self.lines) else ""
-        return ParseError(ParseDiagnostic(tok.line, tok.column, message, snippet))
+    def at(self, text: str) -> bool:
+        """Whether the next token is ``text``: a punctuation mark or keyword
+        matches only a token of that kind."""
+        return self.peek()[0] == text
 
-    def expect_punct(self, ch: str) -> Token:
+    def error(self, message: str, tok: re.Match | None = None) -> ParseError:
+        # only '\n' starts a line; '\r' and '\t' are one column each
+        offset = (tok or self.peek()).start()
+        line = self.text.count("\n", 0, offset) + 1
+        column = offset - self.text.rfind("\n", 0, offset)
+        snippet = self.lines[line - 1] if line - 1 < len(self.lines) else ""
+        return ParseError(ParseDiagnostic(line, column, message, snippet))
+
+    def found(self, what: str) -> ParseError:
         tok = self.peek()
-        if tok.kind != "punct" or tok.text != ch:
-            raise self.error(f"expected {ch!r}, found {tok.text!r}" if tok.kind != "eof"
-                             else f"expected {ch!r}, found end of input")
+        return self.error(f"expected {what}, found {tok[0]!r}" if tok.lastgroup != "eof"
+                          else f"expected {what}, found end of input")
+
+    def expect_punct(self, ch: str) -> re.Match:
+        if not self.at(ch):
+            raise self.found(repr(ch))
         return self.advance()
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {tok.text!r}" if tok.kind != "eof"
-                             else f"expected {what}, found end of input")
+    def expect_ident(self, what: str = "identifier") -> re.Match:
+        if self.peek().lastgroup != "ident":
+            raise self.found(what)
         return self.advance()
 
-    def accept_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == word:
+    def accept(self, text: str) -> bool:
+        if self.at(text):
             self.advance()
             return True
         return False
+
+    def expect_end(self, what: str):
+        if self.peek().lastgroup != "eof":
+            raise self.error(f"trailing input after {what}")
 
     # -- names, ports, quantities
 
     def fresh_name(self) -> str:
         tok = self.expect_ident("name")
-        if tok.text in KEYWORDS:
-            raise self.error(f"{tok.text!r} is a reserved word", tok)
-        if tok.text.startswith(RESERVED_PREFIX):
+        if tok[0] in KEYWORDS:
+            raise self.error(f"{tok[0]!r} is a reserved word", tok)
+        if tok[0].startswith(RESERVED_PREFIX):
             raise self.error(f"names starting with {RESERVED_PREFIX!r} are reserved", tok)
-        if tok.text in self.names:
-            raise self.error(f"duplicate name {tok.text!r}", tok)
-        self.names[tok.text] = tok
-        return tok.text
+        if tok[0] in self.names:
+            raise self.error(f"duplicate name {tok[0]!r}", tok)
+        self.names.add(tok[0])
+        return tok[0]
 
     def port(self) -> str:
         tok = self.expect_ident("port")
-        if tok.text in KEYWORDS:
-            raise self.error(f"{tok.text!r} is a reserved word", tok)
-        name = tok.text
-        if self.peek().kind == "punct" and self.peek().text == ".":
-            self.advance()
+        if tok[0] in KEYWORDS:
+            raise self.error(f"{tok[0]!r} is a reserved word", tok)
+        name = tok[0]
+        if self.accept("."):
             slot = self.expect_ident("output slot")
-            if slot.text not in ("out", "out1", "out2"):
-                raise self.error(f"unknown output slot {slot.text!r}", slot)
-            name += "." + slot.text
+            if slot[0] not in ("out", "out1", "out2"):
+                raise self.error(f"unknown output slot {slot[0]!r}", slot)
+            name += "." + slot[0]
         return name
 
     def quantity(self, dim: str) -> float:
+        """The next token, a number, in the base unit of ``dim``; it must be finite."""
         tok = self.peek()
-        if tok.kind != "number":
-            raise self.error(f"expected a number, found {tok.text!r}" if tok.kind != "eof"
-                             else "expected a number, found end of input")
+        if tok.lastgroup != "number":
+            raise self.found("a number")
         self.advance()
-        return self.convert(tok, dim)
-
-    def convert(self, tok: Token, dim: str) -> float:
-        """A number token in the base unit of ``dim``; it must be finite."""
         try:
             value = self._scaled(tok, dim)
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
-            raise self.error(f"number out of range: {tok.text!r}", tok)
+            raise self.error(f"number out of range: {tok[0]!r}", tok)
         return value
 
-    def _scaled(self, tok: Token, dim: str) -> float:
-        unit, value = tok.unit, tok.value
+    def _scaled(self, tok: re.Match, dim: str) -> float:
+        unit, value = tok["unit"], float(tok["num"])
         if dim == PLAIN:
             if unit is not None:
                 raise self.error(f"unit mismatch: {unit!r} on a dimensionless value", tok)
@@ -266,12 +221,12 @@ class _Parser:
             raise self.error(f"unit mismatch: expected {base}, got {unit!r}", tok)
         return value * table[unit]
 
-    def params(self, schema: dict[str, str], subject: str) -> dict[str, tuple[float, Token]]:
+    def params(self, schema: dict[str, str], subject: str) -> dict[str, tuple[float, re.Match]]:
         """Collect trailing key=value pairs until ';' against a dimension schema."""
-        out: dict[str, tuple[float, Token]] = {}
-        while self.peek().kind == "ident":
+        out: dict[str, tuple[float, re.Match]] = {}
+        while self.peek().lastgroup == "ident":
             key_tok = self.advance()
-            key = key_tok.text
+            key = key_tok[0]
             if key not in schema:
                 raise self.error(f"unknown parameter {key!r} for {subject}", key_tok)
             if key in out:
@@ -281,7 +236,7 @@ class _Parser:
             out[key] = (self.quantity(schema[key]), val_tok)
         return out
 
-    def require(self, params, key: str, kw_tok: Token) -> tuple[float, Token]:
+    def require(self, params, key: str, kw_tok: re.Match) -> tuple[float, re.Match]:
         if key not in params:
             raise self.error(f"missing required parameter {key!r}", kw_tok)
         return params[key]
@@ -293,18 +248,18 @@ class _Parser:
         elements: list[ElementDecl] = []
         detectors: list[DetectorDecl] = []
         measurements: list[Measurement] = []
-        while self.peek().kind != "eof":
+        while self.peek().lastgroup != "eof":
             kw = self.expect_ident("statement keyword")
-            if kw.text == "source":
+            if kw[0] == "source":
                 sources.append(self.source_stmt(kw))
-            elif kw.text in ("bs", "phase", "delay", "loss"):
+            elif kw[0] in ("bs", "phase", "delay", "loss"):
                 elements.append(self.element_stmt(kw))
-            elif kw.text == "det":
+            elif kw[0] == "det":
                 detectors.append(self.det_stmt())
-            elif kw.text == "measure":
-                measurements.append(self.measure_stmt(kw))
+            elif kw[0] == "measure":
+                measurements.append(self.measure_stmt())
             else:
-                raise self.error(f"unknown statement keyword {kw.text!r}", kw)
+                raise self.error(f"unknown statement keyword {kw[0]!r}", kw)
             self.expect_punct(";")
         return NetworkSpec(
             sources=tuple(sources),
@@ -313,7 +268,7 @@ class _Parser:
             measurements=tuple(measurements),
         )
 
-    def amplitude(self, params, kw_tok: Token) -> ComplexAmp:
+    def amplitude(self, params, kw_tok: re.Match) -> ComplexAmp:
         amp, _ = self.require(params, "amp", kw_tok)
         if "phase" in params and "amp_im" in params:
             raise self.error("give either phase= or amp_im=, not both",
@@ -322,15 +277,15 @@ class _Parser:
             return ComplexAmp.from_polar(amp, params["phase"][0])
         return ComplexAmp(amp, params.get("amp_im", (0.0, None))[0])
 
-    def source_stmt(self, kw: Token) -> SourceDecl:
+    def source_stmt(self, kw: re.Match) -> SourceDecl:
         name = self.fresh_name()
         kind = self.expect_ident("source kind")
-        if kind.text == "vacuum":
+        if kind[0] == "vacuum":
             return SourceDecl(name, Vacuum())
-        if kind.text == "coherent":
+        if kind[0] == "coherent":
             params = self.params({"amp": PLAIN, "amp_im": PLAIN, "phase": PLAIN}, "coherent")
             return SourceDecl(name, Coherent(self.amplitude(params, kw)))
-        if kind.text == "squeezed":
+        if kind[0] == "squeezed":
             params = self.params(
                 {"amp": PLAIN, "amp_im": PLAIN, "phase": PLAIN, "vx": VAR, "vy": VAR},
                 "squeezed")
@@ -345,31 +300,30 @@ class _Parser:
                     f"Heisenberg bound violated: vx*vy = {vx * vy:.6g} < 1", vx_tok)
             noise = QuadSpectrum.constant(vx, vy)
             return SourceDecl(name, SqueezedCoherent(self.amplitude(params, kw), noise))
-        raise self.error(f"unknown source kind {kind.text!r}", kind)
+        raise self.error(f"unknown source kind {kind[0]!r}", kind)
 
-    def element_stmt(self, kw: Token) -> ElementDecl:
+    def element_stmt(self, kw: re.Match) -> ElementDecl:
         name = self.fresh_name()
         inputs: list[str] = []
-        if self.accept_keyword("from"):
+        if self.accept("from"):
             inputs.append(self.port())
-            while self.peek().kind == "punct" and self.peek().text == ",":
-                self.advance()
+            while self.accept(","):
                 inputs.append(self.port())
-        max_inputs = 2 if kw.text == "bs" else 1
+        max_inputs = 2 if kw[0] == "bs" else 1
         if len(inputs) > max_inputs:
-            raise self.error(f"{kw.text} takes at most {max_inputs} input(s)", kw)
+            raise self.error(f"{kw[0]} takes at most {max_inputs} input(s)", kw)
 
-        if kw.text == "bs":
+        if kw[0] == "bs":
             params = self.params({"t": PLAIN}, "bs")
             t, t_tok = params.get("t", (DEFAULT_SPLIT, None))
             if not 0.0 <= t <= 1.0:
                 raise self.error("t out of range [0,1]", t_tok)
             element = BeamSplitter(t)
-        elif kw.text == "phase":
+        elif kw[0] == "phase":
             params = self.params({"phi": PLAIN}, "phase")
             phi, _ = self.require(params, "phi", kw)
             element = PhaseShift(phi)
-        elif kw.text == "delay":
+        elif kw[0] == "delay":
             params = self.params(
                 {"tau": TIME, "length": LENGTH, "carrier_phase": PLAIN}, "delay")
             if ("tau" in params) == ("length" in params):
@@ -392,46 +346,40 @@ class _Parser:
 
     def det_stmt(self) -> DetectorDecl:
         name = self.fresh_name()
-        tok = self.peek()
-        if not self.accept_keyword("from"):
-            raise self.error("expected 'from'", tok)
+        if not self.accept("from"):
+            raise self.error("expected 'from'")
         return DetectorDecl(name, self.port())
 
-    def measure_stmt(self, kw: Token) -> Measurement:
+    def measure_stmt(self) -> Measurement:
         name = self.fresh_name()
         combo_tok = self.expect_ident("combo kind (sum/diff/single)")
-        if combo_tok.text not in ("sum", "diff", "single"):
-            raise self.error(f"unknown combo kind {combo_tok.text!r}", combo_tok)
+        if combo_tok[0] not in ("sum", "diff", "single"):
+            raise self.error(f"unknown combo kind {combo_tok[0]!r}", combo_tok)
         self.expect_punct("(")
-        dets = [self.expect_ident("detector name").text]
-        if combo_tok.text != "single":
+        dets = [self.expect_ident("detector name")[0]]
+        if combo_tok[0] != "single":
             self.expect_punct(",")
-            dets.append(self.expect_ident("detector name").text)
+            dets.append(self.expect_ident("detector name")[0])
         self.expect_punct(")")
-        combo = Combo(combo_tok.text, tuple(dets))
+        combo = Combo(combo_tok[0], tuple(dets))
 
-        freqs_tok = self.peek()
-        if not self.accept_keyword("freqs"):
-            raise self.error("expected 'freqs'", freqs_tok)
+        if not self.accept("freqs"):
+            raise self.error("expected 'freqs'")
         self.expect_punct("=")
         first = self.quantity(FREQ)
         nxt = self.peek()
-        if nxt.kind == "punct" and nxt.text == ":":
-            self.advance()
+        if self.accept(":"):
             stop = self.quantity(FREQ)
             self.expect_punct(":")
             step = self.quantity(FREQ)
             if step <= 0:
                 raise self.error("frequency step must be > 0", nxt)
             freqs = FreqRange(first, stop, step)
-        elif nxt.kind == "punct" and nxt.text == ",":
+        else:
             values = [first]
-            while self.peek().kind == "punct" and self.peek().text == ",":
-                self.advance()
+            while self.accept(","):
                 values.append(self.quantity(FREQ))
             freqs = FreqList(tuple(values))
-        else:
-            freqs = FreqList((first,))
         return Measurement(name, combo, freqs)
 
 
@@ -449,8 +397,7 @@ def parse_quantity(text: str, dim: str = FREQ) -> float:
     """Parse a standalone quantity like '20.5MHz' (CLI flag helper)."""
     p = _Parser(text)
     value = p.quantity(dim)
-    if p.peek().kind != "eof":
-        raise p.error("trailing input after quantity")
+    p.expect_end("quantity")
     return value
 
 
@@ -458,16 +405,13 @@ def parse_frequency_range(text: str):
     """Parse 'LO:HI:STEP' or a single frequency; returns FreqRange or FreqList."""
     p = _Parser(text)
     first = p.quantity(FREQ)
-    if p.peek().kind == "punct" and p.peek().text == ":":
-        p.advance()
+    if p.accept(":"):
         stop = p.quantity(FREQ)
         p.expect_punct(":")
         step = p.quantity(FREQ)
-        if p.peek().kind != "eof":
-            raise p.error("trailing input after frequency range")
+        p.expect_end("frequency range")
         return FreqRange(first, stop, step)
-    if p.peek().kind != "eof":
-        raise p.error("trailing input after frequency")
+    p.expect_end("frequency")
     return FreqList((first,))
 
 

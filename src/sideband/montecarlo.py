@@ -317,7 +317,8 @@ def periodogram(stream: np.ndarray, omega: float, cfg: MCConfig) -> MCEstimate:
 
 
 def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
-                   cfg: MCConfig, inputs=None, engine_value: float | None = None) -> CrossValidation:
+                   cfg: MCConfig, inputs=None,
+                   reference: engine.CompiledNetwork | None = None) -> CrossValidation:
     """Compare the engine's normalised spectrum against a Monte-Carlo run.
 
     The Monte-Carlo value is the ratio of the signal-run bin power to a
@@ -325,7 +326,8 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
     combined standard errors.  The requested frequency snaps to the nearest
     FFT bin and the engine reference is evaluated there, so both sides see
     the same sideband.  Only the combo's stream is accumulated, one per run.
-    engine_value can be overridden to test deliberate mismatches.
+    The engine side reads ``reference`` (default ``net``): a different network
+    there tests a deliberate mismatch.
     """
     cfg.check_frequency(omega)
     omega = 2.0 * math.pi * _bin_index(omega, cfg) * (cfg.sample_rate / cfg.segment_length)
@@ -342,8 +344,8 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
     rel = math.sqrt((est_sig.stderr / est_sig.estimate) ** 2
                     + (est_vac.stderr / est_vac.estimate) ** 2)
     stderr = abs(mc_value) * rel
-    if engine_value is None:
-        engine_value = engine.spectrum(net, combo, omega, inputs=inputs).normalized
+    engine_value = engine.spectrum(net if reference is None else reference, combo, omega,
+                                   inputs=inputs).normalized
     z = (mc_value - engine_value) / stderr
     return CrossValidation(omega=omega, engine_value=float(engine_value),
                            mc_value=mc_value, stderr=stderr, z=float(z),

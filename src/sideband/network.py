@@ -292,7 +292,8 @@ class FreqRange:
         if not steps < MAX_SWEEP_POINTS:  # also an infinite or NaN count
             raise ValueError(f"more than {MAX_SWEEP_POINTS} frequencies "
                              f"({self.start:g}:{self.stop:g}:{self.step:g})")
-        return tuple(self.start + i * self.step for i in range(int(math.floor(steps)) + 1))
+        n = int(math.floor(steps)) + 1
+        return tuple((self.start + np.arange(n) * self.step).tolist())
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from sideband import presets
+
+# Tier-1 runs the same examples every time and keeps no example database;
+# per-test max_examples still apply.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -1,0 +1,98 @@
+"""A character-loop lexer for the `.net` language: the reference that the
+differential test in test_dsl.py holds `sideband.dsl`'s regex lexer to.
+
+It walks the text one character at a time and tracks the line and column of
+every token.  A lexing error is a `dsl.ParseError` with the diagnostic the
+parser must give for it.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
+from sideband.dsl import ParseDiagnostic, ParseError
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # ident | number | punct | eof
+    text: str
+    line: int
+    column: int
+    value: float | None = None
+    unit: str | None = None
+
+
+_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_UNIT_RE = re.compile(r"[A-Za-z]+")
+_PUNCT = ";=,():."
+
+
+def _lex(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    lines = text.splitlines() or [""]
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def diag(msg: str, ln: int, cl: int) -> ParseError:
+        snippet = lines[ln - 1] if ln - 1 < len(lines) else ""
+        return ParseError(ParseDiagnostic(ln, cl, msg, snippet))
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        m = _NUMBER_RE.match(text, i)
+        if m and (ch.isdigit() or ch in "+-."):
+            num_text = m.group(0)
+            start_col = col
+            i = m.end()
+            col += len(num_text)
+            unit = None
+            um = _UNIT_RE.match(text, i)
+            if um:
+                unit = um.group(0)
+                i = um.end()
+                col += len(unit)
+            try:
+                value = float(num_text)
+            except ValueError:
+                raise diag(f"malformed number {num_text!r}", line, start_col)
+            tokens.append(Token("number", num_text + (unit or ""), line, start_col,
+                                value=value, unit=unit))
+            continue
+        if ch in _PUNCT:
+            tokens.append(Token("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        m = _IDENT_RE.match(text, i)
+        if m:
+            ident = m.group(0)
+            tokens.append(Token("ident", ident, line, col))
+            i = m.end()
+            col += len(ident)
+            continue
+        raise diag(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def diagnostic(text: str, tok: Token, message: str) -> ParseDiagnostic:
+    """The diagnostic that the parser built for an error at ``tok``."""
+    lines = text.splitlines() or [""]
+    snippet = lines[tok.line - 1] if tok.line - 1 < len(lines) else ""
+    return ParseDiagnostic(tok.line, tok.column, message, snippet)

@@ -280,6 +280,21 @@ class TestOracle:
         assert code == 5
         assert abs(doc["result"]["z"]) > 5
 
+    def test_mc_override_leaves_engine_value_at_snapped_bin(self, preset_path, capsys):
+        # 20.6 MHz snaps to the 20.5 MHz bin; the engine side must be read
+        # there, on the uncorrupted network, with or without --mc-override
+        argv = ["oracle", "--net", preset_path("mz_phase"),
+                "--override", "LONG.tau=24.390243902439025ns", "--freq", "20.6MHz",
+                "--sample-rate", "164e6", "--combo", "diff", "--seed", "3",
+                "--segments", "8"]
+        main(argv)
+        plain = json.loads(capsys.readouterr().out)["result"]
+        main(argv + ["--mc-override", "a.vy=17.9dB"])
+        corrupted = json.loads(capsys.readouterr().out)["result"]
+        assert plain["frequency_hz"] == corrupted["frequency_hz"] == 20.5e6
+        assert corrupted["engine"] == plain["engine"]
+        assert corrupted["monte_carlo"] != plain["monte_carlo"]
+
     def test_zero_frequency_is_numerical_error(self, tmp_path, capsys):
         path = write(tmp_path, "mz.net", MZ_THETA_PI)
         assert main(["oracle", "--net", path, "--freq", "0Hz"]) == 5
@@ -315,3 +330,10 @@ class TestDesign:
     def test_conflicting_flags(self, capsys):
         assert main(["design", "--frep", "82MHz", "--fm", "20MHz"]) == 2
         assert main(["design"]) == 2
+
+    def test_row_count_is_bounded(self, capsys):
+        assert main(["design", "--frep", "82MHz", "--n", str(cli.MAX_DESIGN_ROWS)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["designs"]) == cli.MAX_DESIGN_ROWS
+        assert main(["design", "--frep", "82MHz", "--n", "1001"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -177,6 +177,8 @@ def test_bad_values_are_one_line_usage_errors(nets, argv):
      "--segment-length", "64", "--sample-rate=nan"],
     ["oracle", "--net", "@entangled_phase", "--freq", "20.5MHz", "--segments", "8",
      "--segment-length", "64", "--sample-rate=inf"],
+    ["oracle", "--net", "@entangled_phase", "--freq", "20.5MHz", "--segments", "8",
+     "--segment-length", "64", "--sample-rate=0"],
     # no carrier reaches the phase readout, so V- is NaN
     ["scenario", "--override", "visibility=0"],
     ["scenario", "--override", "visibility=1e-300"],

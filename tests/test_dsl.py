@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sideband import dsl, presets
 from sideband.network import (
@@ -17,6 +18,7 @@ from sideband.network import (
 )
 
 import netgen
+import reference_lex
 
 C = 299792458.0
 
@@ -241,3 +243,75 @@ class TestFuzzRoundTrip:
                 return text.rstrip().rstrip(";")
             return re.sub(r"=(\d)", r"=\1Qz", text, count=1)
         raise AssertionError(kind)
+
+
+# Pieces that mutants insert: separators, comments, line breaks, number and
+# unit fragments, and characters the lexer must refuse.
+PIECES = [" ", "\t", "\r", "\r\n", "\n", "#", "# note", ";", "=", ",", ":", ".",
+          "(", ")", "+", "-", "e", "E5", "1", "0.5", ".5", "5.", "MHz", "dB", "ns",
+          "cm", "x", "_", "@", "\u0663", "\u00b2", "\u00b5", "\x0b"]
+TRAILING_COMMENTS = ["#", "# end", " #x\r", "\t# \u00e9", "# end\n", "#\r\n"]
+
+
+@st.composite
+def lexer_texts(draw):
+    """A preset or a serialized random spec, then up to five mutations."""
+    if draw(st.booleans()):
+        text = presets.load(draw(st.sampled_from(presets.available())))
+    else:
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        text = dsl.serialize(netgen.random_spec(random.Random(seed)))
+    for _ in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from(["insert", "delete", "truncate", "comment", "breaks"]))
+        if op == "insert":
+            i = draw(st.integers(0, len(text)))
+            text = text[:i] + draw(st.sampled_from(PIECES)) + text[i:]
+        elif op == "delete" and text:
+            i = draw(st.integers(0, len(text) - 1))
+            text = text[:i] + text[i + 1:]
+        elif op == "truncate":
+            text = text[:draw(st.integers(0, len(text)))]
+        elif op == "comment":
+            text += draw(st.sampled_from(TRAILING_COMMENTS))
+        elif op == "breaks":
+            text = text.replace("\n", draw(st.sampled_from(["\r\n", "\r", " \n\t"])))
+    return text
+
+
+class TestLexerAgainstReference:
+    """The regex lexer gives the character-loop lexer's tokens and diagnostics."""
+
+    @staticmethod
+    def check(text: str):
+        try:
+            expected = reference_lex._lex(text)
+        except dsl.ParseError as err:
+            with pytest.raises(dsl.ParseError) as ours:
+                dsl.parse(text)
+            assert str(ours.value) == str(err)
+            assert ours.value.diagnostic == err.diagnostic
+            return
+        p = dsl._Parser(text)
+        got = []
+        for m in p.tokens:
+            d = p.error("", m).diagnostic
+            value = float(m["num"]) if m.lastgroup == "number" else None
+            got.append(reference_lex.Token(m.lastgroup, m[0], d.line, d.column,
+                                           value, m["unit"]))
+        assert got == expected
+        for m, tok in zip(p.tokens, expected):
+            ours = p.error(f"at {tok.text!r}", m).diagnostic
+            theirs = reference_lex.diagnostic(text, tok, f"at {tok.text!r}")
+            assert ours == theirs and str(ours) == str(theirs)
+
+    @pytest.mark.parametrize("text", [
+        "", "#", "a # c", "a;\n# c", "a\r\nb\r@", "x=1.5MHz;", "x=\u0663;",
+        "x=\u00b2;", "\t\r1e5e", "+a", ".5.", "5._", "a\rb # c\r",
+    ])
+    def test_edge_cases(self, text):
+        self.check(text)
+
+    @settings(max_examples=300)
+    @given(text=lexer_texts())
+    def test_random_and_mutated_specs(self, text):
+        self.check(text)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sideband import engine, mzi, scenario
+from sideband import dsl, engine, mzi, scenario
 from sideband.network import (
     Coherent,
     Combo,
@@ -293,6 +293,17 @@ class TestDCLevels:
         net = mz_net(phi=math.pi / 3, amp=100.0)
         assert engine.dc_levels(net).difference("C", "D") == pytest.approx(
             0.5 * 1e4, rel=1e-12)
+
+    def test_phase_and_delay_carrier_phase_share_a_sign(self):
+        # phase multiplies by e^{+i phi} and a zero-length delay by
+        # e^{+i carrier_phase}: equal settings in the two arms cancel, and all
+        # the light leaves one port
+        net = engine.compile(dsl.parse(
+            "source a coherent amp=100; source v vacuum; bs B1 from a, v;"
+            "phase P from B1.out1 phi=0.6;"
+            "delay L from B1.out2 length=0m carrier_phase=0.6;"
+            "bs B2 from P.out, L.out; det C from B2.out1; det D from B2.out2;"))
+        assert engine.dc_levels(net).means == pytest.approx((1e4, 0.0), abs=1e-9)
 
 
 class TestConservation:

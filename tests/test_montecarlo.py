@@ -158,11 +158,10 @@ class TestCrossValidate:
         fs = 328e6
         tau_true = 1.0 / (4 * F_M)   # 4 samples, theta = pi/2
         tau_wrong = 5.0 / fs         # 5 samples, theta = 5 pi/8
-        truth = engine.spectrum(mz_net(tau=tau_true), DIFF, OMEGA).normalized
         corrupted = mz_net(tau=tau_wrong)
         result = montecarlo.cross_validate(
             corrupted, DIFF, OMEGA, cfg(seed=9, segments=2048, fs=fs),
-            engine_value=truth)
+            reference=mz_net(tau=tau_true))
         assert abs(result.z) > 5
 
     def test_audit_twenty_comparisons(self):

@@ -12,6 +12,7 @@ from sideband.network import (
     Delay,
     DetectorDecl,
     ElementDecl,
+    FreqRange,
     Loss,
     NetworkSpec,
     QuadSpectrum,
@@ -38,6 +39,20 @@ def test_empty_network_reports_no_detectors():
 
 def test_minimal_network_is_valid():
     assert validate(minimal_spec()) == []
+
+
+def test_freq_range_values_match_stepwise_sum_bit_for_bit():
+    rng = random.Random(31)
+    ranges = [FreqRange(1e6, 41e6, 10e3), FreqRange(15e6, 25e6, 0.5e6)]
+    ranges += [FreqRange(lo, lo + rng.uniform(0.0, 4e7), rng.uniform(1e4, 1e6))
+               for lo in (rng.uniform(0.0, 1e8) for _ in range(20))]
+    for r in ranges:
+        n = int(math.floor((r.stop - r.start) / r.step + 1e-9)) + 1
+        expected = tuple(r.start + i * r.step for i in range(n))
+        got = r.values()
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+    assert len(FreqRange(1e6, 41e6, 10e3).values()) == 4001
 
 
 def test_heisenberg_violation_is_reported():
