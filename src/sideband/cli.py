@@ -222,8 +222,20 @@ def _emit(text: str, out: str | None):
         raise CliError(f"cannot write {out}: {exc}", EXIT_IO)
 
 
+def _json_safe(value):
+    """The payload with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def _emit_json(payload: dict, out: str | None):
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+    _emit(text + "\n", out)
 
 
 def _emit_csv(rows: list[tuple], header: str, out: str | None, manifest: dict):

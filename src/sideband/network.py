@@ -11,6 +11,7 @@ violations instead of raising, so malformed specs remain inspectable.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -377,6 +378,10 @@ def validate(spec: NetworkSpec) -> list[Violation]:
     inputs excepted: open ones receive injected vacuum at compile time),
     missing detectors, cycles, parameter ranges, and source physicality
     (the Heisenberg bound V_X * V_Y >= 1).
+
+    The cycle check is :func:`topo_order`'s pass and tie rule (among ready
+    elements the first declared goes first); it names, sorted, every element
+    that pass cannot place: every element on, or fed by, a cycle.
     """
     out: list[Violation] = []
 
@@ -441,69 +446,45 @@ def validate(spec: NetworkSpec) -> list[Violation]:
         if not all(f >= 0 and math.isfinite(f) for f in freqs):
             out.append(Violation("range", m.name, "frequencies must be finite and >= 0"))
 
-    out.extend(_cycle_violations(spec))
+    out.extend(Violation("cycle", name, "element is on, or fed by, a wiring cycle")
+               for name in _wiring_order(spec)[1])
     return out
 
 
-def _cycle_violations(spec: NetworkSpec) -> list[Violation]:
-    producer_of = spec.producer_ports()
-    deps: dict[str, set[str]] = {e.name: set() for e in spec.elements}
-    source_names = {s.name for s in spec.sources}
-    for e in spec.elements:
+def _wiring_order(spec: NetworkSpec) -> tuple[list[ElementDecl], list[str]]:
+    """Kahn's sort of the elements, popping ready ones from a heap keyed by
+    declaration position.  Returns the order and the sorted names it could
+    not place: every element on, or fed by, a wiring cycle."""
+    elements = spec.elements
+    producer = {p: i for i, e in enumerate(elements) for p in e.output_ports()}
+    indeg = [0] * len(elements)
+    dependents: list[list[int]] = [[] for _ in elements]
+    for i, e in enumerate(elements):
         for p in e.inputs:
-            owner = producer_of.get(p)
-            if owner is not None and owner not in source_names:
-                deps[e.name].add(owner)
+            owner = producer.get(p)
+            if owner is not None:
+                dependents[owner].append(i)
+                indeg[i] += 1
 
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-    cyclic: set[str] = set()
-
-    def visit(node: str, stack: list[str]):
-        if state.get(node) == 1:
-            return
-        if state.get(node) == 0:
-            cyclic.update(stack[stack.index(node):])
-            return
-        state[node] = 0
-        stack.append(node)
-        for dep in sorted(deps.get(node, ())):
-            visit(dep, stack)
-        stack.pop()
-        state[node] = 1
-
-    for name in deps:
-        visit(name, [])
-    return [Violation("cycle", name, "element is part of a wiring cycle")
-            for name in sorted(cyclic)]
+    ready = [i for i, n in enumerate(indeg) if n == 0]  # ascending: a heap
+    order: list[ElementDecl] = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(elements[i])
+        for j in dependents[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    return order, sorted({e.name for e, n in zip(elements, indeg) if n})
 
 
 def topo_order(spec: NetworkSpec) -> list[ElementDecl]:
-    """Deterministic topological order of elements (declaration order ties)."""
-    producer_of = spec.producer_ports()
-    source_names = {s.name for s in spec.sources}
-    by_name = {e.name: e for e in spec.elements}
-    indeg: dict[str, int] = {}
-    dependents: dict[str, list[str]] = {e.name: [] for e in spec.elements}
-    for e in spec.elements:
-        n = 0
-        for p in e.inputs:
-            owner = producer_of.get(p)
-            if owner is not None and owner not in source_names:
-                dependents[owner].append(e.name)
-                n += 1
-        indeg[e.name] = n
+    """Deterministic topological order of the elements.
 
-    order: list[ElementDecl] = []
-    ready = [e.name for e in spec.elements if indeg[e.name] == 0]
-    pos = {e.name: i for i, e in enumerate(spec.elements)}
-    while ready:
-        ready.sort(key=pos.__getitem__)
-        name = ready.pop(0)
-        order.append(by_name[name])
-        for dep in dependents[name]:
-            indeg[dep] -= 1
-            if indeg[dep] == 0:
-                ready.append(dep)
-    if len(order) != len(spec.elements):
+    Tie rule: among elements whose element inputs are all placed, the one
+    declared first goes next.  ValueError if the wiring has a cycle.
+    """
+    order, unplaced = _wiring_order(spec)
+    if unplaced:
         raise ValueError("network wiring contains a cycle")
     return order

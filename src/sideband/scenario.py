@@ -54,6 +54,14 @@ def variance_to_db(v: float) -> float:
     return 10.0 * math.log10(v)
 
 
+def _gives_variance(db: float) -> bool:
+    """True when db_to_variance(db) is finite and positive."""
+    try:
+        return 0.0 < db_to_variance(db) < math.inf
+    except OverflowError:
+        return False
+
+
 def mz_network(tau: float, carrier_phase: float, amp: float = 100.0,
                noise: QuadSpectrum | None = None,
                first_split: float = FIFTY_FIFTY,
@@ -114,12 +122,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         loss = self.detection_loss
+        finite_variance = "give a finite, positive variance"
         for key, ok, want in (
             ("visibility", 0.0 <= self.visibility <= 1.0, "lie in [0, 1]"),
             ("detection_loss", loss is None or 0.0 <= loss < 1.0, "lie in [0, 1)"),
             ("excess_correlation", -1.0 <= self.excess_correlation <= 1.0,
              "lie in [-1, 1]"),
-            ("excess_db", math.isfinite(self.excess_db), "be finite"),
+            ("squeezing1_db", _gives_variance(self.squeezing1_db), finite_variance),
+            ("squeezing2_db", _gives_variance(self.squeezing2_db), finite_variance),
+            ("excess_db", _gives_variance(self.excess_db), finite_variance),
             ("carrier", math.isfinite(self.carrier) and self.carrier != 0.0,
              "be finite and non-zero"),
             ("rep_rate_hz", math.isfinite(self.rep_rate_hz) and self.rep_rate_hz > 0.0,
@@ -128,6 +139,9 @@ class ExperimentConfig:
         ):
             if not ok:
                 raise ValueError(f"{key} must {want}, got {getattr(self, key)!r}")
+        if not math.isfinite(SPEED_OF_LIGHT * self.pulse_multiple / self.rep_rate_hz):
+            raise ValueError(f"pulse_multiple {self.pulse_multiple:g} over rep_rate_hz "
+                             f"{self.rep_rate_hz:g} overflows the arm-length difference")
 
     @property
     def design(self) -> mzi.PulsedDesign:

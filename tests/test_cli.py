@@ -52,6 +52,27 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.net"]) == 2
 
+    def test_long_chain_declared_in_reverse(self, tmp_path, capsys):
+        stages = ["phase P0 from a phi=0;"]
+        stages += [f"phase P{i} from P{i - 1}.out phi=0;" for i in range(1, 3000)]
+        path = write(tmp_path, "chain.net", "source a coherent amp=1;\n"
+                     + "\n".join(reversed(stages)) + "\ndet D from P2999.out;\n")
+        assert main(["validate", path]) == 0
+        assert "3000 elements" in capsys.readouterr().out
+        assert main(["simulate", "--net", path, "--combo", "single:0",
+                     "--freqs", "1MHz"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_cycle_names_every_element_on_or_fed_by_it(self, tmp_path, capsys):
+        path = write(tmp_path, "loops.net",
+                     "source a coherent amp=1; bs X from Y.out1, Z.out; bs Y from X.out1;"
+                     "phase Z from Y.out2 phi=0; phase W from X.out2 phi=0;"
+                     "det D from W.out;")
+        assert main(["validate", path]) == 4
+        err = capsys.readouterr().err
+        assert [ln.strip() for ln in err.splitlines() if "[cycle]" in ln] == [
+            f"[cycle] {name}: element is on, or fed by, a wiring cycle" for name in "WXYZ"]
+
     def test_negative_measure_range_is_one_violation(self, mz_phase_text, tmp_path,
                                                      capsys):
         text = mz_phase_text.replace(
@@ -116,6 +137,16 @@ class TestSimulate:
         assert doc["manifest"]["command"] == "simulate"
         assert doc["combo"]["kind"] == "sum"
         assert len(doc["points"]) == 1
+
+    def test_json_writes_null_where_no_carrier_reaches(self, tmp_path, capsys):
+        path = write(tmp_path, "dark.net", "source a coherent amp=1; source v vacuum;"
+                     "bs B from a, v t=1; det C from B.out1; det D from B.out2;")
+        assert main(["simulate", "--net", path, "--combo", "single:1",
+                     "--freqs", "1MHz", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert "NaN" not in out
+        point = json.loads(out)["points"][0]
+        assert point["norm"] is None and point["db"] is None and point["snl"] == 0.0
 
     def test_override_changes_result(self, tmp_path, capsys):
         path = write(tmp_path, "mz.net", MZ_THETA_PI)
@@ -294,6 +325,18 @@ class TestOracle:
         assert plain["frequency_hz"] == corrupted["frequency_hz"] == 20.5e6
         assert corrupted["engine"] == plain["engine"]
         assert corrupted["monte_carlo"] != plain["monte_carlo"]
+
+    def test_dark_reference_writes_null(self, preset_path, capsys):
+        code = main(["oracle", "--net", preset_path("mz_phase"),
+                     "--override", "LONG.tau=24.390243902439025ns",
+                     "--override", "a.amp=0", "--mc-override", "a.amp=100",
+                     "--sample-rate", "164e6", "--freq", "20.5MHz", "--segments", "8"])
+        out = capsys.readouterr().out
+        assert code == 5
+        assert "NaN" not in out
+        result = json.loads(out)["result"]
+        assert result["engine"] is None and result["z"] is None
+        assert result["passed"] is False
 
     def test_zero_frequency_is_numerical_error(self, tmp_path, capsys):
         path = write(tmp_path, "mz.net", MZ_THETA_PI)

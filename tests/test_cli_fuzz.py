@@ -43,6 +43,7 @@ OVERRIDES = st.one_of(
 SCENARIO_OVERRIDES = st.one_of(
     st.builds("{}={}".format,
               st.sampled_from(["visibility", "detection_loss", "squeezing_db",
+                               "squeezing1_db", "squeezing2_db", "amp_sum_target",
                                "excess_db", "excess_correlation", "pulse_multiple",
                                "rep_rate_hz", "carrier", "nope", ""]),
               QUANTITIES),
@@ -135,7 +136,7 @@ def test_every_run_ends_with_a_documented_code(nets, argv):
     argv = [nets.get(a, a) for a in argv]
     code, out, _ = run(argv)
     assert code in EXIT_CODES, argv
-    if argv[0] == "design" and code == 0 and "--out" not in argv:
+    if out and (argv[0] in ("design", "scenario", "oracle") or "--format=json" in argv):
         json.loads(out, parse_constant=_no_constant)  # no Infinity or NaN
 
 
@@ -161,6 +162,12 @@ def test_every_run_ends_with_a_documented_code(nets, argv):
     ["simulate", "--net", "@mz_phase", "--out", "@out_dir"],
     ["simulate", "--net", "@mz_phase", "--out", "@sidecar_dir"],
     ["scenario", "--out", "@no_dir"],
+    ["scenario", "--override", "squeezing1_db=1e6"],
+    ["scenario", "--override", "excess_db=1e6"],
+    ["scenario", "--override", "squeezing1_db=nan", "--override", "detection_loss=0.1"],
+    ["scenario", "--override", "excess_db=-1e6"],
+    ["scenario", "--override", "rep_rate_hz=1e-300"],
+    ["scenario", "--override", "pulse_multiple=1e300"],
     ["design", "--frep", "82MHz", "--n", "0"],
     ["design", "--frep", "82MHz", "--n=-3"],
     ["design", "--frep", "82MHz", "--n", str(MAX_SWEEP_POINTS + 1)],

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sideband import engine
+from sideband import dsl, engine
 from sideband.network import (
     BeamSplitter,
     Coherent,
@@ -19,6 +21,7 @@ from sideband.network import (
     SPEED_OF_LIGHT,
     SourceDecl,
     SqueezedCoherent,
+    topo_order,
     validate,
 )
 
@@ -115,6 +118,70 @@ def test_cycle_detected():
         detectors=(DetectorDecl("D1", "B1.out2"),),
     )
     assert any(v.code == "cycle" for v in validate(spec))
+
+
+def test_cycle_names_members_reached_through_a_finished_element():
+    spec = dsl.parse("source a coherent amp=1; bs X from Y.out1, Z.out; bs Y from X.out1;"
+                     "phase Z from Y.out2 phi=0; det D from X.out2;")
+    assert [v.subject for v in validate(spec) if v.code == "cycle"] == ["X", "Y", "Z"]
+
+
+def _reference_order(spec):
+    """O(N^2) reference: repeatedly place the first-declared element whose
+    element inputs are all placed.  Returns the placed names in order and
+    the sorted names left over."""
+    producer = {p: e.name for e in spec.elements for p in e.output_ports()}
+    left, placed, order = list(spec.elements), set(), []
+    while True:
+        nxt = next((e for e in left
+                    if all(producer[p] in placed for p in e.inputs if p in producer)),
+                   None)
+        if nxt is None:
+            return order, sorted(e.name for e in left)
+        left.remove(nxt)
+        placed.add(nxt.name)
+        order.append(nxt.name)
+
+
+def _rewired(rng, spec):
+    """spec with one element input moved to an output of that element or of
+    one downstream of it, which closes a wiring cycle."""
+    elements = list(spec.elements)
+    i = rng.choice([k for k, e in enumerate(elements) if e.inputs])
+    reader = {p: e for e in elements for p in e.inputs}
+    seen, frontier, ports = {elements[i]}, [elements[i]], []
+    while frontier:
+        outs = frontier.pop().output_ports()
+        ports += outs
+        for r in (reader[p] for p in outs if p in reader):
+            if r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    inputs = list(elements[i].inputs)
+    inputs[rng.randrange(len(inputs))] = rng.choice(ports)
+    elements[i] = dataclasses.replace(elements[i], inputs=tuple(inputs))
+    return dataclasses.replace(spec, elements=tuple(elements))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rewire=st.booleans())
+def test_order_and_cycles_match_the_quadratic_reference(seed, rewire):
+    rng = random.Random(seed)
+    spec = netgen.random_spec(rng, max_elements=20)
+    elements = list(spec.elements)
+    rng.shuffle(elements)
+    spec = dataclasses.replace(spec, elements=tuple(elements))
+    rewire = rewire and any(e.inputs for e in elements)
+    if rewire:
+        spec = _rewired(rng, spec)
+    order, unplaced = _reference_order(spec)
+    assert bool(unplaced) == rewire
+    assert [v.subject for v in validate(spec) if v.code == "cycle"] == unplaced
+    if unplaced:
+        with pytest.raises(ValueError, match="cycle"):
+            topo_order(spec)
+    else:
+        assert [e.name for e in topo_order(spec)] == order
 
 
 def test_parameter_ranges():
