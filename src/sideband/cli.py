@@ -7,8 +7,11 @@ f_hz,abs,snl,norm,db) and JSON for reports.  Every output embeds or
 references a run manifest (command, input hash, overrides, seed, version,
 timestamp) and reruns are byte-identical apart from the timestamp field.
 
-Exit codes: 0 success, 2 I/O or usage, 3 parse error, 4 validation error,
-5 numerical/statistical failure.
+Network overrides (--override, --mc-override) go to dsl.parse, which reads
+each NAME.PARAM=VALUE as if it were written in the statement NAME.
+
+Exit codes: 0 success, 2 I/O or usage (a refused override among them),
+3 parse error, 4 validation error, 5 numerical/statistical failure.
 """
 
 from __future__ import annotations
@@ -60,93 +63,24 @@ def _parse_flag(flag: str, text: str, parse, *args):
         raise CliError(f"bad {flag} {text!r}: {exc.diagnostic.message}", EXIT_IO)
 
 
-def _with_overrides(spec: NetworkSpec, overrides: list[str]) -> NetworkSpec:
+def _compile(path: str, text: str, overrides: list[str]) -> engine.CompiledNetwork:
+    """The network ``text`` with ``overrides``, compiled; a refusal exits 2, 3 or 4."""
     try:
-        return apply_overrides(spec, overrides)
-    except (KeyError, ValueError) as exc:
+        spec = dsl.parse(text, overrides)
+    except dsl.ParseError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_PARSE)
+    except dsl.OverrideError as exc:
         raise CliError(str(exc), EXIT_IO)
+    try:
+        return engine.compile(spec)
+    except engine.StructuralError as exc:
+        listing = "\n".join("  " + str(v) for v in exc.violations)
+        raise CliError(f"{path}: network is invalid:\n{listing}", EXIT_VALIDATION)
 
 
 def _load_network(path: str, overrides: list[str]) -> tuple[engine.CompiledNetwork, str]:
     text = _read_text(path)
-    try:
-        spec = dsl.parse(text)
-    except dsl.ParseError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_PARSE)
-    spec = _with_overrides(spec, overrides)
-    try:
-        net = engine.compile(spec)
-    except engine.StructuralError as exc:
-        listing = "\n".join("  " + str(v) for v in exc.violations)
-        raise CliError(f"{path}: network is invalid:\n{listing}", EXIT_VALIDATION)
-    return net, text
-
-
-def apply_overrides(spec: NetworkSpec, overrides: list[str]) -> NetworkSpec:
-    """Apply name.param=value overrides; values take the DSL quantity syntax."""
-    if not overrides:
-        return spec
-    sources = list(spec.sources)
-    elements = list(spec.elements)
-    for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ValueError(f"override must look like name.param=value: {item!r}")
-        target, raw = item.split("=", 1)
-        name, param = target.split(".", 1)
-        hit = False
-        try:
-            for i, decl in enumerate(elements):
-                if decl.name != name:
-                    continue
-                elements[i] = dataclasses.replace(
-                    decl, element=_override_element(decl.element, param, raw))
-                hit = True
-            for i, decl in enumerate(sources):
-                if decl.name != name:
-                    continue
-                sources[i] = dataclasses.replace(
-                    decl, spec=_override_source(decl.spec, param, raw))
-                hit = True
-        except dsl.ParseError as exc:
-            raise ValueError(f"override {item!r}: {exc.diagnostic.message}") from None
-        if not hit:
-            raise KeyError(f"override target {name!r} not found in network")
-    return dataclasses.replace(spec, sources=tuple(sources), elements=tuple(elements))
-
-
-def _override_element(element, param: str, raw: str):
-    from .network import BeamSplitter, Delay, Loss, PhaseShift
-
-    if isinstance(element, Delay) and param == "length":
-        return Delay(dsl.parse_quantity(raw, dsl.LENGTH) / scenario.SPEED_OF_LIGHT,
-                     element.carrier_phase)
-    dims = {
-        (BeamSplitter, "t"): dsl.PLAIN,
-        (PhaseShift, "phi"): dsl.PLAIN,
-        (Delay, "tau"): dsl.TIME,
-        (Delay, "carrier_phase"): dsl.PLAIN,
-        (Loss, "eta"): dsl.PLAIN,
-    }
-    key = (type(element), param)
-    if key not in dims:
-        raise KeyError(f"element {type(element).__name__} has no parameter {param!r}")
-    return dataclasses.replace(element, **{param: dsl.parse_quantity(raw, dims[key])})
-
-
-def _override_source(src, param: str, raw: str):
-    from .network import Coherent, ComplexAmp, QuadSpectrum, SqueezedCoherent
-
-    if param == "amp" and isinstance(src, (Coherent, SqueezedCoherent)):
-        amp = ComplexAmp(dsl.parse_quantity(raw, dsl.PLAIN), src.amp.im)
-        return dataclasses.replace(src, amp=amp)
-    if param in ("vx", "vy") and isinstance(src, SqueezedCoherent):
-        if not src.noise.is_constant:
-            raise KeyError("cannot override a tabulated spectrum point-wise")
-        value = dsl.parse_quantity(raw, dsl.VAR)
-        vx = value if param == "vx" else src.noise.vx
-        vy = value if param == "vy" else src.noise.vy
-        return dataclasses.replace(src, noise=QuadSpectrum.constant(vx, vy))
-    raise KeyError(f"source has no overridable parameter {param!r}")
+    return _compile(path, text, overrides), text
 
 
 def _resolve_combo(spec: NetworkSpec, text: str | None) -> Combo:
@@ -318,8 +252,8 @@ def cmd_scenario(args) -> int:
             raise CliError(f"override {key} needs a number, got {raw!r}", EXIT_IO)
     try:
         cfg = scenario.config_with_overrides(scenario.ExperimentConfig(), overrides)
-    except (KeyError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_IO)
+    except (KeyError, ValueError) as exc:  # args[0]: a KeyError's str() adds quotes
+        raise CliError(exc.args[0], EXIT_IO)
 
     try:
         report = scenario.run_experiment(cfg)
@@ -369,7 +303,7 @@ def cmd_oracle(args) -> int:
     # corrupted one: a deliberate-mismatch diagnostic
     reference = net
     if args.mc_override:
-        net = engine.compile(_with_overrides(net.spec, args.mc_override))
+        net = _compile(args.net, text, args.override + args.mc_override)
 
     try:
         cfg = montecarlo.MCConfig(

@@ -10,12 +10,17 @@ parse() reports syntax and statement-local semantic problems (unknown
 keywords, duplicate names, unit mismatches, out-of-range parameters,
 unphysical squeezing) with line/column diagnostics; global wiring issues are
 the business of network.validate, so a parsed spec can still fail there.
+
+An override NAME.PARAM=VALUE given to parse() is read as if written in the
+statement NAME, under that statement's checks; a refused one raises
+OverrideError.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .network import (
@@ -54,6 +59,9 @@ PLAIN, LENGTH, TIME, FREQ, VAR = "plain", "length", "time", "freq", "var"
 
 DEFAULT_SPLIT = math.sqrt(0.5)  # 50/50 beamsplitter field transmittance
 
+# a delay states its length once: an override of one replaces the other
+_REPLACES = {"tau": "length", "length": "tau"}
+
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
@@ -71,6 +79,10 @@ class ParseError(Exception):
     def __init__(self, diagnostic: ParseDiagnostic):
         super().__init__(str(diagnostic))
         self.diagnostic = diagnostic
+
+
+class OverrideError(ValueError):
+    """A NAME.PARAM=VALUE override that the network cannot take."""
 
 
 class SerializeError(ValueError):
@@ -96,7 +108,7 @@ class _Parser:
     """Recursive descent over token matches: ``tok.lastgroup`` is the kind,
     ``tok[0]`` the text and ``tok.start()`` the offset into the text."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, overrides: Iterable[str] = ()):
         self.text = text
         self.lines = text.splitlines() or [""]
         self.tokens: list[re.Match] = []
@@ -109,6 +121,13 @@ class _Parser:
                 break
         self.pos = 0
         self.names: set[str] = set()
+        # statement name -> parameter -> (parameter token, value token)
+        self.overrides: dict[str, dict[str, tuple[re.Match, re.Match]]] = {}
+        for item in overrides:
+            name, key, value = _read_override(item)
+            slot = self.overrides.setdefault(name, {})
+            slot.pop(_REPLACES.get(key[0]), None)
+            slot[key[0]] = (key, value)
 
     # -- token plumbing
 
@@ -126,9 +145,12 @@ class _Parser:
         matches only a token of that kind."""
         return self.peek()[0] == text
 
-    def error(self, message: str, tok: re.Match | None = None) -> ParseError:
+    def error(self, message: str, tok: re.Match | None = None) -> ParseError | OverrideError:
+        tok = tok or self.peek()
+        if tok.string is not self.text:  # an override's token
+            return OverrideError(f"override {tok.string!r}: {message}")
         # only '\n' starts a line; '\r' and '\t' are one column each
-        offset = (tok or self.peek()).start()
+        offset = tok.start()
         line = self.text.count("\n", 0, offset) + 1
         column = offset - self.text.rfind("\n", 0, offset)
         snippet = self.lines[line - 1] if line - 1 < len(self.lines) else ""
@@ -185,11 +207,13 @@ class _Parser:
         return name
 
     def quantity(self, dim: str) -> float:
-        """The next token, a number, in the base unit of ``dim``; it must be finite."""
-        tok = self.peek()
-        if tok.lastgroup != "number":
+        """The next token, a number, in the base unit of ``dim``."""
+        if self.peek().lastgroup != "number":
             raise self.found("a number")
-        self.advance()
+        return self.value(self.advance(), dim)
+
+    def value(self, tok: re.Match, dim: str) -> float:
+        """The number token ``tok`` in the base unit of ``dim``; it must be finite."""
         try:
             value = self._scaled(tok, dim)
         except OverflowError:
@@ -221,8 +245,10 @@ class _Parser:
             raise self.error(f"unit mismatch: expected {base}, got {unit!r}", tok)
         return value * table[unit]
 
-    def params(self, schema: dict[str, str], subject: str) -> dict[str, tuple[float, re.Match]]:
-        """Collect trailing key=value pairs until ';' against a dimension schema."""
+    def params(self, schema: dict[str, str], subject: str,
+               name: str) -> dict[str, tuple[float, re.Match]]:
+        """Collect trailing key=value pairs until ';' against a dimension
+        schema, then write in the overrides of statement ``name``."""
         out: dict[str, tuple[float, re.Match]] = {}
         while self.peek().lastgroup == "ident":
             key_tok = self.advance()
@@ -234,7 +260,16 @@ class _Parser:
             self.expect_punct("=")
             val_tok = self.peek()
             out[key] = (self.quantity(schema[key]), val_tok)
+        for key, (key_tok, val_tok) in self.overrides.pop(name, {}).items():
+            if key not in schema:
+                raise self.error(f"unknown parameter {key!r} for {subject}", key_tok)
+            out.pop(_REPLACES.get(key), None)
+            out[key] = (self.value(val_tok, schema[key]), val_tok)
         return out
+
+    def blame(self, *toks: re.Match) -> re.Match:
+        """The first of ``toks`` that an override supplied, else the first."""
+        return next((t for t in toks if t.string is not self.text), toks[0])
 
     def require(self, params, key: str, kw_tok: re.Match) -> tuple[float, re.Match]:
         if key not in params:
@@ -261,6 +296,10 @@ class _Parser:
             else:
                 raise self.error(f"unknown statement keyword {kw[0]!r}", kw)
             self.expect_punct(";")
+        for name, slot in self.overrides.items():  # no statement took them
+            key, (key_tok, _) = next(iter(slot.items()))
+            raise self.error(f"{name!r} takes no parameter {key!r}" if name in self.names
+                             else f"no statement named {name!r}", key_tok)
         return NetworkSpec(
             sources=tuple(sources),
             elements=tuple(elements),
@@ -272,7 +311,7 @@ class _Parser:
         amp, _ = self.require(params, "amp", kw_tok)
         if "phase" in params and "amp_im" in params:
             raise self.error("give either phase= or amp_im=, not both",
-                             params["phase"][1])
+                             self.blame(params["phase"][1], params["amp_im"][1]))
         if "phase" in params:
             return ComplexAmp.from_polar(amp, params["phase"][0])
         return ComplexAmp(amp, params.get("amp_im", (0.0, None))[0])
@@ -283,12 +322,13 @@ class _Parser:
         if kind[0] == "vacuum":
             return SourceDecl(name, Vacuum())
         if kind[0] == "coherent":
-            params = self.params({"amp": PLAIN, "amp_im": PLAIN, "phase": PLAIN}, "coherent")
+            params = self.params({"amp": PLAIN, "amp_im": PLAIN, "phase": PLAIN},
+                                 "coherent", name)
             return SourceDecl(name, Coherent(self.amplitude(params, kw)))
         if kind[0] == "squeezed":
             params = self.params(
                 {"amp": PLAIN, "amp_im": PLAIN, "phase": PLAIN, "vx": VAR, "vy": VAR},
-                "squeezed")
+                "squeezed", name)
             vx, vx_tok = self.require(params, "vx", kw)
             vy, vy_tok = self.require(params, "vy", kw)
             if vx <= 0:
@@ -296,8 +336,8 @@ class _Parser:
             if vy <= 0:
                 raise self.error("vy out of range: must be > 0", vy_tok)
             if vx * vy < 1.0:
-                raise self.error(
-                    f"Heisenberg bound violated: vx*vy = {vx * vy:.6g} < 1", vx_tok)
+                raise self.error(f"Heisenberg bound violated: vx*vy = {vx * vy:.6g} < 1",
+                                 self.blame(vx_tok, vy_tok))
             noise = QuadSpectrum.constant(vx, vy)
             return SourceDecl(name, SqueezedCoherent(self.amplitude(params, kw), noise))
         raise self.error(f"unknown source kind {kind[0]!r}", kind)
@@ -314,18 +354,18 @@ class _Parser:
             raise self.error(f"{kw[0]} takes at most {max_inputs} input(s)", kw)
 
         if kw[0] == "bs":
-            params = self.params({"t": PLAIN}, "bs")
+            params = self.params({"t": PLAIN}, "bs", name)
             t, t_tok = params.get("t", (DEFAULT_SPLIT, None))
             if not 0.0 <= t <= 1.0:
                 raise self.error("t out of range [0,1]", t_tok)
             element = BeamSplitter(t)
         elif kw[0] == "phase":
-            params = self.params({"phi": PLAIN}, "phase")
+            params = self.params({"phi": PLAIN}, "phase", name)
             phi, _ = self.require(params, "phi", kw)
             element = PhaseShift(phi)
         elif kw[0] == "delay":
             params = self.params(
-                {"tau": TIME, "length": LENGTH, "carrier_phase": PLAIN}, "delay")
+                {"tau": TIME, "length": LENGTH, "carrier_phase": PLAIN}, "delay", name)
             if ("tau" in params) == ("length" in params):
                 raise self.error("delay needs exactly one of tau= or length=", kw)
             if "tau" in params:
@@ -337,7 +377,7 @@ class _Parser:
                 raise self.error("delay out of range: must be >= 0", tok)
             element = Delay(tau, params.get("carrier_phase", (0.0, None))[0])
         else:  # loss
-            params = self.params({"eta": PLAIN}, "loss")
+            params = self.params({"eta": PLAIN}, "loss", name)
             eta, eta_tok = self.require(params, "eta", kw)
             if not 0.0 <= eta <= 1.0:
                 raise self.error("eta out of range [0,1]", eta_tok)
@@ -383,14 +423,38 @@ class _Parser:
         return Measurement(name, combo, freqs)
 
 
-def parse(text: str) -> NetworkSpec:
+def parse(text: str, overrides: Iterable[str] = ()) -> NetworkSpec:
     """Parse network-description text into a NetworkSpec.
 
     Raises ParseError with a positioned diagnostic on any syntax error,
     unknown keyword, duplicate name, unit mismatch, out-of-range parameter,
     or Heisenberg-violating squeezed source.
+
+    Each override NAME.PARAM=VALUE acts as if PARAM=VALUE were written in
+    the statement NAME: a later override of the same parameter wins, tau=
+    and length= replace each other, and amp= is read with the statement's
+    phase= or amp_im=.  An override that is malformed, names no statement
+    or parameter, or gives a value the statement refuses raises
+    OverrideError.
     """
-    return _Parser(text).parse_network()
+    return _Parser(text, overrides).parse_network()
+
+
+def _read_override(item: str) -> tuple[str, re.Match, re.Match]:
+    """The statement name, parameter token and value token of NAME.PARAM=VALUE."""
+    try:
+        p = _Parser(item)
+        name = p.expect_ident("statement name")[0]
+        p.expect_punct(".")
+        key = p.expect_ident("parameter name")
+        p.expect_punct("=")
+        if p.peek().lastgroup != "number":
+            raise p.found("a number")
+        value = p.advance()
+        p.expect_end("override")
+    except ParseError as exc:
+        raise OverrideError(f"override {item!r}: {exc.diagnostic.message}") from None
+    return name, key, value
 
 
 def parse_quantity(text: str, dim: str = FREQ) -> float:

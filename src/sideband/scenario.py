@@ -15,7 +15,7 @@ amplitude detector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import engine, mzi
 from .network import (
@@ -319,19 +319,17 @@ def run_experiment(cfg: ExperimentConfig | None = None) -> ExperimentReport:
 
 def config_with_overrides(cfg: ExperimentConfig, overrides: dict[str, float]) -> ExperimentConfig:
     """Apply CLI-style overrides; 'squeezing_db' sets both input squeezings."""
+    keys = {f.name for f in fields(ExperimentConfig)}
     updates: dict[str, object] = {}
     for key, value in overrides.items():
         if key == "squeezing_db":
-            updates["squeezing1_db"] = value
-            updates["squeezing2_db"] = value
+            updates["squeezing1_db"] = updates["squeezing2_db"] = value
+        elif key not in keys:
+            raise KeyError(f"unknown scenario override {key!r}")
         elif key == "pulse_multiple":
-            if not float(value).is_integer():
+            if value % 1 != 0:  # also refuses nan and inf
                 raise ValueError(f"pulse_multiple must be a whole number, got {value!r}")
             updates[key] = int(value)
-        elif key in ("squeezing1_db", "squeezing2_db", "excess_db", "visibility",
-                     "amp_sum_target", "detection_loss", "carrier", "rep_rate_hz",
-                     "excess_correlation"):
-            updates[key] = float(value)
         else:
-            raise KeyError(f"unknown scenario override {key!r}")
+            updates[key] = value
     return replace(cfg, **updates)

@@ -199,6 +199,23 @@ class TestSimulate:
                      "--combo", "sum", "--freqs", "20MHz",
                      "--override", "nosuch.t=0.5"]) == 2
 
+    @pytest.mark.parametrize("override,code", [
+        ("B1.t=1.5", 2), ("LONG.tau=-1ns", 2), ("a.vx=0.01", 2),  # refused values
+        ("a.vx=0", 2), ("v.vx=2", 2), ("C.x=1", 2), ("B1.t", 2), ("nosuch.t=0.5", 2),
+        ("a.phase=0.3", 0), ("a.amp_im=5", 0),  # parameters a squeezed source takes
+    ])
+    def test_override_contract(self, preset_path, capsys, override, code):
+        path = preset_path("mz_phase")
+        assert main(["simulate", "--net", path, "--freqs", "20MHz",
+                     "--override", override]) == code
+        err = capsys.readouterr().err
+        if code:  # the parser's one-line message, as it gives it
+            with pytest.raises(dsl.OverrideError) as refusal:
+                dsl.parse(open(path).read(), [override])
+            assert err == f"error: {refusal.value}\n"
+        else:
+            assert err == ""
+
     def test_csv_rows_format_like_per_value_fstrings(self, capsys):
         specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e-300,
                     1e300, -1e300, 5e-324, 1.7976931348623157e308, 20.5e6, 1.0]
@@ -258,8 +275,9 @@ class TestScenario:
         assert err.startswith("error: infeasible calibration") and "\n" not in err
         assert "Traceback" not in err
 
-    def test_unknown_override_key(self):
+    def test_unknown_override_key(self, capsys):
         assert main(["scenario", "--override", "bogus=1"]) == 2
+        assert capsys.readouterr().err == "error: unknown scenario override 'bogus'\n"
 
     @pytest.mark.parametrize("override,key", [
         ("visibility=abc", "visibility"),
@@ -310,6 +328,15 @@ class TestOracle:
         doc = json.loads(capsys.readouterr().out)
         assert code == 5
         assert abs(doc["result"]["z"]) > 5
+
+    @pytest.mark.parametrize("override", ["B1.t=1.5", "a.vy=0.5"])
+    def test_refused_mc_override_is_usage_error(self, preset_path, capsys, override):
+        assert main(["oracle", "--net", preset_path("mz_phase"), "--freq", "20.5MHz",
+                     "--segments", "8", "--mc-override", override]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: override {override!r}: ")
+        assert captured.err.count("\n") == 1
 
     def test_mc_override_leaves_engine_value_at_snapped_bin(self, preset_path, capsys):
         # 20.6 MHz snaps to the 20.5 MHz bin; the engine side must be read

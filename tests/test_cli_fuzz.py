@@ -75,7 +75,25 @@ def _argv(command, *parts):
     return st.tuples(*parts).map(lambda ps: [command] + [a for p in ps for a in p])
 
 
+# well-formed runs, so that the strict JSON check reads each command's report
+GOOD_ARGV = st.one_of(
+    _argv("simulate", st.sampled_from([["--net", "@mz_phase"], ["--net", "@entangled_phase"]]),
+          _flag("freqs", st.sampled_from(["20.5MHz", "15MHz:25MHz:0.5MHz"])),
+          st.lists(st.sampled_from(["a.vy=+15dB", "s1.vx=-3dB", "LONG.tau=24.4ns"]),
+                   max_size=1).map(lambda vs: [f"--override={v}" for v in vs]),
+          st.just(["--format=json"])),
+    _argv("oracle", st.sampled_from(["@mz_phase", "@entangled_phase"]).map(
+              lambda n: ["--net", n]),
+          st.sampled_from(["20.5MHz", "41MHz"]).map(lambda f: [f"--freq={f}"]),
+          _flag("seed", st.sampled_from(["0", "7"])),
+          st.just(["--segments=8", "--segment-length=64", "--sample-rate=164e6"])),
+    _argv("scenario", _repeated("override", st.sampled_from(
+        ["visibility=0.9", "squeezing_db=-3", "excess_db=12", "excess_correlation=0.5"]))),
+    _argv("design", st.sampled_from([["--fm=20.5MHz"], ["--frep=82MHz", "--n=3"]])),
+)
+
 ARGV = st.one_of(
+    GOOD_ARGV,
     _argv("validate", NETS.map(lambda n: [n])),
     _argv("simulate", NETS.map(lambda n: ["--net", n]), _flag("freqs", FREQ_RANGES),
           _flag("combo", COMBOS), _repeated("override", OVERRIDES),

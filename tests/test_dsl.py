@@ -315,3 +315,107 @@ class TestLexerAgainstReference:
     @given(text=lexer_texts())
     def test_random_and_mutated_specs(self, text):
         self.check(text)
+
+
+# Override parameters: every one some statement takes, plus one none takes.
+OVERRIDE_PARAMS = ["amp", "amp_im", "phase", "vx", "vy", "t", "phi", "tau", "length",
+                   "carrier_phase", "eta", "x"]
+# the parameters each statement takes, by keyword or source kind
+STATEMENT_PARAMS = {"coherent": OVERRIDE_PARAMS[:3], "squeezed": OVERRIDE_PARAMS[:5],
+                    "bs": ["t"], "phase": ["phi"], "loss": ["eta"],
+                    "delay": ["tau", "length", "carrier_phase"]}
+# Values in and out of each range, in every unit family, and not finite; a
+# parameter draws from its own family more often.
+PLAIN_VALUES = ["0", "0.01", "0.5", "1", "1.5", "-1", "50"]
+VAR_VALUES = ["0.5", "2", "-3dB", "+15dB"]
+FAMILY_VALUES = {"vx": VAR_VALUES, "vy": VAR_VALUES, "tau": ["24.4ns", "0", "-1ns"],
+                 "length": ["7.32m", "732cm", "-1m"]}
+OVERRIDE_VALUES = PLAIN_VALUES + VAR_VALUES + ["7.32m", "24.4ns", "5MHz", "1e400"]
+
+
+def write_in(text: str, override: str) -> str:
+    """``text`` with PARAM=VALUE written into the statement NAME, replacing the
+    statement's own PARAM= and, for tau= and length=, the other one."""
+    target, value = override.split("=", 1)
+    name, key = target.split(".")
+    drop = {"tau": "(tau|length)", "length": "(tau|length)"}.get(key, key)
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        words = line.split()
+        if len(words) > 1 and words[1] == name and not words[0].startswith("#"):
+            line = re.sub(rf"\s{drop}=[^\s;]+", "", line)
+            lines[i] = line[:line.rindex(";")] + f" {key}={value};"
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def override_cases(draw):
+    """A preset or serialized random spec, and one or two overrides of its
+    statements, mostly of parameters the statement takes."""
+    if draw(st.booleans()):
+        text = presets.load(draw(st.sampled_from(presets.available())))
+    else:
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        text = dsl.serialize(netgen.random_spec(random.Random(seed)))
+    statements = [line.split() for line in text.splitlines()
+                  if line.strip() and not line.startswith("#")]
+
+    def mostly(usual, other):  # three draws in four from ``usual``
+        return draw(st.sampled_from(usual if usual and draw(st.integers(0, 3)) else other))
+
+    overrides = []
+    for _ in range(draw(st.integers(1, 2))):
+        words = mostly([w for w in statements if "=" in w[-1]], statements)
+        key = mostly(STATEMENT_PARAMS.get(words[2] if words[0] == "source" else words[0]),
+                     OVERRIDE_PARAMS)
+        value = mostly(FAMILY_VALUES.get(key, PLAIN_VALUES), OVERRIDE_VALUES)
+        overrides.append(f"{words[1]}.{key}={value}")
+    return text, overrides
+
+
+def parsed_or_refused(text, overrides=()):
+    error = dsl.OverrideError if overrides else dsl.ParseError
+    try:
+        return dsl.parse(text, overrides)
+    except error:
+        return "refused"
+
+
+class TestOverrides:
+    @settings(max_examples=300)
+    @given(case=override_cases())
+    def test_override_acts_as_if_written_in_the_statement(self, case):
+        text, overrides = case
+        written = text
+        for override in overrides:
+            written = write_in(written, override)
+        assert parsed_or_refused(text, overrides) == parsed_or_refused(written)
+
+    def test_amp_keeps_the_statement_phase(self):
+        text = "source a coherent amp=100 phase=0.5; det D from a;"
+        spec = dsl.parse(text, ["a.amp=50"])
+        assert spec == dsl.parse(text.replace("amp=100", "amp=50"))
+        amp = spec.sources[0].spec.amp
+        assert math.hypot(amp.re, amp.im) == pytest.approx(50.0)
+        assert math.atan2(amp.im, amp.re) == pytest.approx(0.5)
+
+    def test_later_override_wins_and_tau_replaces_length(self, mz_phase_text):
+        spec = dsl.parse(mz_phase_text, ["LONG.length=1m", "LONG.tau=2ns", "B1.t=1.5",
+                                         "B1.t=0.25"])
+        assert spec == dsl.parse(mz_phase_text.replace("length=7.32m", "tau=2ns")
+                                 .replace("t=0.7071067811865476", "t=0.25", 1))
+
+    @pytest.mark.parametrize("override,message", [
+        ("B1.t=1.5", "t out of range [0,1]"),
+        ("a.vy=0.5", "Heisenberg bound violated: vx*vy = 0.308298 < 1"),
+        ("a.amp_im=5", "give either phase= or amp_im=, not both"),
+        ("v.vx=2", "'v' takes no parameter 'vx'"),
+        ("nosuch.t=0.5", "no statement named 'nosuch'"),
+        ("B1.t=abc", "expected a number, found 'abc'"),
+        ("B1.t", "expected '=', found end of input"),
+    ])
+    def test_refusal_names_the_override(self, mz_phase_text, override, message):
+        text = mz_phase_text.replace("amp=100", "amp=100 phase=0.5")
+        with pytest.raises(dsl.OverrideError) as err:
+            dsl.parse(text, [override])
+        assert str(err.value) == f"override {override!r}: {message}"

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from sideband import cli, dsl, engine, montecarlo, presets, scenario
+from sideband import dsl, engine, montecarlo, presets, scenario
 from sideband.montecarlo import MCConfig, MCError
 from sideband.network import VACUUM_SPECTRUM, Combo, Delay, Loss, QuadSpectrum
 
@@ -305,10 +305,11 @@ class TestTaps:
         c = cfg(fs=164e6)
         for name in ("entangled_phase", "entangled_amplitude"):
             montecarlo.expand_taps(engine.compile(dsl.parse(presets.load(name))), c)
-        mz = dsl.parse(presets.load("mz_phase"))  # length=7.32m: 4.0044 samples
+        text = presets.load("mz_phase")
+        mz = dsl.parse(text)  # length=7.32m: 4.0044 samples
         with pytest.raises(MCError, match="integer number of samples"):
             montecarlo.expand_taps(engine.compile(mz), c)
-        mz = cli.apply_overrides(mz, ["LONG.tau=24.390243902439025ns"])
+        mz = dsl.parse(text, ["LONG.tau=24.390243902439025ns"])
         taps = montecarlo.expand_taps(engine.compile(mz), c)
         assert {d for det in taps for _, d, _ in det} == {0, 4}
 
