@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 from .network import (
     BeamSplitter,
-    Coherent,
     Combo,
-    ComplexAmp,
     Delay,
     DetectorDecl,
     ElementDecl,
@@ -41,8 +39,7 @@ from .network import (
     RESERVED_PREFIX,
     SourceDecl,
     SPEED_OF_LIGHT,
-    SqueezedCoherent,
-    Vacuum,
+    VACUUM_SPECTRUM,
 )
 
 KEYWORDS = frozenset({
@@ -307,24 +304,25 @@ class _Parser:
             measurements=tuple(measurements),
         )
 
-    def amplitude(self, params, kw_tok: re.Match) -> ComplexAmp:
+    def amplitude(self, params, kw_tok: re.Match) -> complex:
         amp, _ = self.require(params, "amp", kw_tok)
         if "phase" in params and "amp_im" in params:
             raise self.error("give either phase= or amp_im=, not both",
                              self.blame(params["phase"][1], params["amp_im"][1]))
         if "phase" in params:
-            return ComplexAmp.from_polar(amp, params["phase"][0])
-        return ComplexAmp(amp, params.get("amp_im", (0.0, None))[0])
+            phase = params["phase"][0]
+            return complex(amp * math.cos(phase), amp * math.sin(phase))
+        return complex(amp, params.get("amp_im", (0.0, None))[0])
 
     def source_stmt(self, kw: re.Match) -> SourceDecl:
         name = self.fresh_name()
         kind = self.expect_ident("source kind")
         if kind[0] == "vacuum":
-            return SourceDecl(name, Vacuum())
+            return SourceDecl(name)
         if kind[0] == "coherent":
             params = self.params({"amp": PLAIN, "amp_im": PLAIN, "phase": PLAIN},
                                  "coherent", name)
-            return SourceDecl(name, Coherent(self.amplitude(params, kw)))
+            return SourceDecl(name, self.amplitude(params, kw))
         if kind[0] == "squeezed":
             params = self.params(
                 {"amp": PLAIN, "amp_im": PLAIN, "phase": PLAIN, "vx": VAR, "vy": VAR},
@@ -338,8 +336,8 @@ class _Parser:
             if vx * vy < 1.0:
                 raise self.error(f"Heisenberg bound violated: vx*vy = {vx * vy:.6g} < 1",
                                  self.blame(vx_tok, vy_tok))
-            noise = QuadSpectrum.constant(vx, vy)
-            return SourceDecl(name, SqueezedCoherent(self.amplitude(params, kw), noise))
+            return SourceDecl(name, self.amplitude(params, kw),
+                              QuadSpectrum.constant(vx, vy))
         raise self.error(f"unknown source kind {kind[0]!r}", kind)
 
     def element_stmt(self, kw: re.Match) -> ElementDecl:
@@ -493,17 +491,17 @@ def _check_serializable_name(name: str):
 
 
 def _source_line(decl: SourceDecl) -> str:
+    """The keyword is read off the values: zero amplitude with vacuum noise
+    is a vacuum, vacuum noise a coherent beam, anything else squeezed."""
     _check_serializable_name(decl.name)
-    spec = decl.spec
-    if isinstance(spec, Vacuum):
+    amp, noise = decl.amp, decl.noise
+    if amp == 0 and noise == VACUUM_SPECTRUM:
         return f"source {decl.name} vacuum;"
-    amp = spec.amp
-    parts = [f"amp={_num(amp.re)}"]
-    if amp.im != 0.0:
-        parts.append(f"amp_im={_num(amp.im)}")
-    if isinstance(spec, Coherent):
+    parts = [f"amp={_num(amp.real)}"]
+    if amp.imag != 0.0:
+        parts.append(f"amp_im={_num(amp.imag)}")
+    if noise == VACUUM_SPECTRUM:
         return f"source {decl.name} coherent " + " ".join(parts) + ";"
-    noise = spec.noise
     if not noise.is_constant:
         raise SerializeError(
             f"tabulated spectra are not expressible in the text format ({decl.name})")

@@ -50,9 +50,8 @@ from .network import (
     PhaseShift,
     QuadSpectrum,
     RESERVED_PREFIX,
+    SourceDecl,
     VACUUM_SPECTRUM,
-    source_amp,
-    source_noise,
     topo_order,
     validate,
 )
@@ -74,27 +73,18 @@ class StructuralError(ValueError):
 
 
 @dataclass(frozen=True)
-class RosterEntry:
-    """One network input: a declared source or an injected vacuum."""
-
-    name: str
-    noise: QuadSpectrum
-    carrier: complex
-    injected: bool
-
-
-@dataclass(frozen=True)
 class CompiledNetwork:
     """Element pipeline with resolved ports and a deterministic input roster.
 
     The roster lists declared sources in declaration order followed by the
     vacuum ports injected for Loss elements and open beamsplitter inputs, in
-    pipeline-traversal order.  n_inputs/n_detectors give the transfer-matrix
-    shape (N columns, M rows).
+    pipeline-traversal order: an entry is injected when its position is
+    len(spec.sources) or more.  n_inputs/n_detectors give the
+    transfer-matrix shape (N columns, M rows).
     """
 
     spec: NetworkSpec
-    roster: tuple[RosterEntry, ...]
+    roster: tuple[SourceDecl, ...]
     steps: tuple["PipelineStep", ...]
     detector_names: tuple[str, ...]
     detector_ports: tuple[str, ...]
@@ -110,27 +100,20 @@ class CompiledNetwork:
         return len(self.detector_names)
 
     def input_spectra(self, inputs=None) -> list[QuadSpectrum]:
-        """Resolve per-roster quadrature spectra.
-
-        ``inputs`` may be None (use the declared source noise), a mapping
-        from source name to QuadSpectrum overriding individual sources, or a
-        full roster-aligned sequence.  Injected vacua are always (1, 1).
+        """Per-roster quadrature spectra: the declared noise when ``inputs``
+        is None, else ``inputs``, one spectrum per roster entry.  Injected
+        vacua are always (1, 1).
         """
-        if isinstance(inputs, Sequence) and not isinstance(inputs, (str, bytes)):
-            if len(inputs) != self.n_inputs:
-                raise ValueError(
-                    f"expected {self.n_inputs} roster-aligned spectra, got {len(inputs)}")
-            return [VACUUM_SPECTRUM if e.injected else s
-                    for e, s in zip(self.roster, inputs)]
-        overrides: Mapping[str, QuadSpectrum] = inputs or {}
-        unknown = set(overrides) - {e.name for e in self.roster}
-        if unknown:
-            raise KeyError(f"unknown source names in overrides: {sorted(unknown)}")
-        return [VACUUM_SPECTRUM if e.injected else overrides.get(e.name, e.noise)
-                for e in self.roster]
+        if inputs is None:
+            return [e.noise for e in self.roster]
+        if len(inputs) != self.n_inputs:
+            raise ValueError(
+                f"expected {self.n_inputs} roster-aligned spectra, got {len(inputs)}")
+        declared = len(self.spec.sources)
+        return [s if j < declared else VACUUM_SPECTRUM for j, s in enumerate(inputs)]
 
     def source_flux(self) -> float:
-        return float(sum(abs(e.carrier) ** 2 for e in self.roster))
+        return float(sum(abs(e.amp) ** 2 for e in self.roster))
 
 
 @dataclass(frozen=True)
@@ -192,20 +175,12 @@ def compile(spec: NetworkSpec) -> CompiledNetwork:  # noqa: A001 - domain verb
     if violations:
         raise StructuralError(violations)
 
-    roster: list[RosterEntry] = []
-    for s in spec.sources:
-        roster.append(RosterEntry(
-            name=s.name,
-            noise=source_noise(s.spec),
-            carrier=source_amp(s.spec).value,
-            injected=False,
-        ))
-
+    roster = list(spec.sources)
     vacua = itertools.count()
 
     def inject_vacuum() -> str:
         name = f"{RESERVED_PREFIX}vac{next(vacua)}"
-        roster.append(RosterEntry(name, VACUUM_SPECTRUM, 0j, injected=True))
+        roster.append(SourceDecl(name))
         return name
 
     steps: list[PipelineStep] = []
@@ -236,11 +211,11 @@ def compile(spec: NetworkSpec) -> CompiledNetwork:  # noqa: A001 - domain verb
     )
 
 
-def _carrier_amplitudes(roster: Sequence[RosterEntry],
+def _carrier_amplitudes(roster: Sequence[SourceDecl],
                         steps: Sequence[PipelineStep]) -> dict[str, complex]:
     """Carrier amplitude of every port: the source amplitudes walked forward
     at w = 0, one complex number per port."""
-    amps = {e.name: complex(e.carrier) for e in roster}
+    amps = {e.name: complex(e.amp) for e in roster}
     for st in steps:
         ins = [amps[p] for p in st.in_ports]
         for port, row in zip(st.out_ports, st.gains):
@@ -346,6 +321,8 @@ def sweep(net: CompiledNetwork, combo: Union[ComboLike, Sequence[ComboLike]],
     ratio (NaN when no carrier reaches the combo), ``db`` its decibel value.
     ``combo`` may be a sequence of combos, which share each pipeline walk and
     give one row each.  The axis is walked in blocks of BLOCK frequencies.
+    ``inputs`` is None or one spectrum per roster entry (see
+    :meth:`CompiledNetwork.input_spectra`).
     """
     single = isinstance(combo, (Combo, Mapping))
     combos = [combo] if single else list(combo)

@@ -31,6 +31,11 @@ from .network import VACUUM_SPECTRUM
 
 DELAY_TOLERANCE = 1e-6  # max |tau*f_s - round(tau*f_s)|
 
+#: the most samples a sampling plan may hold, 8x the acceptance plan's
+#: 512 x 4096: a float64 stream buffer is then 128 MiB, and a run holds two
+#: per drawing thread plus a few more
+MAX_TOTAL_SAMPLES = 2 ** 24
+
 
 class MCError(ValueError):
     pass
@@ -51,6 +56,9 @@ class MCConfig:
             raise MCError("sample rate must be finite and positive")
         if self.segment_length < 8 or self.segment_count < 2:
             raise MCError("need segment_length >= 8 and segment_count >= 2")
+        if self.total_samples > MAX_TOTAL_SAMPLES:
+            raise MCError(f"sampling plan of {self.total_samples} samples exceeds "
+                          f"{MAX_TOTAL_SAMPLES}")
         if self.window not in ("hann", "rect"):
             raise MCError("window must be 'hann' or 'rect'")
 

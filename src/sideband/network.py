@@ -1,9 +1,11 @@
 """Domain types for passive optical networks probed at rf sideband frequencies.
 
 A network is a DAG of sources, passive elements (beamsplitters, phase
-shifters, delay lines, loss ports) and photodetectors.  Carrier amplitudes
-are complex field amplitudes in units of sqrt(photon flux); quadrature
-fluctuation spectra are dimensionless and normalised so vacuum = 1.
+shifters, delay lines, loss ports) and photodetectors.  Every network input,
+a declared source or a vacuum that compiling injects, is one
+:class:`SourceDecl`: a complex carrier amplitude in units of sqrt(photon
+flux) and a quadrature fluctuation spectrum, dimensionless and normalised so
+vacuum = 1.  A vacuum takes the defaults; a coherent beam has vacuum noise.
 
 Validation is data-in, data-out: :func:`validate` returns a list of
 violations instead of raising, so malformed specs remain inspectable.
@@ -11,6 +13,7 @@ violations instead of raising, so malformed specs remain inspectable.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -26,26 +29,6 @@ RESERVED_PREFIX = "__"
 #: the most points a FreqRange may hold; a longer range is refused before
 #: any point is built
 MAX_SWEEP_POINTS = 1_000_000
-
-
-@dataclass(frozen=True)
-class ComplexAmp:
-    """Classical carrier amplitude; magnitude squared is mean photon flux."""
-
-    re: float
-    im: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError("carrier amplitude must be finite")
-
-    @classmethod
-    def from_polar(cls, mag: float, phase: float = 0.0) -> "ComplexAmp":
-        return cls(mag * math.cos(phase), mag * math.sin(phase))
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
 
 
 @dataclass(frozen=True)
@@ -129,34 +112,16 @@ VACUUM_SPECTRUM = QuadSpectrum.constant(1.0, 1.0)
 # Sources
 
 @dataclass(frozen=True)
-class Vacuum:
-    """Empty port: zero carrier, unit quadrature noise."""
+class SourceDecl:
+    """One network input: a carrier amplitude and its quadrature noise."""
 
+    name: str
+    amp: complex = 0j
+    noise: QuadSpectrum = VACUUM_SPECTRUM
 
-@dataclass(frozen=True)
-class Coherent:
-    amp: ComplexAmp
-
-
-@dataclass(frozen=True)
-class SqueezedCoherent:
-    amp: ComplexAmp
-    noise: QuadSpectrum
-
-
-SourceSpec = Union[Vacuum, Coherent, SqueezedCoherent]
-
-
-def source_amp(spec: SourceSpec) -> ComplexAmp:
-    if isinstance(spec, Vacuum):
-        return ComplexAmp(0.0, 0.0)
-    return spec.amp
-
-
-def source_noise(spec: SourceSpec) -> QuadSpectrum:
-    if isinstance(spec, SqueezedCoherent):
-        return spec.noise
-    return VACUUM_SPECTRUM
+    def __post_init__(self):
+        if not cmath.isfinite(self.amp):
+            raise ValueError("carrier amplitude must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +184,6 @@ Element = Union[BeamSplitter, PhaseShift, Delay, Loss]
 
 # ---------------------------------------------------------------------------
 # Network wiring
-
-@dataclass(frozen=True)
-class SourceDecl:
-    name: str
-    spec: SourceSpec
-
 
 @dataclass(frozen=True)
 class ElementDecl:
@@ -426,7 +385,7 @@ def validate(spec: NetworkSpec) -> list[Violation]:
             check_port(d.input, d.name)
 
     for s in spec.sources:
-        if isinstance(s.spec, SqueezedCoherent) and not s.spec.noise.heisenberg_ok():
+        if not s.noise.heisenberg_ok():
             out.append(Violation("heisenberg", s.name,
                                  "Heisenberg bound violated: V_X * V_Y < 1"))
 

@@ -20,14 +20,11 @@ from dataclasses import dataclass, fields, replace
 from . import engine, mzi
 from .network import (
     BeamSplitter,
-    Coherent,
     Combo,
-    ComplexAmp,
     Delay,
     DetectorDecl,
     ElementDecl,
     FreqList,
-    FreqRange,
     Loss,
     Measurement,
     NetworkSpec,
@@ -35,8 +32,7 @@ from .network import (
     QuadSpectrum,
     SPEED_OF_LIGHT,
     SourceDecl,
-    SqueezedCoherent,
-    Vacuum,
+    VACUUM_SPECTRUM,
 )
 
 FIFTY_FIFTY = math.sqrt(0.5)
@@ -63,9 +59,7 @@ def _gives_variance(db: float) -> bool:
 
 
 def mz_network(tau: float, carrier_phase: float, amp: float = 100.0,
-               noise: QuadSpectrum | None = None,
-               first_split: float = FIFTY_FIFTY,
-               sweep_hz: tuple[float, float, float] | None = None) -> NetworkSpec:
+               noise: QuadSpectrum = VACUUM_SPECTRUM) -> NetworkSpec:
     """Unbalanced Mach-Zehnder with balanced detection on one input beam.
 
     Signal enters the first splitter against a declared vacuum; the second
@@ -73,17 +67,12 @@ def mz_network(tau: float, carrier_phase: float, amp: float = 100.0,
     arm.  Detectors C and D sit on the recombiner outputs, and the bundled
     measurements expose the diff (phase) and sum (shot-noise) combos.
     """
-    source = (SourceDecl("a", SqueezedCoherent(ComplexAmp(amp), noise))
-              if noise is not None else SourceDecl("a", Coherent(ComplexAmp(amp))))
-    if sweep_hz is None:
-        f_m = mzi.frequency_for_delay(SPEED_OF_LIGHT * tau) if tau > 0 else 0.0
-        freqs = FreqList((f_m,))
-    else:
-        freqs = FreqRange(*sweep_hz)
+    f_m = mzi.frequency_for_delay(SPEED_OF_LIGHT * tau) if tau > 0 else 0.0
+    freqs = FreqList((f_m,))
     return NetworkSpec(
-        sources=(source, SourceDecl("v", Vacuum())),
+        sources=(SourceDecl("a", amp, noise), SourceDecl("v")),
         elements=(
-            ElementDecl("B1", BeamSplitter(first_split), ("a", "v")),
+            ElementDecl("B1", BeamSplitter(FIFTY_FIFTY), ("a", "v")),
             ElementDecl("LONG", Delay(tau, carrier_phase), ("B1.out2",)),
             ElementDecl("B2", BeamSplitter(FIFTY_FIFTY), ("B1.out1", "LONG.out")),
         ),
@@ -189,10 +178,8 @@ def experiment_network(cfg: ExperimentConfig, mode: str) -> NetworkSpec:
     first_split = FIFTY_FIFTY if mode == "phase" else 1.0
 
     sources = (
-        SourceDecl("s1", SqueezedCoherent(
-            ComplexAmp(cfg.carrier), QuadSpectrum.constant(cfg.vx1, cfg.vy))),
-        SourceDecl("s2", SqueezedCoherent(
-            ComplexAmp(cfg.carrier), QuadSpectrum.constant(cfg.vx2, cfg.vy))),
+        SourceDecl("s1", cfg.carrier, QuadSpectrum.constant(cfg.vx1, cfg.vy)),
+        SourceDecl("s2", cfg.carrier, QuadSpectrum.constant(cfg.vx2, cfg.vy)),
     )
     elements = [
         ElementDecl("ROT", PhaseShift(math.pi / 2.0), ("s2",)),

@@ -7,9 +7,7 @@ import random
 
 from sideband.network import (
     BeamSplitter,
-    Coherent,
     Combo,
-    ComplexAmp,
     Delay,
     DetectorDecl,
     ElementDecl,
@@ -21,22 +19,20 @@ from sideband.network import (
     PhaseShift,
     QuadSpectrum,
     SourceDecl,
-    SqueezedCoherent,
-    Vacuum,
 )
 
 
 def random_source(rng: random.Random, name: str, allow_squeezed: bool) -> SourceDecl:
     roll = rng.random()
     if roll < 0.2:
-        return SourceDecl(name, Vacuum())
-    amp = ComplexAmp(rng.uniform(1.0, 200.0),
-                     rng.uniform(-50.0, 50.0) if rng.random() < 0.3 else 0.0)
+        return SourceDecl(name)
+    amp = complex(rng.uniform(1.0, 200.0),
+                  rng.uniform(-50.0, 50.0) if rng.random() < 0.3 else 0.0)
     if allow_squeezed and roll < 0.55:
         vx = rng.uniform(0.3, 1.5)
         vy = max(1.0 / vx, 1.0) * rng.uniform(1.0, 80.0)
-        return SourceDecl(name, SqueezedCoherent(amp, QuadSpectrum.constant(vx, vy)))
-    return SourceDecl(name, Coherent(amp))
+        return SourceDecl(name, amp, QuadSpectrum.constant(vx, vy))
+    return SourceDecl(name, amp)
 
 
 def random_spec(rng: random.Random, allow_squeezed: bool = True,

@@ -163,7 +163,7 @@ class TestSimulate:
         path = preset_path("mz_phase")
         spec = dsl.parse(open(path).read())
         delay = next(e.element for e in spec.elements if e.name == "LONG")
-        noise = next(s.spec.noise for s in spec.sources if s.name == "a")
+        noise = next(s.noise for s in spec.sources if s.name == "a")
         out = str(tmp_path / "long.csv")
         assert main(["simulate", "--net", path, "--combo", "diff",
                      "--freqs", "0Hz:60MHz:0.1MHz", "--out", out]) == 0
@@ -364,6 +364,17 @@ class TestOracle:
         result = json.loads(out)["result"]
         assert result["engine"] is None and result["z"] is None
         assert result["passed"] is False
+
+    @pytest.mark.parametrize("plan", [["--segments", "100000000000"],
+                                      ["--segments", str(10 ** 18)],
+                                      ["--segment-length", str(10 ** 18)]])
+    def test_huge_sampling_plan_is_numerical_error(self, preset_path, capsys, plan):
+        assert main(["oracle", "--net", preset_path("mz_phase"), "--freq", "20.5MHz",
+                     "--override", "LONG.tau=24.390243902439025ns", *plan]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sampling plan of ")
+        assert captured.err.count("\n") == 1
 
     def test_zero_frequency_is_numerical_error(self, tmp_path, capsys):
         path = write(tmp_path, "mz.net", MZ_THETA_PI)

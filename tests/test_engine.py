@@ -8,16 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from sideband import dsl, engine, mzi, scenario
 from sideband.network import (
-    Coherent,
     Combo,
-    ComplexAmp,
     DetectorDecl,
     ElementDecl,
     Loss,
     NetworkSpec,
     QuadSpectrum,
     SourceDecl,
-    Vacuum,
+    VACUUM_SPECTRUM,
 )
 
 import netgen
@@ -67,7 +65,7 @@ class TestCompile:
         )
         net = engine.compile(withloss)
         assert net.n_inputs == 3
-        assert [e.injected for e in net.roster] == [False, False, True]
+        assert net.roster == withloss.sources + (SourceDecl("__vac0"),)
 
     def test_compile_is_deterministic(self):
         spec = scenario.mz_network(tau=TAU, carrier_phase=0.3)
@@ -114,7 +112,7 @@ class TestTransfer:
         for _ in range(20):
             spec = netgen.random_spec(rng)
             net = engine.compile(spec)
-            amps = np.array([e.carrier for e in net.roster])
+            amps = np.array([e.amp for e in net.roster], dtype=complex)
             expected = engine.transfer(net, 0.0).a @ amps
             assert np.abs(np.array(net.carriers) - expected).max() < 1e-12
 
@@ -151,7 +149,7 @@ class TestPhotocurrentForm:
 
     def test_direct_detection_reads_amplitude(self):
         spec = NetworkSpec(
-            sources=(SourceDecl("a", Coherent(ComplexAmp(140.0))),),
+            sources=(SourceDecl("a", 140.0),),
             detectors=(DetectorDecl("D1", "a"),),
         )
         net = engine.compile(spec)
@@ -225,7 +223,7 @@ class TestSpectrum:
         noise = QuadSpectrum.tabulated(
             [0.0, OMEGA, 2 * OMEGA], [0.6, 0.7, 0.8], [80.0, 63.0, 50.0])
         net = mz_net()
-        pt = engine.spectrum(net, DIFF, OMEGA, inputs={"a": noise})
+        pt = engine.spectrum(net, DIFF, OMEGA, inputs=[noise, VACUUM_SPECTRUM])
         assert pt.normalized == pytest.approx(63.0, rel=1e-9)
 
     def test_roster_aligned_inputs(self):
@@ -234,6 +232,16 @@ class TestSpectrum:
             net, DIFF, OMEGA,
             inputs=[QuadSpectrum.constant(0.5, 40.0), QuadSpectrum.constant(1, 1)])
         assert pt.normalized == pytest.approx(40.0, rel=1e-9)
+
+    def test_inputs_leave_injected_vacua_at_one(self):
+        net = engine.compile(scenario.experiment_network(scenario.ExperimentConfig(), "phase"))
+        declared = len(net.spec.sources)
+        squeezed = QuadSpectrum.constant(0.5, 40.0)
+        assert net.n_inputs > declared
+        assert net.input_spectra([squeezed] * net.n_inputs) == (
+            [squeezed] * declared + [VACUUM_SPECTRUM] * (net.n_inputs - declared))
+        with pytest.raises(ValueError, match="roster-aligned"):
+            net.input_spectra([squeezed] * declared)
 
 
 class TestSnl:
@@ -409,7 +417,7 @@ class TestSweep:
         spec = netgen.random_spec(rng)
         if dark:  # every source a vacuum: no carrier anywhere
             spec = dataclasses.replace(spec, sources=tuple(
-                SourceDecl(s.name, Vacuum()) for s in spec.sources))
+                SourceDecl(s.name) for s in spec.sources))
         net = engine.compile(spec)
         combo = netgen.random_combo(rng, spec)
         got = engine.sweep(net, combo, _axis(seed, 1))
@@ -443,9 +451,10 @@ class TestSweep:
             [0.0, OMEGA, 2 * OMEGA], [0.6, 0.7, 0.8], [80.0, 63.0, 50.0])
         net = mz_net()
         omegas = np.linspace(-3 * OMEGA, 3 * OMEGA, engine.BLOCK + 3)
-        got = engine.sweep(net, DIFF, omegas, inputs={"a": noise})
+        inputs = [noise, VACUUM_SPECTRUM]
+        got = engine.sweep(net, DIFF, omegas, inputs=inputs)
         for i in (0, 1, engine.BLOCK // 2, engine.BLOCK + 1, engine.BLOCK + 2):
-            pt = engine.spectrum(net, DIFF, omegas[i], inputs={"a": noise})
+            pt = engine.spectrum(net, DIFF, omegas[i], inputs=inputs)
             assert got.normalized[i] == pytest.approx(pt.normalized, rel=1e-12)
 
     def test_spectrum_is_the_one_point_view(self):
@@ -463,8 +472,8 @@ def _walk_net(seed: int, lossy: bool, direct: bool):
     if direct:
         spec = dataclasses.replace(
             spec,
-            sources=spec.sources + (SourceDecl("SX", Coherent(ComplexAmp(
-                rng.uniform(1.0, 200.0), rng.uniform(-50.0, 50.0)))),),
+            sources=spec.sources + (SourceDecl("SX", complex(
+                rng.uniform(1.0, 200.0), rng.uniform(-50.0, 50.0))),),
             detectors=spec.detectors + (DetectorDecl("DX", "SX"),))
     return rng, engine.compile(spec)
 
@@ -519,7 +528,7 @@ class TestReverseWalk:
     @given(seed=SEEDS, lossy=st.booleans(), direct=st.booleans())
     def test_carrier_walk_equals_the_forward_reference(self, seed, lossy, direct):
         _, net = _walk_net(seed, lossy, direct)
-        amps = np.array([e.carrier for e in net.roster], dtype=complex)
+        amps = np.array([e.amp for e in net.roster], dtype=complex)
         scale = max(np.abs(amps).max(), 1.0)
         _assert_within(np.array(net.carriers, dtype=complex),
                        forward_reference(net, [0.0])[0] @ amps, scale)

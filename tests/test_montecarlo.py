@@ -224,7 +224,8 @@ class TestComboStreams:
             combo = netgen.random_combo(rng, spec)
             if engine.snl(net, combo) < 1e-9:
                 continue
-            inputs = {s.name: TABULATED for s in spec.sources} if tabulated else None
+            # injected vacua stay (1, 1) whatever their entry says
+            inputs = [TABULATED] * net.n_inputs if tabulated else None
             seen.clear()
             montecarlo.cross_validate(net, combo, OMEGA, c, inputs=inputs)
             signal_ss, vacuum_ss = np.random.SeedSequence(c.seed).spawn(2)
@@ -246,7 +247,8 @@ class TestComboStreams:
         for _ in range(8):
             spec = integer_delay_net(rng, c.sample_rate)
             net = engine.compile(spec)
-            inputs = {s.name: TABULATED for s in spec.sources} if tabulated else None
+            # injected vacua stay (1, 1) whatever their entry says
+            inputs = [TABULATED] * net.n_inputs if tabulated else None
             got = montecarlo.simulate(net, c, inputs=inputs).streams
             ref = np.tile((np.abs(net.carriers) ** 2)[:, None], (1, n))
             children = np.random.SeedSequence(c.seed).spawn(net.n_inputs)
@@ -266,7 +268,7 @@ class TestComboStreams:
         net = engine.compile(scenario.experiment_network(
             scenario.ExperimentConfig(), "phase"))
         c = cfg(seed=5, segments=32, length=64)
-        inputs = {"s1": TABULATED}
+        inputs = [TABULATED] + net.input_spectra()[1:]
         default = montecarlo.simulate(net, c, inputs=inputs).streams
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often: a reused buffer would show
@@ -289,7 +291,7 @@ class TestTaps:
         for _ in range(40):
             net = engine.compile(integer_delay_net(rng, c.sample_rate))
             losses = sum(isinstance(st.element, Loss) for st in net.steps)
-            vacua = sum(e.injected for e in net.roster)
+            vacua = net.n_inputs - len(net.spec.sources)
             lossy += losses > 0
             open_ports += vacua > losses
             taps = montecarlo.expand_taps(net, c)
