@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, dsl, engine, entanglement, montecarlo, mzi, scenario
-from .network import Combo, NetworkSpec, validate
+from .network import Combo, NetworkSpec, axis_error, validate
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -209,15 +209,15 @@ def cmd_simulate(args) -> int:
     combo = _resolve_combo(spec, args.combo)
     if args.freqs:
         freqs = _parse_flag("--freqs", args.freqs, dsl.parse_frequency_range)
+        problem = axis_error(freqs)
+        if problem:
+            raise CliError(f"bad --freqs {args.freqs!r}: {problem}", EXIT_IO)
     elif spec.measurements:
-        freqs = spec.measurements[0].freqs
+        freqs = spec.measurements[0].freqs  # validate has checked its axis
     else:
         raise CliError("no --freqs given and the network has no measure statement",
                        EXIT_IO)
-    try:
-        values = freqs.values()
-    except ValueError as exc:  # only a --freqs range: validate refuses a measure's
-        raise CliError(f"bad --freqs {args.freqs!r}: {exc}", EXIT_IO)
+    values = freqs.values()
     if not values:
         raise CliError("frequency range is empty", EXIT_IO)
 
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="frequency sweep of a photocurrent combo")
     p.add_argument("--net", required=True)
-    p.add_argument("--freqs", help="LO:HI:STEP or a single frequency (units ok)")
+    p.add_argument("--freqs", help="LO:HI:STEP or F[,F...] (units ok)")
     p.add_argument("--combo", help="sum | diff | single:K | measure:NAME")
     p.add_argument("--override", action="append", default=[],
                    metavar="NAME.PARAM=VALUE")

@@ -404,6 +404,10 @@ class _Parser:
         if not self.accept("freqs"):
             raise self.error("expected 'freqs'")
         self.expect_punct("=")
+        return Measurement(name, combo, self.freqs())
+
+    def freqs(self) -> FreqRange | FreqList:
+        """A frequency axis: LO:HI:STEP with STEP > 0, or F{,F}."""
         first = self.quantity(FREQ)
         nxt = self.peek()
         if self.accept(":"):
@@ -412,13 +416,11 @@ class _Parser:
             step = self.quantity(FREQ)
             if step <= 0:
                 raise self.error("frequency step must be > 0", nxt)
-            freqs = FreqRange(first, stop, step)
-        else:
-            values = [first]
-            while self.accept(","):
-                values.append(self.quantity(FREQ))
-            freqs = FreqList(tuple(values))
-        return Measurement(name, combo, freqs)
+            return FreqRange(first, stop, step)
+        values = [first]
+        while self.accept(","):
+            values.append(self.quantity(FREQ))
+        return FreqList(tuple(values))
 
 
 def parse(text: str, overrides: Iterable[str] = ()) -> NetworkSpec:
@@ -463,18 +465,13 @@ def parse_quantity(text: str, dim: str = FREQ) -> float:
     return value
 
 
-def parse_frequency_range(text: str):
-    """Parse 'LO:HI:STEP' or a single frequency; returns FreqRange or FreqList."""
+def parse_frequency_range(text: str) -> FreqRange | FreqList:
+    """Parse a frequency axis as a measure statement's freqs= writes it:
+    'LO:HI:STEP' or comma-separated frequencies (CLI flag helper)."""
     p = _Parser(text)
-    first = p.quantity(FREQ)
-    if p.accept(":"):
-        stop = p.quantity(FREQ)
-        p.expect_punct(":")
-        step = p.quantity(FREQ)
-        p.expect_end("frequency range")
-        return FreqRange(first, stop, step)
-    p.expect_end("frequency")
-    return FreqList((first,))
+    freqs = p.freqs()
+    p.expect_end("frequencies")
+    return freqs
 
 
 # ---------------------------------------------------------------------------

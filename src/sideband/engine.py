@@ -48,10 +48,8 @@ from .network import (
     Loss,
     NetworkSpec,
     PhaseShift,
-    QuadSpectrum,
     RESERVED_PREFIX,
     SourceDecl,
-    VACUUM_SPECTRUM,
     topo_order,
     validate,
 )
@@ -79,8 +77,10 @@ class CompiledNetwork:
     The roster lists declared sources in declaration order followed by the
     vacuum ports injected for Loss elements and open beamsplitter inputs, in
     pipeline-traversal order: an entry is injected when its position is
-    len(spec.sources) or more.  n_inputs/n_detectors give the
-    transfer-matrix shape (N columns, M rows).
+    len(spec.sources) or more.  Each entry's ``noise`` is the one statement
+    of that input's quadrature spectrum; every spectrum and Monte-Carlo run
+    reads it.  n_inputs/n_detectors give the transfer-matrix shape (N
+    columns, M rows).
     """
 
     spec: NetworkSpec
@@ -98,19 +98,6 @@ class CompiledNetwork:
     @property
     def n_detectors(self) -> int:
         return len(self.detector_names)
-
-    def input_spectra(self, inputs=None) -> list[QuadSpectrum]:
-        """Per-roster quadrature spectra: the declared noise when ``inputs``
-        is None, else ``inputs``, one spectrum per roster entry.  Injected
-        vacua are always (1, 1).
-        """
-        if inputs is None:
-            return [e.noise for e in self.roster]
-        if len(inputs) != self.n_inputs:
-            raise ValueError(
-                f"expected {self.n_inputs} roster-aligned spectra, got {len(inputs)}")
-        declared = len(self.spec.sources)
-        return [s if j < declared else VACUUM_SPECTRUM for j, s in enumerate(inputs)]
 
     def source_flux(self) -> float:
         return float(sum(abs(e.amp) ** 2 for e in self.roster))
@@ -313,22 +300,21 @@ class SpectrumSweep:
 
 
 def sweep(net: CompiledNetwork, combo: Union[ComboLike, Sequence[ComboLike]],
-          omegas, inputs=None) -> SpectrumSweep:
+          omegas) -> SpectrumSweep:
     """Photocurrent variance spectral densities over a frequency axis (rad/s).
 
-    ``absolute`` sums |c_X|^2 V_X + |c_Y|^2 V_Y over the roster; ``snl`` is
-    the same sum with every variance forced to 1; ``normalized`` is their
-    ratio (NaN when no carrier reaches the combo), ``db`` its decibel value.
+    ``absolute`` sums |c_X|^2 V_X + |c_Y|^2 V_Y over the roster, each input's
+    variances read off its ``noise``; ``snl`` is the same sum with every
+    variance forced to 1; ``normalized`` is their ratio (NaN when no carrier
+    reaches the combo), ``db`` its decibel value.
     ``combo`` may be a sequence of combos, which share each pipeline walk and
     give one row each.  The axis is walked in blocks of BLOCK frequencies.
-    ``inputs`` is None or one spectrum per roster entry (see
-    :meth:`CompiledNetwork.input_spectra`).
     """
     single = isinstance(combo, (Combo, Mapping))
     combos = [combo] if single else list(combo)
     weights = np.array([combo_weights(net, c) for c in combos])
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
-    spectra = net.input_spectra(inputs)
+    spectra = [e.noise for e in net.roster]
     distinct = list(dict.fromkeys(spectra))  # injected vacua share one spectrum
     column = [distinct.index(s) for s in spectra]
     absolute = np.empty((len(combos), omegas.size))
@@ -350,11 +336,10 @@ def sweep(net: CompiledNetwork, combo: Union[ComboLike, Sequence[ComboLike]],
     return SpectrumSweep(absolute=absolute, snl=snl_vals, normalized=normalized, db=db)
 
 
-def spectrum(net: CompiledNetwork, combo: ComboLike, omega: float,
-             inputs=None) -> SpectrumPoint:
+def spectrum(net: CompiledNetwork, combo: ComboLike, omega: float) -> SpectrumPoint:
     """Photocurrent variance spectral density of a combo at omega (rad/s):
     the one-point view of :func:`sweep`."""
-    s = sweep(net, combo, [omega], inputs)
+    s = sweep(net, combo, [omega])
     return SpectrumPoint(omega=omega, absolute=float(s.absolute[0]),
                          snl=float(s.snl[0]), normalized=float(s.normalized[0]),
                          db=float(s.db[0]))
@@ -374,7 +359,7 @@ def snl(net: CompiledNetwork, combo: ComboLike) -> float:
 
 @dataclass(frozen=True)
 class DCLevels:
-    """Mean photocurrents per detector and their pairwise differences."""
+    """Mean photocurrents per detector and their differences."""
 
     detector_names: tuple[str, ...]
     means: tuple[float, ...]
@@ -384,13 +369,6 @@ class DCLevels:
 
     def difference(self, d1: str, d2: str) -> float:
         return self.mean(d1) - self.mean(d2)
-
-    def pairwise(self) -> dict[tuple[str, str], float]:
-        out = {}
-        for i, a in enumerate(self.detector_names):
-            for b in self.detector_names[i + 1:]:
-                out[(a, b)] = self.mean(a) - self.mean(b)
-        return out
 
 
 def dc_levels(net: CompiledNetwork) -> DCLevels:

@@ -182,11 +182,13 @@ def _colour(spec, cfg: MCConfig, x: np.ndarray, y: np.ndarray):
 
 
 def _streams(net: engine.CompiledNetwork, cfg: MCConfig, weights: np.ndarray,
-             inputs, root: np.random.SeedSequence) -> np.ndarray:
+             spectra, root: np.random.SeedSequence) -> np.ndarray:
     """Weighted photocurrent streams sum_k weights[r, k] n_k(t), DC included.
 
-    Each input's taps fold into one complex coefficient per row and distinct
-    delay: weights, conj(alpha_k), the tap gains and, for constant spectra,
+    ``spectra`` holds one QuadSpectrum per roster entry: the roster's noise
+    for a signal run, all vacuum for a shot-noise reference.  Each input's
+    taps fold into one complex coefficient per row and distinct delay:
+    weights, conj(alpha_k), the tap gains and, for constant spectra,
     sqrt(V_X) and sqrt(V_Y).  Inputs are drawn on a thread pool, at most
     workers + 1 in flight in a fixed set of buffers, and the calling thread
     adds them in roster order, so the result is bit-identical for any worker
@@ -197,7 +199,6 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, weights: np.ndarray,
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    spectra = net.input_spectra(inputs)
     taps = expand_taps(net, cfg)
     n = cfg.total_samples
     conj_alphas = np.conj(np.array(net.carriers, dtype=complex))
@@ -250,16 +251,16 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, weights: np.ndarray,
     return out
 
 
-def simulate(net: engine.CompiledNetwork, cfg: MCConfig, inputs=None,
-             substream: np.random.SeedSequence | None = None) -> MCStreams:
+def simulate(net: engine.CompiledNetwork, cfg: MCConfig) -> MCStreams:
     """Sample per-detector photocurrent streams; bit-reproducible per seed.
 
-    Input generation is keyed by roster position on spawned substreams, so
-    streams are independent of element evaluation order and of the number
-    of threads drawing them.
+    Each roster entry carries its own noise.  Input generation is keyed by
+    roster position on spawned substreams, so streams are independent of
+    element evaluation order and of the number of threads drawing them.
     """
-    root = substream if substream is not None else np.random.SeedSequence(cfg.seed)
-    return MCStreams(_streams(net, cfg, np.eye(net.n_detectors), inputs, root))
+    return MCStreams(_streams(net, cfg, np.eye(net.n_detectors),
+                              [e.noise for e in net.roster],
+                              np.random.SeedSequence(cfg.seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,7 @@ def periodogram(stream: np.ndarray, omega: float, cfg: MCConfig) -> MCEstimate:
 
 
 def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
-                   cfg: MCConfig, inputs=None,
+                   cfg: MCConfig,
                    reference: engine.CompiledNetwork | None = None) -> CrossValidation:
     """Compare the engine's normalised spectrum against a Monte-Carlo run.
 
@@ -342,7 +343,8 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
     signal_ss, vacuum_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     weights = engine.combo_weights(net, combo)[None, :]
 
-    est_sig = periodogram(_streams(net, cfg, weights, inputs, signal_ss)[0], omega, cfg)
+    est_sig = periodogram(_streams(net, cfg, weights, [e.noise for e in net.roster],
+                                   signal_ss)[0], omega, cfg)
     est_vac = periodogram(_streams(net, cfg, weights, [VACUUM_SPECTRUM] * net.n_inputs,
                                    vacuum_ss)[0], omega, cfg)
     if est_vac.estimate <= 0.0:
@@ -352,8 +354,8 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
     rel = math.sqrt((est_sig.stderr / est_sig.estimate) ** 2
                     + (est_vac.stderr / est_vac.estimate) ** 2)
     stderr = abs(mc_value) * rel
-    engine_value = engine.spectrum(net if reference is None else reference, combo, omega,
-                                   inputs=inputs).normalized
+    engine_value = engine.spectrum(net if reference is None else reference, combo,
+                                   omega).normalized
     z = (mc_value - engine_value) / stderr
     return CrossValidation(omega=omega, engine_value=float(engine_value),
                            mc_value=mc_value, stderr=stderr, z=float(z),

@@ -244,16 +244,19 @@ class FreqRange:
     stop: float
     step: float
 
-    def values(self) -> tuple[float, ...]:
-        """The points; ValueError if there are more than MAX_SWEEP_POINTS."""
+    def size(self) -> int:
+        """The number of points; ValueError if more than MAX_SWEEP_POINTS."""
         if self.step <= 0 or self.stop < self.start:
-            return ()
+            return 0
         steps = (self.stop - self.start) / self.step + 1e-9
         if not steps < MAX_SWEEP_POINTS:  # also an infinite or NaN count
             raise ValueError(f"more than {MAX_SWEEP_POINTS} frequencies "
                              f"({self.start:g}:{self.stop:g}:{self.step:g})")
-        n = int(math.floor(steps)) + 1
-        return tuple((self.start + np.arange(n) * self.step).tolist())
+        return int(math.floor(steps)) + 1
+
+    def values(self) -> tuple[float, ...]:
+        """The points; ValueError if there are more than MAX_SWEEP_POINTS."""
+        return tuple((self.start + np.arange(self.size()) * self.step).tolist())
 
 
 @dataclass(frozen=True)
@@ -262,6 +265,26 @@ class FreqList:
 
     def values(self) -> tuple[float, ...]:
         return self.values_hz
+
+
+def axis_error(freqs: Union[FreqRange, FreqList]) -> str | None:
+    """Why a frequency axis cannot be swept, or None if it can.
+
+    The rule for every axis: its points are finite and >= 0, and a range
+    holds at most MAX_SWEEP_POINTS.  A range is decided from its endpoints,
+    without building its points: they ascend from start to the last one.
+    """
+    if isinstance(freqs, FreqRange):
+        try:
+            n = freqs.size()
+        except ValueError as exc:
+            return str(exc)
+        ends = (freqs.start, freqs.start + (n - 1) * freqs.step) if n else ()
+    else:
+        ends = freqs.values_hz
+    if not all(math.isfinite(f) and f >= 0 for f in ends):
+        return "frequencies must be finite and >= 0"
+    return None
 
 
 @dataclass(frozen=True)
@@ -397,13 +420,9 @@ def validate(spec: NetworkSpec) -> list[Violation]:
                                      f"measurement references unknown detector {d!r}"))
         if m.combo.kind in ("sum", "diff") and len(set(m.combo.detectors)) != 2:
             out.append(Violation("combo", m.name, "sum/diff needs two distinct detectors"))
-        try:
-            freqs = m.freqs.values()
-        except ValueError as exc:
-            out.append(Violation("range", m.name, str(exc)))
-            freqs = ()
-        if not all(f >= 0 and math.isfinite(f) for f in freqs):
-            out.append(Violation("range", m.name, "frequencies must be finite and >= 0"))
+        problem = axis_error(m.freqs)
+        if problem:
+            out.append(Violation("range", m.name, problem))
 
     out.extend(Violation("cycle", name, "element is on, or fed by, a wiring cycle")
                for name in _wiring_order(spec)[1])

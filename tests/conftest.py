@@ -1,5 +1,9 @@
+import shutil
+import tempfile
+
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from sideband import presets
 
@@ -7,6 +11,15 @@ from sideband import presets
 # per-test max_examples still apply.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    # Hypothesis still caches the literals it reads from the source modules
+    # under its home directory; keep that cache in a temporary directory that
+    # goes with the session, not in the tree.
+    home = tempfile.mkdtemp(prefix="hypothesis-home-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 
 @pytest.fixture

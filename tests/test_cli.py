@@ -159,6 +159,25 @@ class TestSimulate:
         assert main(["simulate", "--net", preset_path("mz_phase"),
                      "--combo", "prod", "--freqs", "20MHz"]) == 2
 
+    @pytest.mark.parametrize("freqs,message", [
+        ("-1MHz", "frequencies must be finite and >= 0"),
+        ("-2MHz:1MHz:1MHz", "frequencies must be finite and >= 0"),
+        ("1MHz:2MHz:0", "frequency step must be > 0"),
+    ])
+    def test_bad_freqs_flag_is_one_line_usage_error(self, preset_path, capsys,
+                                                    freqs, message):
+        assert main(["simulate", "--net", preset_path("mz_phase"),
+                     f"--freqs={freqs}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad --freqs {freqs!r}: {message}\n"
+
+    def test_freqs_flag_takes_a_measure_axis(self, preset_path, capsys):
+        assert main(["simulate", "--net", preset_path("mz_phase"),
+                     "--freqs", "1MHz,2.5MHz"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [1e6, 2.5e6]
+
     def test_sweep_over_several_blocks_matches_closed_form(self, preset_path, tmp_path):
         path = preset_path("mz_phase")
         spec = dsl.parse(open(path).read())
@@ -278,6 +297,11 @@ class TestScenario:
     def test_unknown_override_key(self, capsys):
         assert main(["scenario", "--override", "bogus=1"]) == 2
         assert capsys.readouterr().err == "error: unknown scenario override 'bogus'\n"
+
+    def test_carrier_is_not_an_override(self, capsys):
+        # every scenario output is normalised to shot noise: the carrier is fixed
+        assert main(["scenario", "--override", "carrier=5"]) == 2
+        assert capsys.readouterr().err == "error: unknown scenario override 'carrier'\n"
 
     @pytest.mark.parametrize("override,key", [
         ("visibility=abc", "visibility"),

@@ -15,7 +15,6 @@ from sideband.network import (
     NetworkSpec,
     QuadSpectrum,
     SourceDecl,
-    VACUUM_SPECTRUM,
 )
 
 import netgen
@@ -27,9 +26,9 @@ DIFF = Combo.diff_of("C", "D")
 SUM = Combo.sum_of("C", "D")
 
 
-def mz_net(phi=math.pi / 2, vx=0.617, vy=63.0, amp=100.0, tau=TAU):
+def mz_net(phi=math.pi / 2, vx=0.617, vy=63.0, amp=100.0, tau=TAU, noise=None):
     spec = scenario.mz_network(tau=tau, carrier_phase=phi, amp=amp,
-                               noise=QuadSpectrum.constant(vx, vy))
+                               noise=noise or QuadSpectrum.constant(vx, vy))
     return engine.compile(spec)
 
 
@@ -222,26 +221,8 @@ class TestSpectrum:
     def test_tabulated_input_spectrum(self):
         noise = QuadSpectrum.tabulated(
             [0.0, OMEGA, 2 * OMEGA], [0.6, 0.7, 0.8], [80.0, 63.0, 50.0])
-        net = mz_net()
-        pt = engine.spectrum(net, DIFF, OMEGA, inputs=[noise, VACUUM_SPECTRUM])
+        pt = engine.spectrum(mz_net(noise=noise), DIFF, OMEGA)
         assert pt.normalized == pytest.approx(63.0, rel=1e-9)
-
-    def test_roster_aligned_inputs(self):
-        net = mz_net()
-        pt = engine.spectrum(
-            net, DIFF, OMEGA,
-            inputs=[QuadSpectrum.constant(0.5, 40.0), QuadSpectrum.constant(1, 1)])
-        assert pt.normalized == pytest.approx(40.0, rel=1e-9)
-
-    def test_inputs_leave_injected_vacua_at_one(self):
-        net = engine.compile(scenario.experiment_network(scenario.ExperimentConfig(), "phase"))
-        declared = len(net.spec.sources)
-        squeezed = QuadSpectrum.constant(0.5, 40.0)
-        assert net.n_inputs > declared
-        assert net.input_spectra([squeezed] * net.n_inputs) == (
-            [squeezed] * declared + [VACUUM_SPECTRUM] * (net.n_inputs - declared))
-        with pytest.raises(ValueError, match="roster-aligned"):
-            net.input_spectra([squeezed] * declared)
 
 
 class TestSnl:
@@ -295,7 +276,6 @@ class TestDCLevels:
         net = mz_net(phi=math.pi / 2, amp=100.0)
         dc = engine.dc_levels(net)
         assert dc.difference("C", "D") / 1e4 == pytest.approx(0.0, abs=1e-12)
-        assert dc.pairwise()[("C", "D")] == dc.difference("C", "D")
 
     def test_third_fringe(self):
         net = mz_net(phi=math.pi / 3, amp=100.0)
@@ -449,12 +429,11 @@ class TestSweep:
     def test_tabulated_inputs_match_scalar_lookup(self):
         noise = QuadSpectrum.tabulated(
             [0.0, OMEGA, 2 * OMEGA], [0.6, 0.7, 0.8], [80.0, 63.0, 50.0])
-        net = mz_net()
+        net = mz_net(noise=noise)
         omegas = np.linspace(-3 * OMEGA, 3 * OMEGA, engine.BLOCK + 3)
-        inputs = [noise, VACUUM_SPECTRUM]
-        got = engine.sweep(net, DIFF, omegas, inputs=inputs)
+        got = engine.sweep(net, DIFF, omegas)
         for i in (0, 1, engine.BLOCK // 2, engine.BLOCK + 1, engine.BLOCK + 2):
-            pt = engine.spectrum(net, DIFF, omegas[i], inputs=inputs)
+            pt = engine.spectrum(net, DIFF, omegas[i])
             assert got.normalized[i] == pytest.approx(pt.normalized, rel=1e-12)
 
     def test_spectrum_is_the_one_point_view(self):
@@ -510,7 +489,7 @@ class TestReverseWalk:
         combos = [dict(zip(net.detector_names, row)) for row in weights]
         got = engine.sweep(net, combos, omegas)
         px, py = np.abs((u + w) / 2.0) ** 2, np.abs((u - w) / 2.0) ** 2
-        v = np.array([[s.vx, s.vy] for s in net.input_spectra()])
+        v = np.array([[e.noise.vx, e.noise.vy] for e in net.roster])
         _assert_within(got.absolute, np.einsum("fcn,n->cf", px, v[:, 0])
                        + np.einsum("fcn,n->cf", py, v[:, 1]), scale ** 2)
         _assert_within(got.snl, (px + py).sum(axis=2).T, scale ** 2)

@@ -42,9 +42,8 @@ class TestSimulate:
         assert not np.array_equal(a.streams, c.streams)
 
     def test_vacuum_inputs_sit_at_shot_noise(self):
-        net = mz_net()
-        mc = montecarlo.simulate(net, cfg(seed=3, segments=128),
-                                 inputs=[QuadSpectrum.constant(1, 1)] * 2)
+        net = mz_net(vx=1.0, vy=1.0)
+        mc = montecarlo.simulate(net, cfg(seed=3, segments=128))
         for k, name in enumerate(net.detector_names):
             flux = abs(net.carriers[k]) ** 2
             sample_var = mc.streams[k].var()
@@ -139,15 +138,11 @@ class TestCrossValidate:
         assert abs(a.mc_value - b.mc_value) <= 3 * combined
 
     def test_linearity_in_input_variances(self):
-        net = mz_net()
         g = 2.0
         base = montecarlo.cross_validate(
-            net, DIFF, OMEGA, cfg(seed=31, segments=512),
-            inputs=[QuadSpectrum.constant(0.617, 63.0), QuadSpectrum.constant(1, 1)])
+            mz_net(vx=0.617, vy=63.0), DIFF, OMEGA, cfg(seed=31, segments=512))
         scaled = montecarlo.cross_validate(
-            net, DIFF, OMEGA, cfg(seed=31, segments=512),
-            inputs=[QuadSpectrum.constant(g * 0.617, g * 63.0),
-                    QuadSpectrum.constant(1, 1)])
+            mz_net(vx=g * 0.617, vy=g * 63.0), DIFF, OMEGA, cfg(seed=31, segments=512))
         # vacuum ports stay at 1, so only the signal part scales by g
         expected = g * (base.mc_value - 0.0)  # signal dominates: 63 vs the
         assert scaled.mc_value == pytest.approx(expected, rel=3 * 0.1)
@@ -200,9 +195,16 @@ TABULATED = QuadSpectrum.tabulated([0.0, OMEGA / 2, OMEGA, 2 * OMEGA],
                                    [0.6, 0.62, 0.65, 0.7], [90.0, 75.0, 63.0, 40.0])
 
 
+def with_noise(spec, noise):
+    """``spec`` with every declared source carrying ``noise``; the vacua
+    injected at compile time keep theirs."""
+    return dataclasses.replace(spec, sources=tuple(
+        dataclasses.replace(s, noise=noise) for s in spec.sources))
+
+
 class TestComboStreams:
     """cross_validate accumulates only the combo's stream; it must equal the
-    combo of simulate's per-detector streams on the same substreams."""
+    combo of the per-detector streams drawn on the same substreams."""
 
     @pytest.mark.parametrize("tabulated", [False, True])
     def test_cross_validate_stream_is_combo_of_detector_streams(self, tabulated,
@@ -220,20 +222,19 @@ class TestComboStreams:
         checked = 0
         while checked < 12:
             spec = integer_delay_net(rng, c.sample_rate)
-            net = engine.compile(spec)
+            net = engine.compile(with_noise(spec, TABULATED) if tabulated else spec)
             combo = netgen.random_combo(rng, spec)
             if engine.snl(net, combo) < 1e-9:
                 continue
-            # injected vacua stay (1, 1) whatever their entry says
-            inputs = [TABULATED] * net.n_inputs if tabulated else None
             seen.clear()
-            montecarlo.cross_validate(net, combo, OMEGA, c, inputs=inputs)
+            montecarlo.cross_validate(net, combo, OMEGA, c)
             signal_ss, vacuum_ss = np.random.SeedSequence(c.seed).spawn(2)
+            noise = [e.noise for e in net.roster]
             vacua = [VACUUM_SPECTRUM] * net.n_inputs
-            for got, run_inputs, ss in ((seen[0], inputs, signal_ss),
-                                        (seen[1], vacua, vacuum_ss)):
-                ref = montecarlo.simulate(net, c, inputs=run_inputs,
-                                          substream=ss).combo_stream(net, combo)
+            for got, spectra, ss in ((seen[0], noise, signal_ss),
+                                     (seen[1], vacua, vacuum_ss)):
+                detectors = montecarlo._streams(net, c, np.eye(net.n_detectors), spectra, ss)
+                ref = montecarlo.MCStreams(detectors).combo_stream(net, combo)
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
             checked += 1
 
@@ -246,14 +247,12 @@ class TestComboStreams:
         omegas = 2 * np.pi * np.fft.rfftfreq(n, d=1 / c.sample_rate)
         for _ in range(8):
             spec = integer_delay_net(rng, c.sample_rate)
-            net = engine.compile(spec)
-            # injected vacua stay (1, 1) whatever their entry says
-            inputs = [TABULATED] * net.n_inputs if tabulated else None
-            got = montecarlo.simulate(net, c, inputs=inputs).streams
+            net = engine.compile(with_noise(spec, TABULATED) if tabulated else spec)
+            got = montecarlo.simulate(net, c).streams
             ref = np.tile((np.abs(net.carriers) ** 2)[:, None], (1, n))
             children = np.random.SeedSequence(c.seed).spawn(net.n_inputs)
             taps = montecarlo.expand_taps(net, c)
-            for j, q in enumerate(net.input_spectra(inputs)):
+            for j, q in enumerate(e.noise for e in net.roster):
                 draws = np.random.default_rng(children[j]).standard_normal((2, n))
                 x, y = (np.fft.irfft(np.fft.rfft(w) * np.sqrt(v(omegas)), n)
                         for w, v in zip(draws, (q.vx_at, q.vy_at)))
@@ -265,17 +264,17 @@ class TestComboStreams:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_worker_count_does_not_change_streams(self, monkeypatch):
-        net = engine.compile(scenario.experiment_network(
-            scenario.ExperimentConfig(), "phase"))
+        spec = scenario.experiment_network(scenario.ExperimentConfig(), "phase")
+        first = dataclasses.replace(spec.sources[0], noise=TABULATED)
+        net = engine.compile(dataclasses.replace(spec, sources=(first, *spec.sources[1:])))
         c = cfg(seed=5, segments=32, length=64)
-        inputs = [TABULATED] + net.input_spectra()[1:]
-        default = montecarlo.simulate(net, c, inputs=inputs).streams
+        default = montecarlo.simulate(net, c).streams
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often: a reused buffer would show
         try:
             for workers in (1, 3, 8):
                 monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
-                again = montecarlo.simulate(net, c, inputs=inputs).streams
+                again = montecarlo.simulate(net, c).streams
                 assert np.array_equal(again, default), workers
         finally:
             sys.setswitchinterval(interval)

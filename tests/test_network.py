@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sideband import dsl, engine
+from sideband import dsl, engine, presets
 from sideband.network import (
     BeamSplitter,
     Delay,
     DetectorDecl,
     ElementDecl,
+    FreqList,
     FreqRange,
     Loss,
     NetworkSpec,
     QuadSpectrum,
     SPEED_OF_LIGHT,
     SourceDecl,
+    axis_error,
     topo_order,
     validate,
 )
@@ -53,6 +55,37 @@ def test_freq_range_values_match_stepwise_sum_bit_for_bit():
         assert type(got) is tuple and all(type(v) is float for v in got)
         assert [v.hex() for v in got] == [v.hex() for v in expected]
     assert len(FreqRange(1e6, 41e6, 10e3).values()) == 4001
+
+
+FREQ = st.one_of(st.floats(-1e9, 1e9), st.sampled_from([0.0, -0.0, math.inf, -math.inf]))
+
+
+@settings(max_examples=300)
+@given(start=FREQ, span=st.floats(-1e3, 1e9), step=st.floats(1e-3, 1e9))
+def test_range_rule_from_endpoints_matches_every_point(start, span, step):
+    r = FreqRange(start, start + span, step)
+    try:
+        points = r.values()
+    except ValueError as exc:
+        assert axis_error(r) == str(exc)
+        return
+    ok = all(math.isfinite(f) and f >= 0 for f in points)
+    assert axis_error(r) == (None if ok else "frequencies must be finite and >= 0")
+    assert axis_error(FreqList(points)) == axis_error(r)
+
+
+def test_validate_decides_a_range_without_building_it(monkeypatch):
+    def refuse(self):
+        raise AssertionError("built the points")
+
+    monkeypatch.setattr(FreqRange, "values", refuse)
+    text = presets.load("mz_phase").replace("freqs=15MHz:25MHz:0.5MHz",
+                                            "freqs=0Hz:999990Hz:1Hz", 1)
+    assert "0Hz:999990Hz:1Hz" in text
+    assert validate(dsl.parse(text)) == []
+    negative = text.replace("freqs=0Hz", "freqs=-1Hz")
+    assert [str(v) for v in validate(dsl.parse(negative))] == [
+        "[range] PM: frequencies must be finite and >= 0"]
 
 
 def test_heisenberg_violation_is_reported():
