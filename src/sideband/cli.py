@@ -39,6 +39,7 @@ EXIT_NUMERICAL = 5
 
 SEED_ENV_VAR = "SIDEBAND_SEED"
 MAX_DESIGN_ROWS = 1000  # design --frep lists pulse delays 1..n
+COMBO_HELP = "sum | diff | single:K | measure:NAME"
 
 
 class CliError(Exception):
@@ -109,8 +110,16 @@ def _resolve_combo(spec: NetworkSpec, text: str | None) -> Combo:
             raise CliError(
                 f"{text} needs exactly 2 detectors (have {len(detectors)}); "
                 "use measure:NAME or single:K", EXIT_IO)
-        return Combo(text, detectors)
+        return (Combo.sum_of if text == "sum" else Combo.diff_of)(*detectors)
     raise CliError(f"unknown combo {text!r}", EXIT_IO)
+
+
+def _combo_json(combo: Combo) -> dict:
+    """Kind and detectors, plus for kind 'weights' one weight per detector."""
+    doc = {"kind": combo.kind, "detectors": list(combo.detectors)}
+    if doc["kind"] == "weights":
+        doc["weights"] = [w for _, w in combo.weights]
+    return doc
 
 
 def _seed_from(args) -> int:
@@ -218,8 +227,6 @@ def cmd_simulate(args) -> int:
         raise CliError("no --freqs given and the network has no measure statement",
                        EXIT_IO)
     values = freqs.values()
-    if not values:
-        raise CliError("frequency range is empty", EXIT_IO)
 
     s = engine.sweep(net, combo, 2.0 * math.pi * np.array(values))
     rows = list(zip(values, s.absolute.tolist(), s.snl.tolist(),
@@ -232,7 +239,7 @@ def cmd_simulate(args) -> int:
     else:
         payload = {
             "manifest": manifest,
-            "combo": {"kind": combo.kind, "detectors": list(combo.detectors)},
+            "combo": _combo_json(combo),
             "points": [dict(zip(("f_hz", "abs", "snl", "norm", "db"), row))
                        for row in rows],
         }
@@ -273,24 +280,19 @@ def cmd_scenario(args) -> int:
         "measurement_frequency_hz": report.phase.f_m,
         "detection_loss": report.detection_loss,
         "phase_path_loss": report.phase_path_loss,
-        "amplitude_mode": {
-            "correlation": report.amplitude.correlation,
-            "correlation_db": scenario.variance_to_db(report.amplitude.correlation),
-            "anticorrelation": report.amplitude.anticorrelation,
-            "beam1": report.amplitude.beam1,
-            "beam2": report.amplitude.beam2,
-        },
-        "phase_mode": {
-            "correlation": report.phase.correlation,
-            "correlation_db": scenario.variance_to_db(report.phase.correlation),
-            "anticorrelation": report.phase.anticorrelation,
-            "beam1": report.phase.beam1,
-            "beam2": report.phase.beam2,
-        },
+        "amplitude_mode": _mode_json(report.amplitude),
+        "phase_mode": _mode_json(report.phase),
         "entanglement": verdict.as_json_dict(),
     }
     _emit_json(payload, args.out)
     return EXIT_OK
+
+
+def _mode_json(mode: scenario.ModeResult) -> dict:
+    return {"correlation": mode.correlation,
+            "correlation_db": scenario.variance_to_db(mode.correlation),
+            "anticorrelation": mode.anticorrelation, "beam1": mode.beam1,
+            "beam2": mode.beam2}
 
 
 def cmd_oracle(args) -> int:
@@ -322,7 +324,7 @@ def cmd_oracle(args) -> int:
         "manifest": make_manifest("oracle", path=args.net, text=text,
                                   overrides=args.override + args.mc_override,
                                   seed=seed),
-        "combo": {"kind": combo.kind, "detectors": list(combo.detectors)},
+        "combo": _combo_json(combo),
         "result": result.as_json_dict(),
     }
     _emit_json(payload, args.out)
@@ -373,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="frequency sweep of a photocurrent combo")
     p.add_argument("--net", required=True)
     p.add_argument("--freqs", help="LO:HI:STEP or F[,F...] (units ok)")
-    p.add_argument("--combo", help="sum | diff | single:K | measure:NAME")
+    p.add_argument("--combo", help=COMBO_HELP)
     p.add_argument("--override", action="append", default=[],
                    metavar="NAME.PARAM=VALUE")
     p.add_argument("--out")
@@ -387,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="Monte-Carlo cross-validation of the engine")
     p.add_argument("--net", required=True)
-    p.add_argument("--combo")
+    p.add_argument("--combo", help=COMBO_HELP)
     p.add_argument("--freq", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--segments", type=int, default=4096)

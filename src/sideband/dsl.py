@@ -37,13 +37,14 @@ from .network import (
     PhaseShift,
     QuadSpectrum,
     RESERVED_PREFIX,
+    SPELLINGS,
     SourceDecl,
     SPEED_OF_LIGHT,
     VACUUM_SPECTRUM,
 )
 
 KEYWORDS = frozenset({
-    "source", "bs", "phase", "delay", "loss", "det", "measure",
+    "source", "bs", "phase", "delay", "loss", "det", "measure", "weights",
     "from", "vacuum", "coherent", "squeezed", "sum", "diff", "single", "freqs",
 })
 
@@ -390,21 +391,26 @@ class _Parser:
 
     def measure_stmt(self) -> Measurement:
         name = self.fresh_name()
-        combo_tok = self.expect_ident("combo kind (sum/diff/single)")
-        if combo_tok[0] not in ("sum", "diff", "single"):
-            raise self.error(f"unknown combo kind {combo_tok[0]!r}", combo_tok)
+        kind = self.expect_ident("combo kind (sum/diff/single/weights)")
+        if kind[0] not in SPELLINGS and kind[0] != "weights":
+            raise self.error(f"unknown combo kind {kind[0]!r}", kind)
         self.expect_punct("(")
-        dets = [self.expect_ident("detector name")[0]]
-        if combo_tok[0] != "single":
-            self.expect_punct(",")
-            dets.append(self.expect_ident("detector name")[0])
+        weights: list[tuple[str, float]] = []
+        if kind[0] == "weights":  # weights(D=W{,D=W})
+            while not weights or self.accept(","):
+                det = self.expect_ident("detector name")[0]
+                self.expect_punct("=")
+                weights.append((det, self.quantity(PLAIN)))
+        for sign in SPELLINGS.get(kind[0], ()):  # single(D), sum(D,D), diff(D,D)
+            if weights:
+                self.expect_punct(",")
+            weights.append((self.expect_ident("detector name")[0], sign))
         self.expect_punct(")")
-        combo = Combo(combo_tok[0], tuple(dets))
 
         if not self.accept("freqs"):
             raise self.error("expected 'freqs'")
         self.expect_punct("=")
-        return Measurement(name, combo, self.freqs())
+        return Measurement(name, Combo(tuple(weights)), self.freqs())
 
     def freqs(self) -> FreqRange | FreqList:
         """A frequency axis: LO:HI:STEP with STEP > 0, or F{,F}."""
@@ -527,7 +533,10 @@ def _element_line(decl: ElementDecl) -> str:
 
 def _measure_line(m: Measurement) -> str:
     _check_serializable_name(m.name)
-    combo = f"{m.combo.kind}({','.join(m.combo.detectors)})"
+    c = m.combo  # spelled as c.kind reads its weights
+    terms = (c.detectors if c.kind in SPELLINGS
+             else [f"{d}={_num(w)}" for d, w in c.weights])
+    combo = f"{c.kind}({','.join(terms)})"
     if isinstance(m.freqs, FreqRange):
         f = m.freqs
         freqs = f"{_num(f.start)}:{_num(f.stop)}:{_num(f.step)}"

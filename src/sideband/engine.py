@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -255,22 +255,11 @@ def transfer(net: CompiledNetwork, omega: float) -> TransferMatrix:
                           carriers=np.array(net.carriers, dtype=complex))
 
 
-ComboLike = Union[Combo, Mapping[str, float]]
-
-
-def combo_weights(net: CompiledNetwork, combo: ComboLike) -> np.ndarray:
-    """Per-detector weights (+1/-1/0, or arbitrary floats for custom combos)."""
+def combo_weights(net: CompiledNetwork, combo: Combo) -> np.ndarray:
+    """The combo's weight on each detector, in net.detector_names order."""
     w = np.zeros(net.n_detectors)
-    index = {name: k for k, name in enumerate(net.detector_names)}
-    if isinstance(combo, Combo):
-        if combo.kind == "single":
-            w[index[combo.detectors[0]]] = 1.0
-        else:
-            w[index[combo.detectors[0]]] = 1.0
-            w[index[combo.detectors[1]]] = 1.0 if combo.kind == "sum" else -1.0
-        return w
-    for name, weight in combo.items():
-        w[index[name]] = weight
+    for name, weight in combo.weights:
+        w[net.detector_names.index(name)] = weight
     return w
 
 
@@ -299,7 +288,7 @@ class SpectrumSweep:
     db: np.ndarray
 
 
-def sweep(net: CompiledNetwork, combo: Union[ComboLike, Sequence[ComboLike]],
+def sweep(net: CompiledNetwork, combo: Combo | Sequence[Combo],
           omegas) -> SpectrumSweep:
     """Photocurrent variance spectral densities over a frequency axis (rad/s).
 
@@ -310,7 +299,7 @@ def sweep(net: CompiledNetwork, combo: Union[ComboLike, Sequence[ComboLike]],
     ``combo`` may be a sequence of combos, which share each pipeline walk and
     give one row each.  The axis is walked in blocks of BLOCK frequencies.
     """
-    single = isinstance(combo, (Combo, Mapping))
+    single = isinstance(combo, Combo)
     combos = [combo] if single else list(combo)
     weights = np.array([combo_weights(net, c) for c in combos])
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
@@ -336,7 +325,7 @@ def sweep(net: CompiledNetwork, combo: Union[ComboLike, Sequence[ComboLike]],
     return SpectrumSweep(absolute=absolute, snl=snl_vals, normalized=normalized, db=db)
 
 
-def spectrum(net: CompiledNetwork, combo: ComboLike, omega: float) -> SpectrumPoint:
+def spectrum(net: CompiledNetwork, combo: Combo, omega: float) -> SpectrumPoint:
     """Photocurrent variance spectral density of a combo at omega (rad/s):
     the one-point view of :func:`sweep`."""
     s = sweep(net, combo, [omega])
@@ -345,7 +334,7 @@ def spectrum(net: CompiledNetwork, combo: ComboLike, omega: float) -> SpectrumPo
                          db=float(s.db[0]))
 
 
-def snl(net: CompiledNetwork, combo: ComboLike) -> float:
+def snl(net: CompiledNetwork, combo: Combo) -> float:
     """Shot-noise level of a combo: the weighted detected carrier flux.
 
     Equals the coefficient-sum route in :func:`spectrum` because the rows of

@@ -211,29 +211,36 @@ class DetectorDecl:
 
 @dataclass(frozen=True)
 class Combo:
-    """A photocurrent combination over named detectors."""
+    """The photocurrent sum_k w_k i_k: one (detector, weight) pair per
+    detector read.  single, sum_of and diff_of give weights of 1 and +-1."""
 
-    kind: str  # "sum" | "diff" | "single"
-    detectors: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("sum", "diff", "single"):
-            raise ValueError(f"unknown combo kind {self.kind!r}")
-        need = 1 if self.kind == "single" else 2
-        if len(self.detectors) != need:
-            raise ValueError(f"{self.kind} combo needs {need} detectors")
-
-    @classmethod
-    def sum_of(cls, d1: str, d2: str) -> "Combo":
-        return cls("sum", (d1, d2))
-
-    @classmethod
-    def diff_of(cls, d1: str, d2: str) -> "Combo":
-        return cls("diff", (d1, d2))
+    weights: tuple[tuple[str, float], ...]
 
     @classmethod
     def single(cls, d: str) -> "Combo":
-        return cls("single", (d,))
+        return cls(((d, 1.0),))
+
+    @classmethod
+    def sum_of(cls, d1: str, d2: str) -> "Combo":
+        return cls(((d1, 1.0), (d2, 1.0)))
+
+    @classmethod
+    def diff_of(cls, d1: str, d2: str) -> "Combo":
+        return cls(((d1, 1.0), (d2, -1.0)))
+
+    @property
+    def detectors(self) -> tuple[str, ...]:
+        return tuple(d for d, _ in self.weights)
+
+    @property
+    def kind(self) -> str:
+        """'single', 'sum' or 'diff' when the weights spell one, else 'weights'."""
+        values = tuple(w for _, w in self.weights)
+        return next((k for k, v in SPELLINGS.items() if v == values), "weights")
+
+
+#: the weights that each spelling of a combo stands for
+SPELLINGS = {"single": (1.0,), "sum": (1.0, 1.0), "diff": (1.0, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -270,9 +277,9 @@ class FreqList:
 def axis_error(freqs: Union[FreqRange, FreqList]) -> str | None:
     """Why a frequency axis cannot be swept, or None if it can.
 
-    The rule for every axis: its points are finite and >= 0, and a range
-    holds at most MAX_SWEEP_POINTS.  A range is decided from its endpoints,
-    without building its points: they ascend from start to the last one.
+    The rule for every axis: it has points, all finite and >= 0, and a
+    range holds at most MAX_SWEEP_POINTS.  A range is decided from its
+    endpoints, without building its points: they ascend from start to the last.
     """
     if isinstance(freqs, FreqRange):
         try:
@@ -282,6 +289,8 @@ def axis_error(freqs: Union[FreqRange, FreqList]) -> str | None:
         ends = (freqs.start, freqs.start + (n - 1) * freqs.step) if n else ()
     else:
         ends = freqs.values_hz
+    if not ends:
+        return "frequency range is empty"
     if not all(math.isfinite(f) and f >= 0 for f in ends):
         return "frequencies must be finite and >= 0"
     return None
@@ -418,8 +427,8 @@ def validate(spec: NetworkSpec) -> list[Violation]:
             if d not in det_names:
                 out.append(Violation("unknown-detector", m.name,
                                      f"measurement references unknown detector {d!r}"))
-        if m.combo.kind in ("sum", "diff") and len(set(m.combo.detectors)) != 2:
-            out.append(Violation("combo", m.name, "sum/diff needs two distinct detectors"))
+        if not m.combo.weights or len(set(m.combo.detectors)) != len(m.combo.weights):
+            out.append(Violation("combo", m.name, "needs one or more distinct detectors"))
         problem = axis_error(m.freqs)
         if problem:
             out.append(Violation("range", m.name, problem))

@@ -203,32 +203,28 @@ def experiment_network(cfg: ExperimentConfig, mode: str) -> NetworkSpec:
         detectors.append(DetectorDecl(f"D{i}c", f"MIX{i}.out1"))
         detectors.append(DetectorDecl(f"D{i}d", f"MIX{i}.out2"))
 
-    per_beam = "diff" if mode == "phase" else "sum"
-    f_m = cfg.design.f_m
+    f_m = FreqList((cfg.design.f_m,))
+    correlation = "VMINUS" if mode == "phase" else "VPLUS"
     measurements = (
-        Measurement("BEAM1", Combo(per_beam, ("D1c", "D1d")), FreqList((f_m,))),
-        Measurement("BEAM2", Combo(per_beam, ("D2c", "D2d")), FreqList((f_m,))),
+        Measurement("BEAM1", beam_weights(mode, 1), f_m),
+        Measurement("BEAM2", beam_weights(mode, 2), f_m),
+        Measurement(correlation, correlation_weights(mode), f_m),
+        Measurement("ANTI", correlation_weights(mode, anti=True), f_m),
     )
     return NetworkSpec(tuple(sources), tuple(elements), tuple(detectors), measurements)
 
 
-def correlation_weights(mode: str, anti: bool = False) -> dict[str, float]:
-    """Cross-beam combo weights: phase-diff or amplitude-sum (or the
-    anticorrelated counterparts)."""
-    if mode == "phase":
-        w = {"D1c": 1.0, "D1d": -1.0, "D2c": -1.0, "D2d": 1.0}
-        if anti:
-            w = {"D1c": 1.0, "D1d": -1.0, "D2c": 1.0, "D2d": -1.0}
-    else:
-        w = {"D1c": 1.0, "D1d": 1.0, "D2c": 1.0, "D2d": 1.0}
-        if anti:
-            w = {"D1c": 1.0, "D1d": 1.0, "D2c": -1.0, "D2d": -1.0}
-    return w
+def beam_weights(mode: str, beam: int) -> Combo:
+    """One beam's readout: diff(D{b}c,D{b}d) in phase mode, sum in amplitude mode."""
+    return (Combo.diff_of if mode == "phase" else Combo.sum_of)(f"D{beam}c", f"D{beam}d")
 
 
-def beam_weights(mode: str, beam: int) -> dict[str, float]:
-    s = -1.0 if mode == "phase" else 1.0
-    return {f"D{beam}c": 1.0, f"D{beam}d": s}
+def correlation_weights(mode: str, anti: bool = False) -> Combo:
+    """The cross-beam combo: V- = beam 1 - beam 2 in phase mode, V+ = beam 1 +
+    beam 2 in amplitude mode; anti flips the sign of beam 2."""
+    sign = -1.0 if (mode == "phase") != anti else 1.0
+    beam2 = tuple((d, sign * w) for d, w in beam_weights(mode, 2).weights)
+    return Combo(beam_weights(mode, 1).weights + beam2)
 
 
 @dataclass(frozen=True)
@@ -286,9 +282,8 @@ def run_experiment(cfg: ExperimentConfig | None = None) -> ExperimentReport:
     results = {}
     for mode in ("amplitude", "phase"):
         net = engine.compile(experiment_network(cfg, mode))
-        combos = (correlation_weights(mode), correlation_weights(mode, anti=True),
-                  beam_weights(mode, 1), beam_weights(mode, 2))
-        corr, anti, b1, b2 = engine.sweep(net, combos, [omega]).normalized[:, 0].tolist()
+        combos = [m.combo for m in net.spec.measurements]  # BEAM1, BEAM2, V, ANTI
+        b1, b2, corr, anti = engine.sweep(net, combos, [omega]).normalized[:, 0].tolist()
         if cfg.excess_correlation != 0.0:
             eta = (1.0 - det_loss) * ((1.0 - vis_loss) if mode == "phase" else 1.0)
             b_level, anti_level = _diagnostic_levels(cfg, mode, eta)

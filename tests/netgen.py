@@ -77,11 +77,7 @@ def random_spec(rng: random.Random, allow_squeezed: bool = True,
     measurements: list[Measurement] = []
     det_names = [d.name for d in detectors]
     for i in range(rng.randint(0, 2)):
-        if len(det_names) >= 2 and rng.random() < 0.6:
-            combo = Combo(rng.choice(["sum", "diff"]),
-                          tuple(rng.sample(det_names, 2)))
-        else:
-            combo = Combo.single(rng.choice(det_names))
+        combo = _draw_combo(rng, det_names)
         if rng.random() < 0.5:
             lo = rng.uniform(1e6, 2e7)
             freqs = FreqRange(lo, lo + rng.uniform(1e6, 1e7), rng.uniform(1e5, 1e6))
@@ -95,7 +91,17 @@ def random_spec(rng: random.Random, allow_squeezed: bool = True,
 
 
 def random_combo(rng: random.Random, spec: NetworkSpec) -> Combo:
-    names = list(spec.detector_names())
-    if len(names) >= 2 and rng.random() < 0.7:
-        return Combo(rng.choice(["sum", "diff"]), tuple(rng.sample(names, 2)))
-    return Combo.single(rng.choice(names))
+    return _draw_combo(rng, list(spec.detector_names()))
+
+
+def _draw_combo(rng: random.Random, names: list[str]) -> Combo:
+    """sum, diff or single, or general weights (negative and non-unit among
+    them) on one or more distinct detectors."""
+    roll = rng.random()
+    if len(names) >= 2 and roll < 0.45:
+        return (Combo.sum_of if rng.random() < 0.5 else Combo.diff_of)(*rng.sample(names, 2))
+    if roll < 0.7:
+        return Combo.single(rng.choice(names))
+    picked = rng.sample(names, rng.randint(1, len(names)))
+    return Combo(tuple((d, rng.choice((1.0, -1.0, rng.uniform(-3.0, 3.0))))
+                       for d in picked))

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from sideband import cli, dsl, engine, mzi
+from sideband import cli, dsl, engine, montecarlo, mzi, presets, scenario
 from sideband.cli import main
-from sideband.network import validate
+from sideband.network import Combo, validate
 
 MZ_THETA_PI = """\
 source a squeezed amp=100 vx=-2.1dB vy=+18dB;
@@ -163,6 +163,7 @@ class TestSimulate:
         ("-1MHz", "frequencies must be finite and >= 0"),
         ("-2MHz:1MHz:1MHz", "frequencies must be finite and >= 0"),
         ("1MHz:2MHz:0", "frequency step must be > 0"),
+        ("25MHz:15MHz:1MHz", "frequency range is empty"),
     ])
     def test_bad_freqs_flag_is_one_line_usage_error(self, preset_path, capsys,
                                                     freqs, message):
@@ -171,6 +172,44 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad --freqs {freqs!r}: {message}\n"
+
+    @pytest.mark.parametrize("command", [["validate"], ["simulate", "--net"]])
+    def test_empty_measure_axis_is_a_range_violation(self, tmp_path, capsys, command):
+        text = dsl.serialize(dsl.parse(presets.load("mz_phase")))
+        path = write(tmp_path, "empty.net", text.replace(
+            "freqs=15000000.0:25000000.0:500000.0", "freqs=25MHz:15MHz:1MHz", 1))
+        assert main([*command, path]) == 4
+        assert "[range] PM: frequency range is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset, measure, expected", [
+        ("entangled_phase", "VMINUS", 0.732675),
+        ("entangled_amplitude", "VPLUS", 0.63),
+    ])
+    def test_witness_measures_read_the_correlations(self, preset_path, capsys,
+                                                    preset, measure, expected):
+        assert main(["simulate", "--net", preset_path(preset), "--combo",
+                     f"measure:{measure}", "--freqs", "20.5MHz", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["combo"]["kind"] == "weights"
+        assert doc["points"][0]["norm"] == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("preset, measure", [
+        (name, m.name) for name in presets.available()
+        for m in dsl.parse(presets.load(name)).measurements])
+    def test_every_preset_measure_runs(self, preset_path, capsys, preset, measure):
+        assert main(["simulate", "--net", preset_path(preset), "--combo",
+                     f"measure:{measure}", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(p["norm"]) for p in doc["points"])
+        got = doc["combo"]
+        if got["kind"] == "weights":
+            rebuilt = Combo(tuple(zip(got["detectors"], got["weights"])))
+        else:
+            assert sorted(got) == ["detectors", "kind"]
+            spelled = {"single": Combo.single, "sum": Combo.sum_of, "diff": Combo.diff_of}
+            rebuilt = spelled[got["kind"]](*got["detectors"])
+        spec = dsl.parse(presets.load(preset))
+        assert rebuilt == next(m.combo for m in spec.measurements if m.name == measure)
 
     def test_freqs_flag_takes_a_measure_axis(self, preset_path, capsys):
         assert main(["simulate", "--net", preset_path("mz_phase"),
@@ -339,6 +378,22 @@ class TestOracle:
         assert doc["result"]["passed"] is True
         assert abs(doc["result"]["z"]) <= 3
         assert doc["result"]["engine"] == pytest.approx(63.096, rel=1e-3)
+
+    def test_witness_combo_equals_the_library_run(self, preset_path, capsys):
+        code = main(["oracle", "--net", preset_path("entangled_phase"), "--combo",
+                     "measure:VMINUS", "--freq", "20.5MHz", "--segments", "256",
+                     "--seed", "1"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["combo"] == {"kind": "weights", "detectors": ["D1c", "D1d", "D2c", "D2d"],
+                                "weights": [1.0, -1.0, -1.0, 1.0]}
+        net = engine.compile(dsl.parse(presets.load("entangled_phase")))
+        cfg = montecarlo.MCConfig(sample_rate=164e6, seed=1, segment_count=256)
+        want = montecarlo.cross_validate(net, scenario.correlation_weights("phase"),
+                                         2 * math.pi * 20.5e6, cfg)
+        assert code == (0 if want.passed else 5)
+        got = doc["result"]
+        assert (got["engine"], got["monte_carlo"], got["z"]) == (
+            want.engine_value, want.mc_value, want.z)
 
     def test_corrupted_delay_fails(self, tmp_path, capsys):
         # theta = pi/2 point, Monte-Carlo delay one sample off

@@ -30,7 +30,7 @@ FREQ_RANGES = st.sampled_from([
 COMBOS = st.sampled_from([
     "sum", "diff", "prod", "", "single:0", "single:1", "single:9", "single:-1",
     "single:x", "single:", "single:1.5", "measure:PM", "measure:BEAM1",
-    "measure:NOPE", "measure:",
+    "measure:VMINUS", "measure:VPLUS", "measure:ANTI", "measure:NOPE", "measure:",
 ])
 OVERRIDES = st.one_of(
     st.builds("{}.{}={}".format,
@@ -82,6 +82,12 @@ GOOD_ARGV = st.one_of(
           st.lists(st.sampled_from(["a.vy=+15dB", "s1.vx=-3dB", "LONG.tau=24.4ns"]),
                    max_size=1).map(lambda vs: [f"--override={v}" for v in vs]),
           st.just(["--format=json"])),
+    # weights combos, whose JSON carries "weights"
+    _argv("simulate", st.sampled_from([
+              ["--net", "@entangled_phase", "--combo=measure:VMINUS"],
+              ["--net", "@entangled_phase", "--combo=measure:ANTI"],
+              ["--net", "@entangled_amplitude", "--combo=measure:VPLUS"]]),
+          st.just(["--format=json"])),
     _argv("oracle", st.sampled_from(["@mz_phase", "@entangled_phase"]).map(
               lambda n: ["--net", n]),
           st.sampled_from(["20.5MHz", "41MHz"]).map(lambda f: [f"--freq={f}"]),
@@ -116,7 +122,7 @@ ARGV = st.one_of(
 def nets(tmp_path_factory):
     root = tmp_path_factory.mktemp("nets")
     paths = {"@missing": str(root / "missing.net")}
-    for name in ("mz_phase", "entangled_phase"):
+    for name in ("mz_phase", "entangled_phase", "entangled_amplitude"):
         (root / f"{name}.net").write_text(presets.load(name))
         paths[f"@{name}"] = str(root / f"{name}.net")
     (root / "garbage.net").write_text("source a coherent amp=;\n")
@@ -176,6 +182,7 @@ def test_every_run_ends_with_a_documented_code(nets, argv):
     ["design", "--frep", "1e-320"],
     ["simulate", "--net", "@mz_phase", "--freqs", "0:1e300:1e-300"],
     ["simulate", "--net", "@mz_phase", "--freqs", "0:1e300:1"],
+    ["simulate", "--net", "@mz_phase", "--freqs", "25MHz:15MHz:1MHz"],
     ["design", "--fm", "20MHz", "--out", "@no_dir"],
     ["simulate", "--net", "@mz_phase", "--out", "@out_dir"],
     ["simulate", "--net", "@mz_phase", "--out", "@sidecar_dir"],

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sideband import dsl, presets
 from sideband.network import (
+    Combo,
     Delay,
     DetectorDecl,
     FreqRange,
@@ -133,6 +134,23 @@ class TestParseDiagnostics:
         diag = parse_error("source measure coherent amp=1;")
         assert "reserved word" in diag.message
 
+    @pytest.mark.parametrize("combo, message", [
+        ("weights()", "expected detector name"),
+        ("weights(C)", "expected '='"),
+        ("weights(C=1Hz)", "unit mismatch"),
+        ("weights(C=1 D=1)", "expected ')'"),
+        ("weights(C=1,)", "expected detector name"),
+        ("prod(C,D)", "unknown combo kind 'prod'"),
+    ])
+    def test_bad_combo_is_positioned(self, combo, message):
+        diag = parse_error("source a coherent amp=1; bs B from a;"
+                           f"det C from B.out1; det D from B.out2; measure M {combo} freqs=1MHz;")
+        assert message in diag.message
+
+    def test_weights_is_a_reserved_word(self):
+        diag = parse_error("source a coherent amp=1; det weights from a;")
+        assert "'weights' is a reserved word" in diag.message
+
     def test_unexpected_character(self):
         diag = parse_error("source a coherent amp=1; det D from a; @")
         assert "unexpected character" in diag.message
@@ -179,6 +197,27 @@ class TestSerialize:
     ])
     def test_source_kinds_that_give_the_same_values_parse_equal(self, text, same):
         assert dsl.parse(text) == dsl.parse(same)
+
+    @pytest.mark.parametrize("combo, weights, spelled", [
+        ("weights(C=1)", (("C", 1.0),), "single(C)"),
+        ("weights(C=1, D=1)", (("C", 1.0), ("D", 1.0)), "sum(C,D)"),
+        ("weights(C=1,D=-1)", (("C", 1.0), ("D", -1.0)), "diff(C,D)"),
+        ("weights(D=1, C=-1)", (("D", 1.0), ("C", -1.0)), "diff(D,C)"),
+        ("weights(C=-1, D=1)", (("C", -1.0), ("D", 1.0)), "weights(C=-1.0,D=1.0)"),
+        ("weights(C=1, D=-0.5)", (("C", 1.0), ("D", -0.5)), "weights(C=1.0,D=-0.5)"),
+        ("weights(D=+2.5e-1)", (("D", 0.25),), "weights(D=0.25)"),
+        ("weights(C=-1)", (("C", -1.0),), "weights(C=-1.0)"),
+        ("single(D)", (("D", 1.0),), "single(D)"),
+        ("sum(D,C)", (("D", 1.0), ("C", 1.0)), "sum(D,C)"),
+        ("diff(C,D)", (("C", 1.0), ("D", -1.0)), "diff(C,D)"),
+    ])
+    def test_combo_spelling_is_read_off_the_weights(self, combo, weights, spelled):
+        spec = dsl.parse("source a coherent amp=1; bs B from a;"
+                         f"det C from B.out1; det D from B.out2; measure M {combo} freqs=1MHz;")
+        assert spec.measurements[0].combo == Combo(weights)
+        text = dsl.serialize(spec)
+        assert text.splitlines()[-1] == f"measure M {spelled} freqs=1000000.0;"
+        assert dsl.parse(text) == spec
 
     def test_rejects_compiled_artifacts(self):
         spec = NetworkSpec(sources=(SourceDecl("__vac0"),))

@@ -381,7 +381,8 @@ class TestSweep:
         spec = netgen.random_spec(rng)
         net = engine.compile(spec)
         combos = [netgen.random_combo(rng, spec) for _ in range(3)]
-        combos.append({name: rng.uniform(-2.0, 2.0) for name in spec.detector_names()})
+        combos.append(Combo(tuple((name, rng.uniform(-2.0, 2.0))
+                                  for name in spec.detector_names())))
         omegas = _axis(seed, extra)
         got = engine.sweep(net, combos, omegas)
         assert got.normalized.shape == (len(combos), omegas.size)
@@ -486,7 +487,7 @@ class TestReverseWalk:
         _assert_within(c_y, 1j * (u - w) / 2.0, scale)
 
         # the blocked sweep over the same axis, from the reference forms
-        combos = [dict(zip(net.detector_names, row)) for row in weights]
+        combos = [Combo(tuple(zip(net.detector_names, row.tolist()))) for row in weights]
         got = engine.sweep(net, combos, omegas)
         px, py = np.abs((u + w) / 2.0) ** 2, np.abs((u - w) / 2.0) ** 2
         v = np.array([[e.noise.vx, e.noise.vy] for e in net.roster])

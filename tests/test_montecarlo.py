@@ -234,8 +234,10 @@ class TestComboStreams:
             for got, spectra, ss in ((seen[0], noise, signal_ss),
                                      (seen[1], vacua, vacuum_ss)):
                 detectors = montecarlo._streams(net, c, np.eye(net.n_detectors), spectra, ss)
-                ref = montecarlo.MCStreams(detectors).combo_stream(net, combo)
-                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+                ref = sum(w * detectors[net.detector_names.index(d)]
+                          for d, w in combo.weights)
+                for stream in (got, montecarlo.MCStreams(detectors).combo_stream(net, combo)):
+                    assert np.max(np.abs(stream - ref)) <= 1e-12 * np.max(np.abs(ref))
             checked += 1
 
     @pytest.mark.parametrize("tabulated", [False, True])

@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from sideband import dsl, engine, presets
 from sideband.network import (
     BeamSplitter,
+    Combo,
     Delay,
     DetectorDecl,
     ElementDecl,
     FreqList,
     FreqRange,
     Loss,
+    Measurement,
     NetworkSpec,
     QuadSpectrum,
     SPEED_OF_LIGHT,
@@ -70,7 +72,8 @@ def test_range_rule_from_endpoints_matches_every_point(start, span, step):
         assert axis_error(r) == str(exc)
         return
     ok = all(math.isfinite(f) and f >= 0 for f in points)
-    assert axis_error(r) == (None if ok else "frequencies must be finite and >= 0")
+    assert axis_error(r) == ("frequency range is empty" if not points else
+                             None if ok else "frequencies must be finite and >= 0")
     assert axis_error(FreqList(points)) == axis_error(r)
 
 
@@ -105,6 +108,20 @@ def test_validate_is_deterministic():
     )
     assert validate(spec) == validate(spec)
     assert len(validate(spec)) >= 2  # missing detectors + range + unknown port
+
+
+@pytest.mark.parametrize("combo", ["sum(C,C)", "diff(D,D)", "weights(C=1, D=2, C=-1)"])
+def test_detector_named_twice_in_a_combo(combo):
+    spec = dsl.parse("source a coherent amp=1; bs B from a; det C from B.out1;"
+                     f"det D from B.out2; measure M {combo} freqs=1MHz;")
+    assert [str(v) for v in validate(spec)] == [
+        "[combo] M: needs one or more distinct detectors"]
+
+
+def test_combo_with_no_detector():
+    spec = dataclasses.replace(minimal_spec(), measurements=(
+        Measurement("M", Combo(()), FreqList((1e6,))),))
+    assert [v.code for v in validate(spec)] == ["combo"]
 
 
 def test_double_driven_port():
