@@ -304,15 +304,15 @@ def sweep(net: CompiledNetwork, combo: Combo | Sequence[Combo],
     weights = np.array([combo_weights(net, c) for c in combos])
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
     spectra = [e.noise for e in net.roster]
-    distinct = list(dict.fromkeys(spectra))  # injected vacua share one spectrum
-    column = [distinct.index(s) for s in spectra]
+    position = {}  # spectrum -> column; injected vacua share one
+    column = [position.setdefault(s, len(position)) for s in spectra]
     absolute = np.empty((len(combos), omegas.size))
     snl_vals = np.empty_like(absolute)
     for lo in range(0, omegas.size, BLOCK):
         block = omegas[lo:lo + BLOCK]
         c_x, c_y = _forms(net, weights, block)
         px, py = np.abs(c_x) ** 2, np.abs(c_y) ** 2
-        v = np.array([(s.vx_at(block), s.vy_at(block)) for s in distinct])[column]
+        v = np.array([(s.vx_at(block), s.vy_at(block)) for s in position])[column]
         absolute[:, lo:lo + BLOCK] = (np.einsum("fcn,nf->cf", px, v[:, 0])
                                       + np.einsum("fcn,nf->cf", py, v[:, 1]))
         snl_vals[:, lo:lo + BLOCK] = (px + py).sum(axis=2).T

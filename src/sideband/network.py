@@ -277,9 +277,10 @@ class FreqList:
 def axis_error(freqs: Union[FreqRange, FreqList]) -> str | None:
     """Why a frequency axis cannot be swept, or None if it can.
 
-    The rule for every axis: it has points, all finite and >= 0, and a
-    range holds at most MAX_SWEEP_POINTS.  A range is decided from its
-    endpoints, without building its points: they ascend from start to the last.
+    The rule for every axis: it has points, all finite and >= 0 with a
+    finite angular frequency 2*pi*f, and a range holds at most
+    MAX_SWEEP_POINTS.  A range is decided from its endpoints, without
+    building its points: they ascend from start to the last.
     """
     if isinstance(freqs, FreqRange):
         try:
@@ -293,6 +294,8 @@ def axis_error(freqs: Union[FreqRange, FreqList]) -> str | None:
         return "frequency range is empty"
     if not all(math.isfinite(f) and f >= 0 for f in ends):
         return "frequencies must be finite and >= 0"
+    if not math.isfinite(2.0 * math.pi * max(ends)):
+        return "angular frequency 2*pi*f overflows"
     return None
 
 

@@ -1,46 +1,28 @@
-"""Preset networks: single phase-reading interferometer and the twin-beam
-entanglement experiment.
+"""The paper's two setups, read from the bundled presets that state their
+topology: the phase-reading interferometer (``mz_phase``) and the twin-beam
+entanglement experiment (``entangled_phase``, ``entangled_amplitude``).
 
-The experiment preset interferes two amplitude-squeezed beams on a 50/50
-splitter with a pi/2 carrier offset and sends each output through its own
-unbalanced Mach-Zehnder readout locked at phi = pi/2 with theta = pi at the
-measurement frequency.  Detection inefficiency is one explicit loss per
-beam, fitted so the amplitude-sum correlation hits its calibration target;
-imperfect fringe visibility adds a second loss of 1 - V^2 on the
-phase-measurement path only.  Switching the first splitter of each readout
-from 50/50 to fully transmitting turns the same network into a balanced
-amplitude detector.
+A configuration's values are set on named statements of a preset.  The
+detection loss of each beam (DET1, DET2) is fitted so the amplitude-sum
+correlation hits its calibration target; imperfect fringe visibility adds a
+loss of 1 - V^2 (VIS1, VIS2) on the phase-measurement path only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
-from . import engine, mzi
+from . import dsl, engine, mzi, presets
 from .network import (
-    BeamSplitter,
     Combo,
-    Delay,
-    DetectorDecl,
-    ElementDecl,
     FreqList,
-    Loss,
-    Measurement,
     NetworkSpec,
-    PhaseShift,
     QuadSpectrum,
     SPEED_OF_LIGHT,
-    SourceDecl,
     VACUUM_SPECTRUM,
 )
-
-FIFTY_FIFTY = math.sqrt(0.5)
-
-#: carrier amplitude of both twin-beam sources, the amp=100.0 of the bundled
-#: presets; every scenario output is normalised to shot noise, so it only
-#: sets the scale
-CARRIER = 100.0
 
 
 class CalibrationError(ValueError):
@@ -63,33 +45,40 @@ def _gives_variance(db: float) -> bool:
         return False
 
 
-def mz_network(tau: float, carrier_phase: float, amp: float = 100.0,
-               noise: QuadSpectrum = VACUUM_SPECTRUM) -> NetworkSpec:
-    """Unbalanced Mach-Zehnder with balanced detection on one input beam.
+@functools.cache
+def _preset(name: str) -> NetworkSpec:
+    """The bundled preset ``name``, parsed once: its text is a package constant."""
+    return dsl.parse(presets.load(name))
 
-    Signal enters the first splitter against a declared vacuum; the second
-    splitter output of the first (the arm carrying -v) is the delayed long
-    arm.  Detectors C and D sit on the recombiner outputs, and the bundled
-    measurements expose the diff (phase) and sum (shot-noise) combos.
-    """
-    f_m = mzi.frequency_for_delay(SPEED_OF_LIGHT * tau) if tau > 0 else 0.0
+
+def _at(spec: NetworkSpec, f_m: float, sources: dict[str, dict],
+        elements: dict[str, dict]) -> NetworkSpec:
+    """``spec`` with the fields ``sources[name]`` set on each named source,
+    ``elements[name]`` on each named element's physics, and its measures at
+    ``f_m``.  KeyError on a name the spec lacks: a renamed statement fails."""
+    missing = (sources.keys() - {s.name for s in spec.sources}
+               | elements.keys() - {e.name for e in spec.elements})
+    if missing:
+        raise KeyError(f"preset has no statement named {sorted(missing)}")
     freqs = FreqList((f_m,))
     return NetworkSpec(
-        sources=(SourceDecl("a", amp, noise), SourceDecl("v")),
-        elements=(
-            ElementDecl("B1", BeamSplitter(FIFTY_FIFTY), ("a", "v")),
-            ElementDecl("LONG", Delay(tau, carrier_phase), ("B1.out2",)),
-            ElementDecl("B2", BeamSplitter(FIFTY_FIFTY), ("B1.out1", "LONG.out")),
-        ),
-        detectors=(
-            DetectorDecl("C", "B2.out1"),
-            DetectorDecl("D", "B2.out2"),
-        ),
-        measurements=(
-            Measurement("PM", Combo.diff_of("C", "D"), freqs),
-            Measurement("SN", Combo.sum_of("C", "D"), freqs),
-        ),
+        tuple(replace(s, **sources[s.name]) if s.name in sources else s
+              for s in spec.sources),
+        tuple(replace(e, element=replace(e.element, **elements[e.name]))
+              if e.name in elements else e for e in spec.elements),
+        spec.detectors,
+        tuple(replace(m, freqs=freqs) for m in spec.measurements),
     )
+
+
+def mz_network(tau: float, carrier_phase: float, amp: float = 100.0,
+               noise: QuadSpectrum = VACUUM_SPECTRUM) -> NetworkSpec:
+    """The ``mz_phase`` preset, an unbalanced Mach-Zehnder read by the diff
+    (PM) and sum (SN) of detectors C and D, with source ``a`` and long-arm
+    delay ``LONG`` set, measured where the delay gives theta = pi."""
+    f_m = mzi.frequency_for_delay(SPEED_OF_LIGHT * tau) if tau > 0 else 0.0
+    return _at(_preset("mz_phase"), f_m, {"a": {"amp": amp, "noise": noise}},
+               {"LONG": {"tau": tau, "carrier_phase": carrier_phase}})
 
 
 @dataclass(frozen=True)
@@ -171,60 +160,25 @@ class ExperimentConfig:
 
 
 def experiment_network(cfg: ExperimentConfig, mode: str) -> NetworkSpec:
-    """Build the twin-readout network in 'phase' or 'amplitude' mode."""
-    if mode not in ("phase", "amplitude"):
-        raise ValueError("mode must be 'phase' or 'amplitude'")
+    """The ``entangled_{mode}`` preset, 'phase' or 'amplitude', at ``cfg``:
+    source noise, detection and visibility losses, arm delays and f_m."""
     tau = cfg.pulse_multiple / cfg.rep_rate_hz
-    det_loss = cfg.fitted_detection_loss()
-    vis_loss = mzi.visibility_to_loss(cfg.visibility)
-    first_split = FIFTY_FIFTY if mode == "phase" else 1.0
-
-    sources = (
-        SourceDecl("s1", CARRIER, QuadSpectrum.constant(cfg.vx1, cfg.vy)),
-        SourceDecl("s2", CARRIER, QuadSpectrum.constant(cfg.vx2, cfg.vy)),
-    )
-    elements = [
-        ElementDecl("ROT", PhaseShift(math.pi / 2.0), ("s2",)),
-        ElementDecl("ENT", BeamSplitter(FIFTY_FIFTY), ("s1", "ROT.out")),
-    ]
-    detectors = []
-    for i, beam_port in ((1, "ENT.out1"), (2, "ENT.out2")):
-        port = beam_port
-        if det_loss > 0.0:
-            elements.append(ElementDecl(f"DET{i}", Loss(1.0 - det_loss), (port,)))
-            port = f"DET{i}.out"
-        if mode == "phase" and vis_loss > 0.0:
-            elements.append(ElementDecl(f"VIS{i}", Loss(1.0 - vis_loss), (port,)))
-            port = f"VIS{i}.out"
-        elements.append(ElementDecl(f"SPL{i}", BeamSplitter(first_split), (port,)))
-        elements.append(ElementDecl(f"ARM{i}", Delay(tau, math.pi / 2.0), (f"SPL{i}.out2",)))
-        elements.append(ElementDecl(
-            f"MIX{i}", BeamSplitter(FIFTY_FIFTY), (f"SPL{i}.out1", f"ARM{i}.out")))
-        detectors.append(DetectorDecl(f"D{i}c", f"MIX{i}.out1"))
-        detectors.append(DetectorDecl(f"D{i}d", f"MIX{i}.out2"))
-
-    f_m = FreqList((cfg.design.f_m,))
-    correlation = "VMINUS" if mode == "phase" else "VPLUS"
-    measurements = (
-        Measurement("BEAM1", beam_weights(mode, 1), f_m),
-        Measurement("BEAM2", beam_weights(mode, 2), f_m),
-        Measurement(correlation, correlation_weights(mode), f_m),
-        Measurement("ANTI", correlation_weights(mode, anti=True), f_m),
-    )
-    return NetworkSpec(tuple(sources), tuple(elements), tuple(detectors), measurements)
+    det = {"eta": 1.0 - cfg.fitted_detection_loss()}
+    elements = {"DET1": det, "DET2": det, "ARM1": {"tau": tau}, "ARM2": {"tau": tau}}
+    if mode == "phase":
+        vis = {"eta": 1.0 - mzi.visibility_to_loss(cfg.visibility)}
+        elements.update(VIS1=vis, VIS2=vis)
+    sources = {"s1": {"noise": QuadSpectrum.constant(cfg.vx1, cfg.vy)},
+               "s2": {"noise": QuadSpectrum.constant(cfg.vx2, cfg.vy)}}
+    return _at(_preset(f"entangled_{mode}"), cfg.design.f_m, sources, elements)
 
 
-def beam_weights(mode: str, beam: int) -> Combo:
-    """One beam's readout: diff(D{b}c,D{b}d) in phase mode, sum in amplitude mode."""
-    return (Combo.diff_of if mode == "phase" else Combo.sum_of)(f"D{beam}c", f"D{beam}d")
-
-
-def correlation_weights(mode: str, anti: bool = False) -> Combo:
-    """The cross-beam combo: V- = beam 1 - beam 2 in phase mode, V+ = beam 1 +
-    beam 2 in amplitude mode; anti flips the sign of beam 2."""
-    sign = -1.0 if (mode == "phase") != anti else 1.0
-    beam2 = tuple((d, sign * w) for d, w in beam_weights(mode, 2).weights)
-    return Combo(beam_weights(mode, 1).weights + beam2)
+def correlation_weights(mode: str) -> Combo:
+    """The cross-beam combo of the ``entangled_{mode}`` preset: V- (VMINUS,
+    beam 1 - beam 2) in phase mode, V+ (VPLUS, beam 1 + beam 2) in amplitude mode."""
+    name = "VMINUS" if mode == "phase" else "VPLUS"
+    return next(m.combo for m in _preset(f"entangled_{mode}").measurements
+                if m.name == name)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,7 @@ class TestSimulate:
         ("-2MHz:1MHz:1MHz", "frequencies must be finite and >= 0"),
         ("1MHz:2MHz:0", "frequency step must be > 0"),
         ("25MHz:15MHz:1MHz", "frequency range is empty"),
+        ("1e308", "angular frequency 2*pi*f overflows"),
     ])
     def test_bad_freqs_flag_is_one_line_usage_error(self, preset_path, capsys,
                                                     freqs, message):
@@ -180,6 +181,17 @@ class TestSimulate:
             "freqs=15000000.0:25000000.0:500000.0", "freqs=25MHz:15MHz:1MHz", 1))
         assert main([*command, path]) == 4
         assert "[range] PM: frequency range is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["validate"], ["simulate", "--net"]])
+    def test_overflowing_measure_axis_is_a_range_violation(self, tmp_path, capsys,
+                                                           command):
+        # 2*pi*1e308 is inf: the sweep would print a row of nan
+        text = presets.load("mz_phase").replace("freqs=15MHz:25MHz:0.5MHz", "freqs=1e308", 1)
+        assert "freqs=1e308" in text
+        assert main([*command, write(tmp_path, "huge.net", text)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[range] PM: angular frequency 2*pi*f overflows" in captured.err
 
     @pytest.mark.parametrize("preset, measure, expected", [
         ("entangled_phase", "VMINUS", 0.732675),

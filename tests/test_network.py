@@ -59,7 +59,8 @@ def test_freq_range_values_match_stepwise_sum_bit_for_bit():
     assert len(FreqRange(1e6, 41e6, 10e3).values()) == 4001
 
 
-FREQ = st.one_of(st.floats(-1e9, 1e9), st.sampled_from([0.0, -0.0, math.inf, -math.inf]))
+FREQ = st.one_of(st.floats(-1e9, 1e9),
+                 st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e308]))
 
 
 @settings(max_examples=300)
@@ -71,9 +72,15 @@ def test_range_rule_from_endpoints_matches_every_point(start, span, step):
     except ValueError as exc:
         assert axis_error(r) == str(exc)
         return
-    ok = all(math.isfinite(f) and f >= 0 for f in points)
-    assert axis_error(r) == ("frequency range is empty" if not points else
-                             None if ok else "frequencies must be finite and >= 0")
+    if not points:
+        want = "frequency range is empty"
+    elif not all(math.isfinite(f) and f >= 0 for f in points):
+        want = "frequencies must be finite and >= 0"
+    elif not all(math.isfinite(2 * math.pi * f) for f in points):
+        want = "angular frequency 2*pi*f overflows"
+    else:
+        want = None
+    assert axis_error(r) == want
     assert axis_error(FreqList(points)) == axis_error(r)
 
 

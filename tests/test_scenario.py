@@ -1,19 +1,25 @@
+import json
 import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
-from sideband import dsl, engine, mzi, presets, scenario
-from sideband.network import Combo, QuadSpectrum, validate
+from sideband import cli, dsl, engine, mzi, presets, scenario
+from sideband.network import Combo, FreqList, QuadSpectrum, validate
 from sideband.scenario import (
     ExperimentConfig,
-    beam_weights,
     correlation_weights,
     experiment_network,
     run_experiment,
 )
 
 OMEGA = 2 * math.pi * 20.5e6
+
+
+def measure(spec, name):
+    """The combo of the measure statement ``name``."""
+    return next(m.combo for m in spec.measurements if m.name == name)
 
 
 def test_networks_validate():
@@ -28,6 +34,60 @@ def test_entangled_presets_are_the_default_experiment(mode):
     built = experiment_network(ExperimentConfig(), mode)
     assert preset == built
     assert dsl.serialize(preset) == dsl.serialize(built)
+
+
+def preset_overrides(cfg, mode):
+    """The --override items that put the entangled_{mode} preset at ``cfg``."""
+    tau = cfg.pulse_multiple / cfg.rep_rate_hz
+    det_eta = 1.0 - cfg.fitted_detection_loss()
+    values = {"s1.vx": cfg.vx1, "s2.vx": cfg.vx2, "s1.vy": cfg.vy, "s2.vy": cfg.vy,
+              "DET1.eta": det_eta, "DET2.eta": det_eta, "ARM1.tau": tau, "ARM2.tau": tau}
+    if mode == "phase":
+        vis_eta = 1.0 - mzi.visibility_to_loss(cfg.visibility)
+        values.update({"VIS1.eta": vis_eta, "VIS2.eta": vis_eta})
+    return [f"{key}={value!r}" for key, value in values.items()]
+
+
+# both squeezings at or below -2.1 dB keep the fitted loss in [0, 1]; an
+# excess above 6 dB keeps every draw above the Heisenberg bound
+CONFIGS = st.builds(
+    ExperimentConfig,
+    squeezing1_db=st.floats(-6.0, -2.1), squeezing2_db=st.floats(-6.0, -2.1),
+    excess_db=st.floats(6.5, 20.0), visibility=st.floats(0.0, 1.0),
+    detection_loss=st.none() | st.floats(0.0, 0.99),
+    rep_rate_hz=st.floats(1e6, 1e9), pulse_multiple=st.integers(1, 8))
+
+
+@pytest.mark.parametrize("mode", ["phase", "amplitude"])
+@given(cfg=CONFIGS)
+def test_experiment_network_is_the_preset_under_overrides(mode, cfg):
+    spec = dsl.parse(presets.load(f"entangled_{mode}"), preset_overrides(cfg, mode))
+    f_m = FreqList((cfg.design.f_m,))
+    spec = replace(spec, measurements=tuple(replace(m, freqs=f_m)
+                                            for m in spec.measurements))
+    assert experiment_network(cfg, mode) == spec
+
+
+def test_simulate_with_overrides_reads_the_scenario_correlation(preset_path, tmp_path,
+                                                                capsys):
+    settings = {"squeezing1_db": -3.0, "squeezing2_db": -2.5, "visibility": 0.9,
+                "excess_db": 15.0}
+    cfg = ExperimentConfig(**settings)
+    out = tmp_path / "scenario.json"
+    argv = ["scenario", "--out", str(out)]
+    for key, value in settings.items():
+        argv += ["--override", f"{key}={value!r}"]
+    assert cli.main(argv) == 0
+    argv = ["simulate", "--net", preset_path("entangled_phase"), "--combo",
+            "measure:VMINUS", "--format", "json"]
+    for item in preset_overrides(cfg, "phase"):
+        argv += ["--override", item]
+    assert cli.main(argv) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert [p["f_hz"] for p in points] == [cfg.design.f_m]
+    report = json.loads(out.read_text())
+    assert points[0]["norm"] == report["phase_mode"]["correlation"]
+    assert report["phase_mode"]["correlation"] != pytest.approx(0.732675, abs=1e-3)
 
 
 def test_ideal_correlations_equal_mean_input_squeezing():
@@ -45,8 +105,8 @@ def test_ideal_correlations_equal_mean_input_squeezing():
 def test_ideal_anticorrelation_and_beam_levels():
     cfg = ExperimentConfig(detection_loss=0.0, visibility=1.0)
     net = engine.compile(experiment_network(cfg, "phase"))
-    anti = engine.spectrum(net, correlation_weights("phase", anti=True), OMEGA)
-    beam = engine.spectrum(net, beam_weights("phase", 1), OMEGA)
+    anti = engine.spectrum(net, measure(net.spec, "ANTI"), OMEGA)
+    beam = engine.spectrum(net, measure(net.spec, "BEAM1"), OMEGA)
     assert anti.normalized == pytest.approx(cfg.vy, rel=1e-12)
     assert beam.normalized == pytest.approx(
         (cfg.vx1 + cfg.vx2 + 2 * cfg.vy) / 4, rel=1e-12)
