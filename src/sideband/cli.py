@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 I/O or usage (a refused override among them),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -52,7 +53,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO)
 
 
@@ -82,6 +83,19 @@ def _compile(path: str, text: str, overrides: list[str]) -> engine.CompiledNetwo
 def _load_network(path: str, overrides: list[str]) -> tuple[engine.CompiledNetwork, str]:
     text = _read_text(path)
     return _compile(path, text, overrides), text
+
+
+@contextlib.contextmanager
+def _overflow_is_numerical():
+    """Raise numpy overflow and invalid operations as one exit-5 error, not
+    warnings and a row of inf and NaN: inputs are finite, so either means a
+    carrier flux or combo weight past the float range."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise CliError(f"{exc}: a carrier flux or combo weight is too large",
+                       EXIT_NUMERICAL)
 
 
 def _resolve_combo(spec: NetworkSpec, text: str | None) -> Combo:
@@ -228,7 +242,8 @@ def cmd_simulate(args) -> int:
                        EXIT_IO)
     values = freqs.values()
 
-    s = engine.sweep(net, combo, 2.0 * math.pi * np.array(values))
+    with _overflow_is_numerical():
+        s = engine.sweep(net, combo, 2.0 * math.pi * np.array(values))
     rows = list(zip(values, s.absolute.tolist(), s.snl.tolist(),
                     s.normalized.tolist(), s.db.tolist()))
 
@@ -315,8 +330,9 @@ def cmd_oracle(args) -> int:
             segment_count=args.segments,
             window=args.window,
         )
-        result = montecarlo.cross_validate(net, combo, 2.0 * math.pi * freq, cfg,
-                                           reference=reference)
+        with _overflow_is_numerical():
+            result = montecarlo.cross_validate(net, combo, 2.0 * math.pi * freq, cfg,
+                                               reference=reference)
     except montecarlo.MCError as exc:
         raise CliError(str(exc), EXIT_NUMERICAL)
 

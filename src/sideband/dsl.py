@@ -21,32 +21,29 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .network import (
-    BeamSplitter,
+    ELEMENT_KINDS,
     Combo,
     Delay,
     DetectorDecl,
     ElementDecl,
     FreqList,
     FreqRange,
-    Loss,
     Measurement,
     NetworkSpec,
-    PhaseShift,
     QuadSpectrum,
     RESERVED_PREFIX,
     SPELLINGS,
     SourceDecl,
     SPEED_OF_LIGHT,
     VACUUM_SPECTRUM,
+    element_problems,
 )
 
-KEYWORDS = frozenset({
-    "source", "bs", "phase", "delay", "loss", "det", "measure", "weights",
-    "from", "vacuum", "coherent", "squeezed", "sum", "diff", "single", "freqs",
-})
+KEYWORDS = frozenset({"source", "det", "measure", "weights", "from", "vacuum", "coherent",
+                      "squeezed", "sum", "diff", "single", "freqs", *ELEMENT_KINDS})
 
 LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3}
 TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12}
@@ -55,10 +52,17 @@ FREQ_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 # parameter dimensions
 PLAIN, LENGTH, TIME, FREQ, VAR = "plain", "length", "time", "freq", "var"
 
-DEFAULT_SPLIT = math.sqrt(0.5)  # 50/50 beamsplitter field transmittance
-
-# a delay states its length once: an override of one replaces the other
+# element keyword -> (class, parameter dimensions, required parameters)
+_ELEMENTS = {kw: (cls, {p: spec.dim for p, spec in cls.params.items()},
+                  tuple(f.name for f in fields(cls) if f.default is MISSING))
+             for kw, cls in ELEMENT_KINDS.items()}
+# a delay may give its length= in place of tau=: an override of one
+# replaces the other
+_ELEMENTS[Delay.keyword][1]["length"] = LENGTH
 _REPLACES = {"tau": "length", "length": "tau"}
+
+#: every element's output slot names
+_SLOTS = frozenset(p for cls in ELEMENT_KINDS.values() for p in cls.ports)
 
 
 @dataclass(frozen=True)
@@ -199,7 +203,7 @@ class _Parser:
         name = tok[0]
         if self.accept("."):
             slot = self.expect_ident("output slot")
-            if slot[0] not in ("out", "out1", "out2"):
+            if slot[0] not in _SLOTS:
                 raise self.error(f"unknown output slot {slot[0]!r}", slot)
             name += "." + slot[0]
         return name
@@ -285,7 +289,7 @@ class _Parser:
             kw = self.expect_ident("statement keyword")
             if kw[0] == "source":
                 sources.append(self.source_stmt(kw))
-            elif kw[0] in ("bs", "phase", "delay", "loss"):
+            elif kw[0] in ELEMENT_KINDS:
                 elements.append(self.element_stmt(kw))
             elif kw[0] == "det":
                 detectors.append(self.det_stmt())
@@ -342,45 +346,28 @@ class _Parser:
         raise self.error(f"unknown source kind {kind[0]!r}", kind)
 
     def element_stmt(self, kw: re.Match) -> ElementDecl:
+        cls, schema, required = _ELEMENTS[kw[0]]
         name = self.fresh_name()
         inputs: list[str] = []
         if self.accept("from"):
             inputs.append(self.port())
             while self.accept(","):
                 inputs.append(self.port())
-        max_inputs = 2 if kw[0] == "bs" else 1
-        if len(inputs) > max_inputs:
-            raise self.error(f"{kw[0]} takes at most {max_inputs} input(s)", kw)
+        if len(inputs) > cls.n_inputs:
+            raise self.error(f"{kw[0]} takes at most {cls.n_inputs} input(s)", kw)
 
-        if kw[0] == "bs":
-            params = self.params({"t": PLAIN}, "bs", name)
-            t, t_tok = params.get("t", (DEFAULT_SPLIT, None))
-            if not 0.0 <= t <= 1.0:
-                raise self.error("t out of range [0,1]", t_tok)
-            element = BeamSplitter(t)
-        elif kw[0] == "phase":
-            params = self.params({"phi": PLAIN}, "phase", name)
-            phi, _ = self.require(params, "phi", kw)
-            element = PhaseShift(phi)
-        elif kw[0] == "delay":
-            params = self.params(
-                {"tau": TIME, "length": LENGTH, "carrier_phase": PLAIN}, "delay", name)
+        params = self.params(schema, kw[0], name)
+        if cls is Delay:
             if ("tau" in params) == ("length" in params):
                 raise self.error("delay needs exactly one of tau= or length=", kw)
-            if "tau" in params:
-                tau, tok = params["tau"]
-            else:
-                length, tok = params["length"]
-                tau = length / SPEED_OF_LIGHT
-            if tau < 0:
-                raise self.error("delay out of range: must be >= 0", tok)
-            element = Delay(tau, params.get("carrier_phase", (0.0, None))[0])
-        else:  # loss
-            params = self.params({"eta": PLAIN}, "loss", name)
-            eta, eta_tok = self.require(params, "eta", kw)
-            if not 0.0 <= eta <= 1.0:
-                raise self.error("eta out of range [0,1]", eta_tok)
-            element = Loss(eta)
+            if "length" in params:
+                length, tok = params.pop("length")
+                params["tau"] = (length / SPEED_OF_LIGHT, tok)
+        for key in required:
+            self.require(params, key, kw)
+        element = cls(**{key: value for key, (value, _) in params.items()})
+        for param, problem in element_problems(element)[:1]:
+            raise self.error(f"{param} {problem}", params[param][1])
         return ElementDecl(name, element, tuple(inputs))
 
     def det_stmt(self) -> DetectorDecl:
@@ -519,16 +506,9 @@ def _element_line(decl: ElementDecl) -> str:
         _check_serializable_name(p)
     el = decl.element
     wiring = f" from {', '.join(decl.inputs)}" if decl.inputs else ""
-    if isinstance(el, BeamSplitter):
-        return f"bs {decl.name}{wiring} t={_num(el.t)};"
-    if isinstance(el, PhaseShift):
-        return f"phase {decl.name}{wiring} phi={_num(el.phi)};"
-    if isinstance(el, Delay):
-        extra = "" if el.carrier_phase == 0.0 else f" carrier_phase={_num(el.carrier_phase)}"
-        return f"delay {decl.name}{wiring} tau={_num(el.tau)}{extra};"
-    if isinstance(el, Loss):
-        return f"loss {decl.name}{wiring} eta={_num(el.eta)};"
-    raise SerializeError(f"unknown element {el!r}")
+    values = "".join(f" {p}={_num(getattr(el, p))}" for p in el.params
+                     if p != "carrier_phase" or el.carrier_phase != 0.0)
+    return f"{el.keyword} {decl.name}{wiring}{values};"
 
 
 def _measure_line(m: Measurement) -> str:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -127,26 +127,49 @@ class SourceDecl:
 # ---------------------------------------------------------------------------
 # Passive elements
 
+class Param(NamedTuple):
+    """An element parameter: its `.net` dimension and closed allowed range."""
+
+    dim: str
+    lo: float = -math.inf
+    hi: float = math.inf
+
+
+class Element:
+    """The one statement of an element kind, made by each subclass."""
+
+    keyword: ClassVar[str]  # of its `.net` statement
+    params: ClassVar[dict[str, Param]]  # one per dataclass field, in field order
+    n_inputs: ClassVar[int] = 1  # the most inputs it takes
+    n_driven: ClassVar[int] = 1  # the inputs that must be driven
+    ports: ClassVar[tuple[str, ...]] = ("out",)  # its output port names
+
+
 @dataclass(frozen=True)
-class BeamSplitter:
+class BeamSplitter(Element):
     """Two-in/two-out mixer: outputs t*a + r*b and r*a - t*b, r = sqrt(1-t^2)."""
 
-    t: float
+    t: float = math.sqrt(0.5)  # 50/50
 
+    keyword = "bs"
+    params = {"t": Param("plain", 0.0, 1.0)}
     n_inputs = 2
+    n_driven = 0  # an open input receives vacuum at compile time
+    ports = ("out1", "out2")
 
 
 @dataclass(frozen=True)
-class PhaseShift:
+class PhaseShift(Element):
     """Optical phase shift; multiplies carrier and sidebands by e^{i phi}."""
 
     phi: float
 
-    n_inputs = 1
+    keyword = "phase"
+    params = {"phi": Param("plain")}
 
 
 @dataclass(frozen=True)
-class Delay:
+class Delay(Element):
     """Path-length delay of tau seconds plus an independent carrier phase.
 
     The sub-wavelength optical phase of a meter-scale arm is not fixed by
@@ -158,7 +181,8 @@ class Delay:
     tau: float
     carrier_phase: float = 0.0
 
-    n_inputs = 1
+    keyword = "delay"
+    params = {"tau": Param("time", 0.0), "carrier_phase": Param("plain")}
 
     @property
     def delta_l(self) -> float:
@@ -167,7 +191,7 @@ class Delay:
 
 
 @dataclass(frozen=True)
-class Loss:
+class Loss(Element):
     """Attenuator of power transmittance eta.
 
     Modeled as a beamsplitter of field transmittance sqrt(eta) against a
@@ -176,10 +200,21 @@ class Loss:
 
     eta: float
 
-    n_inputs = 1
+    keyword = "loss"
+    params = {"eta": Param("plain", 0.0, 1.0)}
 
 
-Element = Union[BeamSplitter, PhaseShift, Delay, Loss]
+#: `.net` keyword -> element class
+ELEMENT_KINDS = {cls.keyword: cls for cls in (BeamSplitter, PhaseShift, Delay, Loss)}
+
+
+def element_problems(el: Element) -> list[tuple[str, str]]:
+    """(parameter, problem) for each parameter of ``el`` out of its range."""
+    # the range is closed, and NaN and infinite values are outside every range
+    return [(name, f"out of range [{lo:g},{hi:g}]" if math.isfinite(hi)
+             else f"must be >= {lo:g}" if math.isfinite(lo) else "must be finite")
+            for name, (_, lo, hi) in el.params.items()
+            if not (math.isfinite(v := getattr(el, name)) and lo <= v <= hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +225,15 @@ class ElementDecl:
     name: str
     element: Element
     inputs: tuple[str, ...]  # port names; beamsplitter may list 0-2
+    # worked out once: validate and compile read them several times
+    _output_ports: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_output_ports",
+                           tuple([f"{self.name}.{p}" for p in self.element.ports]))
 
     def output_ports(self) -> tuple[str, ...]:
-        if isinstance(self.element, BeamSplitter):
-            return (self.name + ".out1", self.name + ".out2")
-        return (self.name + ".out",)
+        return self._output_ports
 
 
 @dataclass(frozen=True)
@@ -340,30 +379,6 @@ class Violation:
         return f"[{self.code}] {self.subject}: {self.message}"
 
 
-def _range_violations(decl: ElementDecl) -> list[Violation]:
-    el = decl.element
-    out: list[Violation] = []
-
-    def bad(param, msg):
-        out.append(Violation("range", decl.name, f"{param} {msg}"))
-
-    if isinstance(el, BeamSplitter):
-        if not (math.isfinite(el.t) and 0.0 <= el.t <= 1.0):
-            bad("t", "out of range [0,1]")
-    elif isinstance(el, Loss):
-        if not (math.isfinite(el.eta) and 0.0 <= el.eta <= 1.0):
-            bad("eta", "out of range [0,1]")
-    elif isinstance(el, Delay):
-        if not (math.isfinite(el.tau) and el.tau >= 0.0):
-            bad("tau", "must be >= 0")
-        if not math.isfinite(el.carrier_phase):
-            bad("carrier_phase", "must be finite")
-    elif isinstance(el, PhaseShift):
-        if not math.isfinite(el.phi):
-            bad("phi", "must be finite")
-    return out
-
-
 def validate(spec: NetworkSpec) -> list[Violation]:
     """Return every structural violation of a network spec (empty = valid).
 
@@ -403,15 +418,15 @@ def validate(spec: NetworkSpec) -> list[Violation]:
             consumed[port] = consumer
 
     for e in spec.elements:
-        n_max = e.element.n_inputs
-        if len(e.inputs) > n_max:
-            out.append(Violation("arity", e.name,
-                                 f"takes at most {n_max} inputs, got {len(e.inputs)}"))
-        if not isinstance(e.element, BeamSplitter) and len(e.inputs) < n_max:
+        if len(e.inputs) > e.element.n_inputs:
+            out.append(Violation("arity", e.name, f"takes at most {e.element.n_inputs} "
+                                 f"inputs, got {len(e.inputs)}"))
+        if len(e.inputs) < e.element.n_driven:
             out.append(Violation("unbound-input", e.name, "input port not driven"))
         for p in e.inputs:
             check_port(p, e.name)
-        out.extend(_range_violations(e))
+        for param, problem in element_problems(e.element):
+            out.append(Violation("range", e.name, f"{param} {problem}"))
 
     for d in spec.detectors:
         if not d.input:

@@ -185,7 +185,6 @@ def correlation_weights(mode: str) -> Combo:
 class ModeResult:
     """Engine results of one quadrature mode of the experiment."""
 
-    mode: str
     f_m: float
     correlation: float  # normalised cross-beam sum/diff variance
     anticorrelation: float
@@ -243,8 +242,8 @@ def run_experiment(cfg: ExperimentConfig | None = None) -> ExperimentReport:
             b_level, anti_level = _diagnostic_levels(cfg, mode, eta)
             b1 = b2 = b_level
             anti = anti_level
-        results[mode] = ModeResult(mode=mode, f_m=f_m, correlation=corr,
-                                   anticorrelation=anti, beam1=b1, beam2=b2)
+        results[mode] = ModeResult(f_m=f_m, correlation=corr, anticorrelation=anti,
+                                   beam1=b1, beam2=b2)
 
     return ExperimentReport(
         config=cfg,

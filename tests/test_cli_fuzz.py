@@ -131,6 +131,12 @@ def nets(tmp_path_factory):
     (root / "huge_sweep.net").write_text(
         presets.load("mz_phase").replace("15MHz:25MHz:0.5MHz", "0:1e300:1e-300", 1))
     paths["@huge_sweep"] = str(root / "huge_sweep.net")
+    (root / "not_utf8.net").write_bytes(b"source a coherent amp=1;\xff\xfe")
+    paths["@not_utf8"] = str(root / "not_utf8.net")
+    # a combo weight whose square overflows
+    (root / "huge_weight.net").write_text(
+        presets.load("mz_phase") + "measure W weights(C=1e200, D=1) freqs=1MHz;\n")
+    paths["@huge_weight"] = str(root / "huge_weight.net")
     paths["@out_file"] = str(root / "out.txt")
     paths["@out_dir"] = str(root)
     paths["@no_dir"] = str(root / "missing" / "out.txt")
@@ -197,6 +203,9 @@ def test_every_run_ends_with_a_documented_code(nets, argv):
     ["design", "--frep", "82MHz", "--n=-3"],
     ["design", "--frep", "82MHz", "--n", str(MAX_SWEEP_POINTS + 1)],
     ["design", "--frep", "82MHz", "--n", "100000000"],
+    ["validate", "@not_utf8"],
+    ["simulate", "--net", "@not_utf8"],
+    ["oracle", "--net", "@not_utf8", "--freq", "20.5MHz"],
 ])
 def test_bad_values_are_one_line_usage_errors(nets, argv):
     code, _, err = run([nets.get(a, a) for a in argv])
@@ -214,6 +223,13 @@ def test_bad_values_are_one_line_usage_errors(nets, argv):
     # no carrier reaches the phase readout, so V- is NaN
     ["scenario", "--override", "visibility=0"],
     ["scenario", "--override", "visibility=1e-300"],
+    # the carrier flux or a combo weight squared overflows
+    ["simulate", "--net", "@mz_phase", "--override", "a.amp=1e160", "--freqs", "20MHz"],
+    ["simulate", "--net", "@huge_weight", "--combo", "measure:W"],
+    ["oracle", "--net", "@mz_phase", "--override", "a.amp=1e160", "--override",
+     "LONG.tau=25ns", "--freq", "20MHz", "--segments", "8", "--segment-length", "64"],
+    ["oracle", "--net", "@huge_weight", "--override", "LONG.tau=250ns", "--combo",
+     "measure:W", "--freq", "1MHz", "--segments", "8", "--segment-length", "64"],
 ])
 def test_impossible_numbers_are_one_line_numerical_errors(nets, argv):
     code, _, err = run([nets.get(a, a) for a in argv])

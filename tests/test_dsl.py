@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sideband import dsl, presets
 from sideband.network import (
+    ELEMENT_KINDS,
     Combo,
     Delay,
     DetectorDecl,
@@ -243,6 +244,9 @@ class TestGrammarDoc:
         assert "dB" in quoted
         for punct in ";=,():.":
             assert punct in quoted
+        for keyword, cls in ELEMENT_KINDS.items():  # keywords are in KEYWORDS
+            for param in cls.params:
+                assert re.search(rf"\b{param}=", text), (keyword, param)
 
 
 class TestFuzzRoundTrip:

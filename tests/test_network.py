@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sideband import dsl, engine, presets
 from sideband.network import (
+    ELEMENT_KINDS,
     BeamSplitter,
     Combo,
     Delay,
@@ -248,6 +249,49 @@ def test_parameter_ranges():
         detectors=(DetectorDecl("D1", "L.out"), DetectorDecl("D2", "DL.out")),
     )
     assert sum(1 for v in validate(spec) if v.code == "range") == 3
+
+
+def _edge_values(param):
+    """+-1e308, and each finite bound with its neighbours on either side."""
+    values = [1e308, -1e308]
+    for bound in (param.lo, param.hi):
+        if math.isfinite(bound):
+            values += [bound, math.nextafter(bound, -math.inf),
+                       math.nextafter(bound, math.inf)]
+    return values
+
+
+@st.composite
+def one_element_specs(draw):
+    """A valid one-element network with one parameter drawn near its range."""
+    cls = draw(st.sampled_from(list(ELEMENT_KINDS.values())))
+    name = draw(st.sampled_from(list(cls.params)))
+    values = {p: min(max(0.0, param.lo), param.hi) for p, param in cls.params.items()}
+    values[name] = draw(st.one_of(st.sampled_from(_edge_values(cls.params[name])),
+                                  st.floats(allow_nan=False, allow_infinity=False)))
+    element = cls(**values)
+    return NetworkSpec(
+        sources=(SourceDecl("a", 1.0),),
+        elements=(ElementDecl("E", element, ("a",)),),
+        detectors=tuple(DetectorDecl(f"D{i}", f"E.{port}")
+                        for i, port in enumerate(cls.ports)),
+    ), getattr(element, name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=one_element_specs())
+def test_parse_refuses_exactly_what_validate_reports(case):
+    spec, value = case
+    ranges = [v.message for v in validate(spec) if v.code == "range"]
+    text = dsl.serialize(spec)
+    try:
+        parsed = dsl.parse(text)
+    except dsl.ParseError as err:
+        d = err.diagnostic
+        assert [d.message] == ranges
+        assert d.snippet[d.column - 1:].startswith(repr(value))  # at the value
+    else:
+        assert ranges == [] and parsed == spec
 
 
 def test_quad_spectrum_rejects_nonpositive():
