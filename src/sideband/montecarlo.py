@@ -11,10 +11,10 @@ dn_k(t) = 2 Re(conj(alpha_k) sum taps), sampled at a rate that makes every
 delay a whole number of samples (circular-buffer shifts).
 
 Spectra come from a Welch periodogram read at one FFT bin: the mean of the
-segments' bin powers, at a resolution of one bin width f_s / L.  Shot-noise
-references are measured by re-running the same network with vacuum inputs
-on an independent random substream, mirroring how the calibration is done
-on the bench.
+segments' bin powers, at a resolution of one bin width f_s / L.  The
+shot-noise reference is a second row accumulated from the same draws with
+every input at vacuum variance, so the signal and vacuum bin powers share
+their randomness and their ratio is a low-variance estimate.
 """
 
 from __future__ import annotations
@@ -22,19 +22,22 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import engine
-from .network import VACUUM_SPECTRUM
 
 DELAY_TOLERANCE = 1e-6  # max |tau*f_s - round(tau*f_s)|
 
 #: the most samples a sampling plan may hold, 8x the acceptance plan's
 #: 512 x 4096: a float64 stream buffer is then 128 MiB, and a run holds two
-#: per drawing thread plus a few more
+#: per drawing thread plus one per output row
 MAX_TOTAL_SAMPLES = 2 ** 24
+
+#: output samples per block of tap accumulation: a block of each row and of
+#: the shifted inputs stays in cache while every tap of an input is added
+CHUNK = 2 ** 14
 
 
 class MCError(ValueError):
@@ -90,6 +93,7 @@ class MCEstimate:
     estimate: float
     stderr: float
     segments: int
+    powers: np.ndarray = field(repr=False, compare=False)  # (K,) segment powers
 
 
 @dataclass
@@ -107,6 +111,7 @@ class MCStreams:
 class CrossValidation:
     omega: float
     engine_value: float
+    reference: float
     mc_value: float
     stderr: float
     z: float
@@ -121,6 +126,7 @@ class CrossValidation:
             "omega_rad_s": self.omega,
             "frequency_hz": self.omega / (2.0 * math.pi),
             "engine": self.engine_value,
+            "reference": self.reference,
             "monte_carlo": self.mc_value,
             "stderr": self.stderr,
             "z": self.z,
@@ -181,25 +187,57 @@ def _colour(spec, cfg: MCConfig, x: np.ndarray, y: np.ndarray):
         buf[:] = np.fft.irfft(shaped, n)
 
 
-def _streams(net: engine.CompiledNetwork, cfg: MCConfig, weights: np.ndarray,
-             spectra, root: np.random.SeedSequence) -> np.ndarray:
-    """Weighted photocurrent streams sum_k weights[r, k] n_k(t), DC included.
+def _accumulate(out: np.ndarray, x: np.ndarray, y: np.ndarray, coefs):
+    """out[r, i] += cx[r] x[i - d] + cy[r] y[i - d], indices mod n, for every
+    (d, cx, cy) in ``coefs``; rows whose cx and cy are both 0 are skipped.
 
-    ``spectra`` holds one QuadSpectrum per roster entry: the roster's noise
-    for a signal run, all vacuum for a shot-noise reference.  Each input's
-    taps fold into one complex coefficient per row and distinct delay:
-    weights, conj(alpha_k), the tap gains and, for constant spectra,
-    sqrt(V_X) and sqrt(V_Y).  Inputs are drawn on a thread pool, at most
-    workers + 1 in flight in a fixed set of buffers, and the calling thread
-    adds them in roster order, so the result is bit-identical for any worker
-    count.  The calling thread also colours tabulated inputs: freed on a draw
-    thread, the colouring's FFT temporaries (16 MiB at 2^21 samples) stay in
-    that thread's malloc arena for as long as thread timing decides, and peak
-    memory would vary from run to run.
+    The output is walked in blocks of CHUNK samples, every tap of a block
+    before the next, with block-sized temporaries.  Each element gets the
+    same operations in the same order as adding whole shifted rows would
+    (taps in ``coefs`` order), so the sums do not depend on the block size.
+    """
+    n = x.size
+    t, u = np.empty(CHUNK), np.empty(CHUNK)
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        for d, cx, cy in coefs:
+            # outputs below d read the end of the inputs: a circular shift
+            for a, b in ((lo, min(hi, d)), (max(lo, d), hi)):
+                if a >= b:
+                    continue
+                src = (a - d) % n
+                xs, ys = x[src:src + b - a], y[src:src + b - a]
+                ts, us = t[:b - a], u[:b - a]
+                for r in range(out.shape[0]):
+                    if cx[r] == 0.0 and cy[r] == 0.0:
+                        continue
+                    np.multiply(xs, cx[r], out=ts)
+                    np.multiply(ys, cy[r], out=us)
+                    ts += us
+                    out[r, a:b] += ts
+
+
+def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray,
+             root: np.random.SeedSequence, paired: bool = False) -> np.ndarray:
+    """Weighted photocurrent fluctuations sum_k weights[r, k] dn_k(t), no DC.
+
+    Each roster input carries its own noise.  ``taps`` are
+    :func:`expand_taps` of ``net``; an input's taps fold into one complex
+    coefficient per row and distinct delay: weights, conj(alpha_k), the tap
+    gains and, for constant spectra, sqrt(V_X) and sqrt(V_Y).  ``paired``
+    appends one more row per weight row: the same weights with every input
+    at vacuum variance, added from the same white draws before a tabulated
+    input is coloured.  Inputs
+    are drawn on a thread pool, at most workers + 1 in flight in a fixed set
+    of buffers, and the calling thread adds them in roster order, so the
+    result is bit-identical for any worker count.  The calling thread also
+    colours tabulated inputs: freed on a draw thread, the colouring's FFT
+    temporaries (16 MiB at 2^21 samples) stay in that thread's malloc arena
+    for as long as thread timing decides, and peak memory would vary from run
+    to run.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    taps = expand_taps(net, cfg)
     n = cfg.total_samples
     conj_alphas = np.conj(np.array(net.carriers, dtype=complex))
     children = root.spawn(net.n_inputs)
@@ -210,17 +248,31 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, weights: np.ndarray,
             d %= n  # circular shift, like a roll by d
             term = weights[:, k] * (conj_alphas[k] * g)
             folded[j][d] = folded[j].get(d, 0.0) + term
-    jobs = []
-    for j, spec in enumerate(spectra):
+    blank = np.zeros(weights.shape[0])
+
+    def over_rows(signal, vacuum):
+        return np.concatenate([signal, vacuum]) if paired else signal
+
+    jobs = []  # (substream, spectrum, taps on the white draws, taps after colouring)
+    for j, entry in enumerate(net.roster):
+        spec = entry.noise
         sx, sy = ((math.sqrt(spec.vx), math.sqrt(spec.vy)) if spec.is_constant
                   else (1.0, 1.0))
-        coefs = [(d, c.real * sx, -c.imag * sy)
-                 for d, c in sorted(folded[j].items()) if c.any()]
-        if coefs:
-            jobs.append((children[j], spec, coefs))
+        white, coloured = [], []
+        for d, c in sorted(folded[j].items()):
+            if not c.any():
+                continue
+            signal, vacuum = (c.real * sx, -c.imag * sy), (c.real, -c.imag)
+            if spec.is_constant:
+                white.append((d, *map(over_rows, signal, vacuum)))
+            else:
+                coloured.append((d, *(over_rows(s, blank) for s in signal)))
+                if paired:
+                    white.append((d, *(over_rows(blank, v) for v in vacuum)))
+        if white or coloured:
+            jobs.append((children[j], spec, white, coloured))
 
-    out = np.zeros((weights.shape[0], n))
-    t, u = np.empty(n), np.empty(n)
+    out = np.zeros(((2 if paired else 1) * weights.shape[0], n))
     workers = _workers()
     # a ring of buffers: input i draws into slot i % len(ring), and input
     # i + len(ring) is submitted once input i has been added
@@ -230,24 +282,15 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, weights: np.ndarray,
             return pool.submit(_draw, jobs[i][0], *ring[i % len(ring)])
 
         pending = deque(submit(i) for i in range(len(ring)))
-        for i, (_, spec, coefs) in enumerate(jobs):
+        for i, (_, spec, white, coloured) in enumerate(jobs):
             pending.popleft().result()
             x, y = ring[i % len(ring)]
-            if not spec.is_constant:
+            _accumulate(out, x, y, white)
+            if coloured:
                 _colour(spec, cfg, x, y)
-            for d, cx, cy in coefs:
-                for r in range(out.shape[0]):
-                    if cx[r] == 0.0 and cy[r] == 0.0:
-                        continue
-                    np.multiply(x, cx[r], out=t)
-                    np.multiply(y, cy[r], out=u)
-                    t += u
-                    out[r, d:] += t[:n - d]
-                    out[r, :d] += t[n - d:]
+                _accumulate(out, x, y, coloured)
             if i + len(ring) < len(jobs):
                 pending.append(submit(i + len(ring)))
-
-    out += (weights @ np.abs(conj_alphas) ** 2)[:, None]  # DC photocurrent
     return out
 
 
@@ -258,9 +301,10 @@ def simulate(net: engine.CompiledNetwork, cfg: MCConfig) -> MCStreams:
     roster position on spawned substreams, so streams are independent of
     element evaluation order and of the number of threads drawing them.
     """
-    return MCStreams(_streams(net, cfg, np.eye(net.n_detectors),
-                              [e.noise for e in net.roster],
-                              np.random.SeedSequence(cfg.seed)))
+    streams = _streams(net, cfg, expand_taps(net, cfg), np.eye(net.n_detectors),
+                       np.random.SeedSequence(cfg.seed))
+    streams += (np.abs(net.carriers) ** 2)[:, None]  # DC photocurrent
+    return MCStreams(streams)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +323,24 @@ def _bin_index(omega: float, cfg: MCConfig) -> int:
     return min(max(m, 0), cfg.segment_length // 2)
 
 
+def _kernel(omega: float, cfg: MCConfig) -> np.ndarray:
+    """A segment's effective bin kernel: the window times the bin phasor,
+    less its mean, so that projecting a segment on it also removes the
+    segment's mean."""
+    length = cfg.segment_length
+    angle = (2.0 * math.pi / length) * ((_bin_index(omega, cfg) * np.arange(length))
+                                        % length)
+    kernel = _window(cfg) * (np.cos(angle) + 1j * np.sin(angle))
+    return kernel - kernel.mean()
+
+
 def segment_powers(stream: np.ndarray, omega: float, cfg: MCConfig) -> np.ndarray:
     """Per-segment bin powers at omega, coherent-gain normalised.
 
     A sinusoid of amplitude A exactly on the bin gives A^2/2; white noise of
     variance s^2 gives s^2 / (L/2) per bin with a rectangular window.  The
-    one bin is read as two real projections onto win*cos and win*sin, with
-    each segment's mean removed through the kernels' sums.
+    one bin is read as two real projections, on the real and imaginary parts
+    of the segment kernel, which also remove each segment's mean.
     """
     length = cfg.segment_length
     f_nyq_omega = math.pi * cfg.sample_rate
@@ -296,15 +351,11 @@ def segment_powers(stream: np.ndarray, omega: float, cfg: MCConfig) -> np.ndarra
             f"stream too short: {stream.size} < {cfg.total_samples} samples")
 
     m = _bin_index(omega, cfg)
-    win = _window(cfg)
-    angle = (2.0 * math.pi / length) * ((m * np.arange(length)) % length)
-    kernel = np.stack([win * np.cos(angle), win * np.sin(angle),
-                       np.full(length, 1.0 / length)], axis=1)
+    kernel = _kernel(omega, cfg)
     segments = stream[:cfg.total_samples].reshape(cfg.segment_count, length)
-    proj = segments @ kernel  # (K, 3): cos and sin projections, segment mean
-    proj = proj[:, :2] - proj[:, 2:] * kernel[:, :2].sum(axis=0)
+    proj = segments @ np.stack([kernel.real, kernel.imag], axis=1)  # (K, 2)
     one_sided = 2.0 if 0 < m < length // 2 else 1.0
-    return one_sided * (proj ** 2).sum(axis=1) / (win.sum() ** 2)
+    return one_sided * (proj ** 2).sum(axis=1) / (_window(cfg).sum() ** 2)
 
 
 def periodogram(stream: np.ndarray, omega: float, cfg: MCConfig) -> MCEstimate:
@@ -322,7 +373,38 @@ def periodogram(stream: np.ndarray, omega: float, cfg: MCConfig) -> MCEstimate:
     rel_var = 1.0 if 0 < m < cfg.segment_length // 2 else 2.0
     stderr = abs(estimate) * math.sqrt(rel_var / cfg.segment_count)
     return MCEstimate(omega=omega, estimate=estimate, stderr=stderr,
-                      segments=cfg.segment_count)
+                      segments=cfg.segment_count, powers=powers)
+
+
+def _window_reference(net: engine.CompiledNetwork, combo, omega: float, cfg: MCConfig,
+                      max_delay: int) -> float:
+    """The engine's expectation of the Monte-Carlo ratio at omega's bin.
+
+    A segment's bin power averages the spectrum through the segment kernel
+    K: its mean is proportional to sum_j S(w_j) |K(w_j)|^2 over a grid of
+    N >= L + D points, D the longest tap delay in samples, on which the
+    kernel's lag products do not alias onto the stream's correlations.  The
+    reference is that sum with the engine's absolute spectrum over the same
+    sum with its shot-noise spectrum; the spectra are even in w, so one
+    engine sweep covers the half grid and the kernel's response is folded
+    onto it.  A grid of more than T = K L points is never needed: the
+    streams are circular with period T, and on T points the sum is exact.
+    NaN when no carrier reaches the combo.
+    """
+    size = min(cfg.segment_length + max_delay, cfg.total_samples)
+    gain = np.abs(np.fft.fft(_kernel(omega, cfg), size)) ** 2
+    folded = gain[:size // 2 + 1].copy()
+    folded[1:(size + 1) // 2] += gain[size - 1:size // 2:-1]
+    omegas = 2.0 * math.pi * cfg.sample_rate / size * np.arange(folded.size)
+    sweep = engine.sweep(net, combo, omegas)
+    snl = float(sweep.snl @ folded)
+    return float(sweep.absolute @ folded) / snl if snl > 0.0 else math.nan
+
+
+#: relative floor of the ratio's standard error: a ratio of float sums is
+#: known no better than this, even where the delta-method error vanishes
+#: (every input at vacuum variance makes the two rows identical)
+RATIO_RESOLUTION = 1e-12
 
 
 def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
@@ -330,34 +412,42 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
                    reference: engine.CompiledNetwork | None = None) -> CrossValidation:
     """Compare the engine's normalised spectrum against a Monte-Carlo run.
 
-    The Monte-Carlo value is the ratio of the signal-run bin power to a
-    vacuum-input re-run on an independent substream; z is the discrepancy in
-    combined standard errors.  The requested frequency snaps to the nearest
-    FFT bin and the engine reference is evaluated there, so both sides see
-    the same sideband.  Only the combo's stream is accumulated, one per run.
-    The engine side reads ``reference`` (default ``net``): a different network
-    there tests a deliberate mismatch.
+    One pass over the inputs' draws builds the combo's signal row and its
+    vacuum row (every input at unit variance), so both share their
+    randomness.  The Monte-Carlo value is the ratio of their mean bin powers;
+    its standard error is the delta-method error of that ratio, from the
+    per-segment variances of both rows and their covariance.  z is the
+    discrepancy from :func:`_window_reference`, the engine's expectation of
+    the ratio, in standard errors.  The requested frequency snaps to the
+    nearest FFT bin and the engine is evaluated there, so both sides see the
+    same sideband.  The engine side reads ``reference`` (default ``net``): a
+    different network there tests a deliberate mismatch.
     """
     cfg.check_frequency(omega)
     omega = 2.0 * math.pi * _bin_index(omega, cfg) * (cfg.sample_rate / cfg.segment_length)
-    signal_ss, vacuum_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    # the seed's first child, as in earlier versions: a seed draws the same
+    # signal inputs
+    signal_ss = np.random.SeedSequence(cfg.seed).spawn(1)[0]
     weights = engine.combo_weights(net, combo)[None, :]
+    taps = expand_taps(net, cfg)
 
-    est_sig = periodogram(_streams(net, cfg, weights, [e.noise for e in net.roster],
-                                   signal_ss)[0], omega, cfg)
-    est_vac = periodogram(_streams(net, cfg, weights, [VACUUM_SPECTRUM] * net.n_inputs,
-                                   vacuum_ss)[0], omega, cfg)
+    signal_row, vacuum_row = _streams(net, cfg, taps, weights, signal_ss, paired=True)
+    est_sig = periodogram(signal_row, omega, cfg)
+    est_vac = periodogram(vacuum_row, omega, cfg)
     if est_vac.estimate <= 0.0:
         raise MCError("vacuum reference power is not positive; no carrier in combo?")
 
     mc_value = est_sig.estimate / est_vac.estimate
-    rel = math.sqrt((est_sig.stderr / est_sig.estimate) ** 2
-                    + (est_vac.stderr / est_vac.estimate) ** 2)
-    stderr = abs(mc_value) * rel
-    engine_value = engine.spectrum(net if reference is None else reference, combo,
-                                   omega).normalized
-    z = (mc_value - engine_value) / stderr
-    return CrossValidation(omega=omega, engine_value=float(engine_value),
-                           mc_value=mc_value, stderr=stderr, z=float(z),
-                           segments=cfg.segment_count)
+    # relative deviations keep the covariance finite however bright the carrier
+    cov = np.cov(est_sig.powers / est_sig.estimate, est_vac.powers / est_vac.estimate)
+    rel_var = (cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1]) / cfg.segment_count
+    stderr = abs(mc_value) * max(math.sqrt(max(rel_var, 0.0)), RATIO_RESOLUTION)
 
+    engine_net = net if reference is None else reference
+    engine_value = engine.spectrum(engine_net, combo, omega).normalized
+    expected = _window_reference(engine_net, combo, omega, cfg,
+                                max(d for det in taps for _, d, _ in det))
+    z = (mc_value - expected) / stderr
+    return CrossValidation(omega=omega, engine_value=float(engine_value),
+                           reference=expected, mc_value=mc_value, stderr=stderr,
+                           z=float(z), segments=cfg.segment_count)

@@ -14,6 +14,7 @@ violations instead of raising, so malformed specs remain inspectable.
 from __future__ import annotations
 
 import cmath
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -365,6 +366,12 @@ class NetworkSpec:
     def detector_names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.detectors)
 
+    @functools.cached_property
+    def wiring(self) -> tuple[tuple[ElementDecl, ...], tuple[str, ...]]:
+        """:func:`_wiring_order` of this spec, run once: compiling validates
+        the spec and then orders it, and both read this one pass."""
+        return _wiring_order(self)
+
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -452,11 +459,11 @@ def validate(spec: NetworkSpec) -> list[Violation]:
             out.append(Violation("range", m.name, problem))
 
     out.extend(Violation("cycle", name, "element is on, or fed by, a wiring cycle")
-               for name in _wiring_order(spec)[1])
+               for name in spec.wiring[1])
     return out
 
 
-def _wiring_order(spec: NetworkSpec) -> tuple[list[ElementDecl], list[str]]:
+def _wiring_order(spec: NetworkSpec) -> tuple[tuple[ElementDecl, ...], tuple[str, ...]]:
     """Kahn's sort of the elements, popping ready ones from a heap keyed by
     declaration position.  Returns the order and the sorted names it could
     not place: every element on, or fed by, a wiring cycle."""
@@ -480,7 +487,7 @@ def _wiring_order(spec: NetworkSpec) -> tuple[list[ElementDecl], list[str]]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
-    return order, sorted({e.name for e, n in zip(elements, indeg) if n})
+    return tuple(order), tuple(sorted({e.name for e, n in zip(elements, indeg) if n}))
 
 
 def topo_order(spec: NetworkSpec) -> list[ElementDecl]:
@@ -489,7 +496,7 @@ def topo_order(spec: NetworkSpec) -> list[ElementDecl]:
     Tie rule: among elements whose element inputs are all placed, the one
     declared first goes next.  ValueError if the wiring has a cycle.
     """
-    order, unplaced = _wiring_order(spec)
+    order, unplaced = spec.wiring
     if unplaced:
         raise ValueError("network wiring contains a cycle")
-    return order
+    return list(order)

@@ -456,6 +456,27 @@ class TestOracle:
         assert result["engine"] is None and result["z"] is None
         assert result["passed"] is False
 
+    def test_bright_carrier_keeps_the_fluctuations(self, preset_path, capsys):
+        # the rows carry no DC photocurrent, whose rounding at |alpha|^2 would
+        # swamp fluctuations of size |alpha|
+        values = []
+        for amp in ("1e6", "1e40", "1e75"):
+            assert main(["oracle", "--net", preset_path("mz_phase"), "--override",
+                         f"a.amp={amp}", "--override", "LONG.tau=25ns", "--freq", "20MHz",
+                         "--segments", "64", "--seed", "0"]) == 0
+            values.append(json.loads(capsys.readouterr().out)["result"]["monte_carlo"])
+        assert values[1] == pytest.approx(values[0], rel=1e-12)
+        assert values[2] == pytest.approx(values[0], rel=1e-12)
+
+    def test_result_carries_the_window_reference(self, tmp_path, capsys):
+        path = write(tmp_path, "mz.net", MZ_THETA_PI)
+        main(["oracle", "--net", path, "--combo", "diff", "--freq", "20.5MHz",
+              "--seed", "5", "--segments", "64", "--sample-rate", "164e6"])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["z"] == pytest.approx(
+            (result["monte_carlo"] - result["reference"]) / result["stderr"])
+        assert result["reference"] != result["engine"]
+
     @pytest.mark.parametrize("plan", [["--segments", "100000000000"],
                                       ["--segments", str(10 ** 18)],
                                       ["--segment-length", str(10 ** 18)]])

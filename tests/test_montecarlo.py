@@ -180,6 +180,89 @@ class TestCrossValidate:
                                       cfg(segments=16, length=64))
 
 
+class TestPairedEstimator:
+    """The Monte-Carlo value is mean(P_sig) / mean(P_vac) over rows drawn
+    together; its error bar is the delta-method error of that ratio and z is
+    taken against the engine's window-weighted expectation of it."""
+
+    def test_coherent_inputs_give_an_exact_ratio(self):
+        # every input at vacuum variance: both rows are one stream, so the
+        # ratio is exactly 1 and only the covariance term cancels its error
+        net = mz_net(vx=1.0, vy=1.0)
+        result = montecarlo.cross_validate(net, DIFF, OMEGA, cfg(seed=4, segments=64))
+        assert result.mc_value == 1.0
+        assert result.stderr == montecarlo.RATIO_RESOLUTION
+        assert result.passed and abs(result.z) <= 1e-3
+
+    @pytest.mark.parametrize("case", ["mz_diff", "mz_sum", "twin_phase"])
+    def test_error_bar_matches_the_spread_over_seeds(self, case):
+        net, combo = {
+            "mz_diff": (mz_net(), DIFF),
+            "mz_sum": (mz_net(vx=0.8, vy=1.6), SUM),
+            "twin_phase": (engine.compile(scenario.experiment_network(
+                scenario.ExperimentConfig(), "phase")), scenario.correlation_weights("phase")),
+        }[case]
+        results = [montecarlo.cross_validate(net, combo, OMEGA, cfg(seed=300 + s, segments=128,
+                                                                    length=64))
+                   for s in range(40)]
+        spread = np.std([r.mc_value for r in results], ddof=1)
+        # sd over 40 seeds is known to about 11%
+        assert 0.6 <= spread / np.median([r.stderr for r in results]) <= 1.6
+        assert sum(not r.passed for r in results) <= 2
+
+    @pytest.mark.parametrize("window", ["hann", "rect"])
+    @pytest.mark.parametrize("bin_", [1, 8])
+    def test_reference_is_the_expected_ratio(self, window, bin_):
+        # a 40-sample delay puts several fringes inside the window's main
+        # lobe: the point value is far from what the segments measure
+        c = cfg(segments=8, length=64, window=window)
+        omega = 2 * np.pi * bin_ * c.sample_rate / c.segment_length
+        net = mz_net(tau=40 / c.sample_rate)
+        result = montecarlo.cross_validate(net, DIFF, omega, c)
+        exact = expected_ratio(net, DIFF, omega, c)
+        assert result.reference == pytest.approx(exact, rel=1e-10)
+        assert abs(result.engine_value - exact) > 0.1 * exact
+        rng = random.Random(707 + bin_)
+        checked = 0
+        while checked < 10:
+            spec = integer_delay_net(rng, c.sample_rate)
+            net = engine.compile(spec)
+            combo = netgen.random_combo(rng, spec)
+            if engine.snl(net, combo) < 1e-9:
+                continue
+            result = montecarlo.cross_validate(net, combo, omega, c)
+            assert result.reference == pytest.approx(expected_ratio(net, combo, omega, c),
+                                                      rel=1e-9)
+            checked += 1
+
+
+def expected_ratio(net, combo, omega, c):
+    """E[P_sig] / E[P_vac] of one segment, from the taps: each input
+    quadrature is white with its variance, and a segment's projection sees
+    it through the kernel shifted by every tap delay."""
+    length = c.segment_length
+    m = round(omega / (2 * np.pi) / (c.sample_rate / length))
+    win = np.hanning(length) if c.window == "hann" else np.ones(length)
+    kernel = win * np.exp(2j * np.pi * m * np.arange(length) / length)
+    kernel -= kernel.mean()  # the segment-mean removal
+    weights = engine.combo_weights(net, combo)
+    taps = montecarlo.expand_taps(net, c)
+    span = length + max(d for det in taps for _, d, _ in det)
+    signal = vacuum = 0.0
+    for j, entry in enumerate(net.roster):
+        h = np.zeros((2, span), dtype=complex)  # the kernel X_j and Y_j see
+        for k, det in enumerate(taps):
+            for jj, d, g in det:
+                if jj == j:
+                    coef = weights[k] * np.conj(net.carriers[k]) * g
+                    h[0, span - length - d:span - d] += coef.real * kernel
+                    h[1, span - length - d:span - d] -= coef.imag * kernel
+        seen = (np.abs(h) ** 2).sum(axis=1)
+        signal += entry.noise.vx * seen[0] + entry.noise.vy * seen[1]
+        vacuum += seen.sum()
+    return signal / vacuum
+
+
 def integer_delay_net(rng, fs):
     """A random netgen network whose delays are whole samples at fs."""
     spec = netgen.random_spec(rng)
@@ -202,9 +285,30 @@ def with_noise(spec, noise):
         dataclasses.replace(s, noise=noise) for s in spec.sources))
 
 
+def rolled_tap_sum(net, c):
+    """simulate's streams rebuilt with every tap as a rolled copy of the
+    input's own draws, DC included."""
+    n = c.total_samples
+    omegas = 2 * np.pi * np.fft.rfftfreq(n, d=1 / c.sample_rate)
+    ref = np.tile((np.abs(net.carriers) ** 2)[:, None], (1, n))
+    children = np.random.SeedSequence(c.seed).spawn(net.n_inputs)
+    taps = montecarlo.expand_taps(net, c)
+    for j, q in enumerate(e.noise for e in net.roster):
+        draws = np.random.default_rng(children[j]).standard_normal((2, n))
+        x, y = (np.fft.irfft(np.fft.rfft(w) * np.sqrt(v(omegas)), n)
+                for w, v in zip(draws, (q.vx_at, q.vy_at)))
+        for k, det in enumerate(taps):
+            for jj, d, g in det:
+                if jj == j:
+                    z = np.conj(net.carriers[k]) * g
+                    ref[k] += np.roll(z.real * x - z.imag * y, d)
+    return ref
+
+
 class TestComboStreams:
-    """cross_validate accumulates only the combo's stream; it must equal the
-    combo of the per-detector streams drawn on the same substreams."""
+    """cross_validate accumulates the combo's signal and vacuum rows from one
+    set of draws, on the signal substream; each must equal the combo of the
+    per-detector fluctuation streams drawn there."""
 
     @pytest.mark.parametrize("tabulated", [False, True])
     def test_cross_validate_stream_is_combo_of_detector_streams(self, tabulated,
@@ -228,42 +332,65 @@ class TestComboStreams:
                 continue
             seen.clear()
             montecarlo.cross_validate(net, combo, OMEGA, c)
-            signal_ss, vacuum_ss = np.random.SeedSequence(c.seed).spawn(2)
-            noise = [e.noise for e in net.roster]
-            vacua = [VACUUM_SPECTRUM] * net.n_inputs
-            for got, spectra, ss in ((seen[0], noise, signal_ss),
-                                     (seen[1], vacua, vacuum_ss)):
-                detectors = montecarlo._streams(net, c, np.eye(net.n_detectors), spectra, ss)
+            assert len(seen) == 2  # one periodogram per row
+            vacuum_net = engine.compile(with_noise(spec, VACUUM_SPECTRUM))
+            dc = np.abs(net.carriers) ** 2
+            combo_dc = sum(w * dc[net.detector_names.index(d)] for d, w in combo.weights)
+            for got, run in ((seen[0], net), (seen[1], vacuum_net)):
+                # the detector streams simulate would draw on the signal
+                # substream (a fresh SeedSequence: spawning advances it)
+                signal_ss = np.random.SeedSequence(c.seed).spawn(1)[0]
+                detectors = montecarlo._streams(
+                    run, c, montecarlo.expand_taps(run, c), np.eye(run.n_detectors),
+                    signal_ss) + dc[:, None]
                 ref = sum(w * detectors[net.detector_names.index(d)]
-                          for d, w in combo.weights)
-                for stream in (got, montecarlo.MCStreams(detectors).combo_stream(net, combo)):
-                    assert np.max(np.abs(stream - ref)) <= 1e-12 * np.max(np.abs(ref))
+                          for d, w in combo.weights) - combo_dc
+                tol = 1e-12 * (np.max(np.abs(ref)) + abs(combo_dc))
+                combo_stream = montecarlo.MCStreams(detectors).combo_stream(net, combo)
+                for stream in (got, combo_stream - combo_dc):
+                    assert np.max(np.abs(stream - ref)) <= tol
             checked += 1
 
     @pytest.mark.parametrize("tabulated", [False, True])
     def test_simulate_matches_rolled_tap_sum(self, tabulated):
-        # reference: every tap as a rolled copy of the input's own draws
         rng = random.Random(505 + tabulated)
         c = cfg(seed=23, segments=8, length=64)
-        n = c.total_samples
-        omegas = 2 * np.pi * np.fft.rfftfreq(n, d=1 / c.sample_rate)
         for _ in range(8):
             spec = integer_delay_net(rng, c.sample_rate)
             net = engine.compile(with_noise(spec, TABULATED) if tabulated else spec)
             got = montecarlo.simulate(net, c).streams
-            ref = np.tile((np.abs(net.carriers) ** 2)[:, None], (1, n))
-            children = np.random.SeedSequence(c.seed).spawn(net.n_inputs)
-            taps = montecarlo.expand_taps(net, c)
-            for j, q in enumerate(e.noise for e in net.roster):
-                draws = np.random.default_rng(children[j]).standard_normal((2, n))
-                x, y = (np.fft.irfft(np.fft.rfft(w) * np.sqrt(v(omegas)), n)
-                        for w, v in zip(draws, (q.vx_at, q.vy_at)))
-                for k, det in enumerate(taps):
-                    for jj, d, g in det:
-                        if jj == j:
-                            z = np.conj(net.carriers[k]) * g
-                            ref[k] += np.roll(z.real * x - z.imag * y, d)
+            ref = rolled_tap_sum(net, c)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("noise", [QuadSpectrum.constant(0.617, 63.0), TABULATED])
+    def test_long_plan_matches_rolled_tap_sum(self, noise):
+        # more than two accumulation blocks, and a delay longer than one
+        c = cfg(seed=29, segments=70, length=512)
+        assert c.total_samples > 2 * montecarlo.CHUNK
+        spec = scenario.mz_network(tau=(montecarlo.CHUNK + 3) / c.sample_rate,
+                                   carrier_phase=math.pi / 2, amp=100.0, noise=noise)
+        net = engine.compile(spec)
+        got = montecarlo.simulate(net, c).streams
+        ref = rolled_tap_sum(net, c)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_blocked_accumulation_is_the_rolled_sum(self):
+        # bit for bit: each element gets the same products and adds in the
+        # same order; delays cross block boundaries and wrap around the end
+        chunk = montecarlo.CHUNK
+        n = 3 * chunk + 77
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((2, n))
+        coefs = [(d, rng.standard_normal(2), rng.standard_normal(2))
+                 for d in (0, 1, 5, chunk - 1, chunk, chunk + 5, 2 * chunk + 100, n - 1)]
+        coefs[3][1][1] = coefs[3][2][1] = 0.0  # row 1 skips one tap
+        got = np.zeros((2, n))
+        montecarlo._accumulate(got, x, y, coefs)
+        ref = np.zeros((2, n))
+        for d, cx, cy in coefs:
+            for r in range(2):
+                ref[r] += np.roll(cx[r] * x + cy[r] * y, d)
+        assert np.array_equal(got, ref)
 
     def test_worker_count_does_not_change_streams(self, monkeypatch):
         spec = scenario.experiment_network(scenario.ExperimentConfig(), "phase")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sideband import dsl, engine, presets
+from sideband import dsl, engine, network, presets
 from sideband.network import (
     ELEMENT_KINDS,
     BeamSplitter,
@@ -236,6 +236,17 @@ def test_order_and_cycles_match_the_quadratic_reference(seed, rewire):
             topo_order(spec)
     else:
         assert [e.name for e in topo_order(spec)] == order
+
+
+def test_compile_walks_the_wiring_once(monkeypatch):
+    calls = []
+    walk = network._wiring_order
+    monkeypatch.setattr(network, "_wiring_order", lambda spec: calls.append(spec) or walk(spec))
+    spec = dsl.parse(presets.load("entangled_phase"))
+    net = engine.compile(spec)
+    assert calls == [spec]
+    assert [st.element for st in net.steps] == [e.element for e in topo_order(spec)]
+    assert calls == [spec]
 
 
 def test_parameter_ranges():
