@@ -263,9 +263,10 @@ def combo_weights(net: CompiledNetwork, combo: Combo) -> np.ndarray:
     return w
 
 
-def _forms(net: CompiledNetwork, weights: np.ndarray,
-           omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """c_X and c_Y of each weight row at each omega, as (F, C, N) arrays.
+def forms(net: CompiledNetwork, weights: np.ndarray,
+          omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c_X and c_Y of each weight row at each omega, as (F, C, N) arrays
+    with the N columns in roster order.
 
     +w and -w share one reverse walk.  With real weights the da^dag term
     alpha w conj(A(-w)) is the conjugate of conj(alpha) w A(-w), so seeding
@@ -310,7 +311,7 @@ def sweep(net: CompiledNetwork, combo: Combo | Sequence[Combo],
     snl_vals = np.empty_like(absolute)
     for lo in range(0, omegas.size, BLOCK):
         block = omegas[lo:lo + BLOCK]
-        c_x, c_y = _forms(net, weights, block)
+        c_x, c_y = forms(net, weights, block)
         px, py = np.abs(c_x) ** 2, np.abs(c_y) ** 2
         v = np.array([(s.vx_at(block), s.vy_at(block)) for s in position])[column]
         absolute[:, lo:lo + BLOCK] = (np.einsum("fcn,nf->cf", px, v[:, 0])

@@ -19,14 +19,16 @@ their randomness and their ratio is a low-variance estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import engine
+from .network import QuadSpectrum
 
 DELAY_TOLERANCE = 1e-6  # max |tau*f_s - round(tau*f_s)|
 
@@ -323,6 +325,12 @@ def _bin_index(omega: float, cfg: MCConfig) -> int:
     return min(max(m, 0), cfg.segment_length // 2)
 
 
+def _real_bin(m: int, length: int) -> bool:
+    """True for the bins whose DFT of a real segment is real: m = 0, and
+    m = L/2 when L is even.  An odd L's top bin, (L - 1)/2, is complex."""
+    return m == 0 or 2 * m == length
+
+
 def _kernel(omega: float, cfg: MCConfig) -> np.ndarray:
     """A segment's effective bin kernel: the window times the bin phasor,
     less its mean, so that projecting a segment on it also removes the
@@ -354,7 +362,7 @@ def segment_powers(stream: np.ndarray, omega: float, cfg: MCConfig) -> np.ndarra
     kernel = _kernel(omega, cfg)
     segments = stream[:cfg.total_samples].reshape(cfg.segment_count, length)
     proj = segments @ np.stack([kernel.real, kernel.imag], axis=1)  # (K, 2)
-    one_sided = 2.0 if 0 < m < length // 2 else 1.0
+    one_sided = 1.0 if _real_bin(m, length) else 2.0
     return one_sided * (proj ** 2).sum(axis=1) / (_window(cfg).sum() ** 2)
 
 
@@ -363,14 +371,13 @@ def periodogram(stream: np.ndarray, omega: float, cfg: MCConfig) -> MCEstimate:
 
     The estimate is the mean of the K segment powers, an unbiased bin power
     for stationary input.  The reported standard error is estimate * sqrt(1/K) for a
-    complex bin (0 < m < L/2), whose power is exponentially distributed,
-    and estimate * sqrt(2/K) for the real bins m = 0 and m = L/2, whose
+    complex bin, whose power is exponentially distributed, and
+    estimate * sqrt(2/K) for a real bin (see :func:`_real_bin`), whose
     power is chi-squared with one degree of freedom.
     """
     powers = segment_powers(np.asarray(stream, dtype=float), omega, cfg)
     estimate = float(powers.mean())
-    m = _bin_index(omega, cfg)
-    rel_var = 1.0 if 0 < m < cfg.segment_length // 2 else 2.0
+    rel_var = 2.0 if _real_bin(_bin_index(omega, cfg), cfg.segment_length) else 1.0
     stderr = abs(estimate) * math.sqrt(rel_var / cfg.segment_count)
     return MCEstimate(omega=omega, estimate=estimate, stderr=stderr,
                       segments=cfg.segment_count, powers=powers)
@@ -389,16 +396,48 @@ def _window_reference(net: engine.CompiledNetwork, combo, omega: float, cfg: MCC
     engine sweep covers the half grid and the kernel's response is folded
     onto it.  A grid of more than T = K L points is never needed: the
     streams are circular with period T, and on T points the sum is exact.
+    A tabulated input's stream is correlated at every lag, so no such grid
+    is exact for it; on N = 2 (L + D) points the engine reads it through
+    :func:`_seen_spectrum`, which keeps the lags the kernel meets.
     NaN when no carrier reaches the combo.
     """
-    size = min(cfg.segment_length + max_delay, cfg.total_samples)
+    span = cfg.segment_length + max_delay
+    tabulated = any(not e.noise.is_constant for e in net.roster)
+    size = min(2 * span if tabulated else span, cfg.total_samples)
     gain = np.abs(np.fft.fft(_kernel(omega, cfg), size)) ** 2
     folded = gain[:size // 2 + 1].copy()
     folded[1:(size + 1) // 2] += gain[size - 1:size // 2:-1]
     omegas = 2.0 * math.pi * cfg.sample_rate / size * np.arange(folded.size)
+    if size < cfg.total_samples and tabulated:
+        net = replace(net, roster=tuple(
+            e if e.noise.is_constant else replace(e, noise=_seen_spectrum(
+                e.noise, cfg.sample_rate, cfg.total_samples, span))
+            for e in net.roster))
     sweep = engine.sweep(net, combo, omegas)
     snl = float(sweep.snl @ folded)
     return float(sweep.absolute @ folded) / snl if snl > 0.0 else math.nan
+
+
+@functools.lru_cache(maxsize=32)
+def _seen_spectrum(noise: QuadSpectrum, sample_rate: float, n: int,
+                   span: int) -> QuadSpectrum:
+    """The spectrum of a tabulated input's coloured stream of n samples with
+    its correlations beyond lag ``span`` - 1 cut, on the grid of 2 ``span``
+    points.  A kernel of ``span`` samples meets no other lag, so a sum over
+    that grid with this spectrum equals the sum over the stream's own n
+    points with ``noise``.  Cached: runs that differ only in their seed
+    share it."""
+    stream_omegas = 2.0 * math.pi * np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    tables = []
+    for variance_fn in (noise.vx_at, noise.vy_at):
+        lags = np.fft.irfft(variance_fn(stream_omegas), n)[:span]
+        tables.append(np.fft.rfft(np.concatenate([lags, [0.0], lags[:0:-1]])).real)
+    try:
+        return QuadSpectrum.tabulated(np.pi * sample_rate / span * np.arange(span + 1),
+                                      *tables)
+    except ValueError:  # a variance that is not positive
+        raise MCError(f"tabulated spectrum changes too sharply within a bin of "
+                      f"{span} samples for the window reference") from None
 
 
 #: relative floor of the ratio's standard error: a ratio of float sums is

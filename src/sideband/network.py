@@ -185,11 +185,6 @@ class Delay(Element):
     keyword = "delay"
     params = {"tau": Param("time", 0.0), "carrier_phase": Param("plain")}
 
-    @property
-    def delta_l(self) -> float:
-        """Equivalent arm-length difference in meters (c * tau)."""
-        return SPEED_OF_LIGHT * self.tau
-
 
 @dataclass(frozen=True)
 class Loss(Element):

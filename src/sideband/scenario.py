@@ -14,6 +14,8 @@ import functools
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from . import dsl, engine, mzi, presets
 from .network import (
     Combo,
@@ -87,9 +89,10 @@ class ExperimentConfig:
 
     detection_loss = None fits the per-beam loss so the amplitude-sum
     correlation equals amp_sum_target.  excess_correlation is the
-    common-mode fraction of the two sources' excess phase noise; it shifts
-    the diagnostic single-beam/anticorrelated levels but not the
-    sum/difference correlations.
+    common-mode fraction of the two sources' excess phase noise: the
+    sources' phase quadratures share the covariance
+    C = excess_correlation * max(0, V_Y - 1).  C shifts the single-beam and
+    anticorrelated levels but cancels from the sum/difference correlations.
     """
 
     squeezing1_db: float = -2.1
@@ -209,39 +212,31 @@ class ExperimentReport:
         return self.phase.correlation
 
 
-def _diagnostic_levels(cfg: ExperimentConfig, mode: str, eta: float):
-    """Closed-form single-beam and anticorrelated levels before/after loss.
-
-    C is the common-mode covariance of the two sources' excess phase noise;
-    it cancels from the correlation combos but shifts these diagnostics.
-    """
-    vx1, vx2, vy = cfg.vx1, cfg.vx2, cfg.vy
-    c = cfg.excess_correlation * max(0.0, vy - 1.0)
-    sign = 1.0 if mode == "phase" else -1.0
-    beam = (vx1 + vx2 + 2.0 * vy + 2.0 * sign * c) / 4.0
-    anti = (2.0 * vy + 2.0 * sign * c) / 2.0
-    loss = 1.0 - eta
-    return (mzi.degraded_variance(beam, loss), mzi.degraded_variance(anti, loss))
-
-
 def run_experiment(cfg: ExperimentConfig | None = None) -> ExperimentReport:
-    """Evaluate both quadrature modes of the twin-beam experiment."""
+    """Evaluate both quadrature modes of the twin-beam experiment.
+
+    Every level is the engine's.  The sources' shared excess, cov(Y_s1, Y_s2)
+    = C, is the one off-diagonal entry of the input covariance, so it adds
+    2 C Re(c_Y,s1 conj(c_Y,s2)) / snl to each normalised level.
+    """
     cfg = cfg or ExperimentConfig()
-    det_loss = cfg.fitted_detection_loss()
-    vis_loss = mzi.visibility_to_loss(cfg.visibility)
+    shared = cfg.excess_correlation * max(0.0, cfg.vy - 1.0)  # C
     f_m = cfg.design.f_m
-    omega = 2.0 * math.pi * f_m
+    omegas = np.array([2.0 * math.pi * f_m])
 
     results = {}
     for mode in ("amplitude", "phase"):
         net = engine.compile(experiment_network(cfg, mode))
         combos = [m.combo for m in net.spec.measurements]  # BEAM1, BEAM2, V, ANTI
-        b1, b2, corr, anti = engine.sweep(net, combos, [omega]).normalized[:, 0].tolist()
-        if cfg.excess_correlation != 0.0:
-            eta = (1.0 - det_loss) * ((1.0 - vis_loss) if mode == "phase" else 1.0)
-            b_level, anti_level = _diagnostic_levels(cfg, mode, eta)
-            b1 = b2 = b_level
-            anti = anti_level
+        sweep = engine.sweep(net, combos, omegas)
+        levels = sweep.normalized[:, 0]
+        if shared:
+            weights = np.array([engine.combo_weights(net, c) for c in combos])
+            c_y = engine.forms(net, weights, omegas)[1][0]  # s1 and s2 lead the roster
+            cross = 2.0 * shared * (c_y[:, 0] * np.conj(c_y[:, 1])).real
+            with np.errstate(invalid="ignore"):  # no carrier: snl 0, the level NaN
+                levels = levels + cross / sweep.snl[:, 0]
+        b1, b2, corr, anti = levels.tolist()
         results[mode] = ModeResult(f_m=f_m, correlation=corr, anticorrelation=anti,
                                    beam1=b1, beam2=b2)
 
@@ -249,8 +244,8 @@ def run_experiment(cfg: ExperimentConfig | None = None) -> ExperimentReport:
         config=cfg,
         amplitude=results["amplitude"],
         phase=results["phase"],
-        detection_loss=det_loss,
-        phase_path_loss=vis_loss,
+        detection_loss=cfg.fitted_detection_loss(),
+        phase_path_loss=mzi.visibility_to_loss(cfg.visibility),
     )
 
 

@@ -118,8 +118,8 @@ class TestTransfer:
 
 def quadrature_coefficients(net, combo, omega):
     """c_X and c_Y of one combo at one omega, each an (N,) array."""
-    c_x, c_y = engine._forms(net, engine.combo_weights(net, combo)[None, :],
-                             np.array([omega]))
+    c_x, c_y = engine.forms(net, engine.combo_weights(net, combo)[None, :],
+                            np.array([omega]))
     return c_x[0, 0], c_y[0, 0]
 
 
@@ -482,7 +482,7 @@ class TestReverseWalk:
         g = np.matmul(weights * np.conj(alpha),
                       forward_reference(net, np.concatenate([omegas, -omegas])))
         u, w = g[:omegas.size], np.conj(g[omegas.size:])
-        c_x, c_y = engine._forms(net, weights, omegas)
+        c_x, c_y = engine.forms(net, weights, omegas)
         _assert_within(c_x, (u + w) / 2.0, scale)
         _assert_within(c_y, 1j * (u - w) / 2.0, scale)
 

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sideband import dsl, engine, montecarlo, presets, scenario
 from sideband.montecarlo import MCConfig, MCError
@@ -84,6 +85,17 @@ class TestPeriodogram:
             omega = 2 * np.pi * m * c.sample_rate / 256
             est = montecarlo.periodogram(stream, omega, c)
             assert abs(est.estimate - expected) <= 3 * est.stderr
+
+    def test_odd_length_top_bin_is_complex(self):
+        # L = 9 has no Nyquist bin: its top bin 4 is complex like bins 1-3,
+        # so white noise reads sigma^2 / (L/2) there with exponential powers
+        c = cfg(segments=20000, length=9, window="rect")
+        stream = np.random.default_rng(12).normal(0, 1, c.total_samples)
+        for m in (1, 4):
+            est = montecarlo.periodogram(stream, 2 * np.pi * m * c.sample_rate / 9, c)
+            assert est.stderr == pytest.approx(est.estimate * math.sqrt(1 / 20000))
+            assert abs(est.estimate - 2 / 9) <= 4 * est.stderr, m
+            assert np.std(est.powers) / est.estimate == pytest.approx(1.0, abs=0.05), m
 
     def test_frequency_bounds(self):
         c = cfg(segments=16, length=64)
@@ -222,6 +234,10 @@ class TestPairedEstimator:
         exact = expected_ratio(net, DIFF, omega, c)
         assert result.reference == pytest.approx(exact, rel=1e-10)
         assert abs(result.engine_value - exact) > 0.1 * exact
+        tabulated = engine.compile(with_noise(net.spec, TABULATED))
+        result = montecarlo.cross_validate(tabulated, DIFF, omega, c)
+        assert result.reference == pytest.approx(
+            stream_grid_ratio(tabulated, DIFF, omega, c), rel=1e-10)
         rng = random.Random(707 + bin_)
         checked = 0
         while checked < 10:
@@ -236,15 +252,49 @@ class TestPairedEstimator:
             checked += 1
 
 
+class TestRandomNetworks:
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2 ** 32 - 1), tabulated=st.booleans(),
+           bin_=st.integers(1, 16))
+    def test_oracle_agrees_with_the_engine(self, seed, tabulated, bin_):
+        # engine against oracle on random networks with whole-sample delays,
+        # bins up to L/4, some with tabulated sources; dark combos are skipped
+        rng = random.Random(seed)
+        c = cfg(seed=seed, segments=512, length=64)
+        spec = integer_delay_net(rng, c.sample_rate)
+        net = engine.compile(with_noise(spec, TABULATED) if tabulated else spec)
+        combo = netgen.random_combo(rng, spec)
+        assume(engine.snl(net, combo) >= 1e-9)
+        omega = 2 * np.pi * bin_ * c.sample_rate / c.segment_length
+        result = montecarlo.cross_validate(net, combo, omega, c)
+        assert abs(result.z) <= 4, result
+
+
+def segment_kernel(omega, c):
+    """The window times the phasor of omega's bin, less its mean (the
+    segment-mean removal)."""
+    length = c.segment_length
+    m = round(omega / (2 * np.pi) / (c.sample_rate / length))
+    win = np.hanning(length) if c.window == "hann" else np.ones(length)
+    kernel = win * np.exp(2j * np.pi * m * np.arange(length) / length)
+    return kernel - kernel.mean()
+
+
+def stream_grid_ratio(net, combo, omega, c):
+    """E[P_sig] / E[P_vac] of one segment, summed over the T frequencies of
+    the circular streams: exact for any input spectrum."""
+    n = c.total_samples
+    gain = np.abs(np.fft.fft(segment_kernel(omega, c), n)) ** 2
+    s = engine.sweep(net, combo, 2 * np.pi * np.fft.fftfreq(n, 1 / c.sample_rate))
+    return (s.absolute @ gain) / (s.snl @ gain)
+
+
 def expected_ratio(net, combo, omega, c):
     """E[P_sig] / E[P_vac] of one segment, from the taps: each input
     quadrature is white with its variance, and a segment's projection sees
     it through the kernel shifted by every tap delay."""
     length = c.segment_length
-    m = round(omega / (2 * np.pi) / (c.sample_rate / length))
-    win = np.hanning(length) if c.window == "hann" else np.ones(length)
-    kernel = win * np.exp(2j * np.pi * m * np.arange(length) / length)
-    kernel -= kernel.mean()  # the segment-mean removal
+    kernel = segment_kernel(omega, c)
     weights = engine.combo_weights(net, combo)
     taps = montecarlo.expand_taps(net, c)
     span = length + max(d for det in taps for _, d, _ in det)
@@ -477,4 +527,14 @@ class TestTabulatedInputs:
                                            cfg(seed=13, segments=512))
         assert result.engine_value == pytest.approx(63.0, rel=1e-6)
         assert abs(result.z) <= 4  # coloring leaks a little across bins
+
+    def test_spike_narrower_than_a_bin_fails_loudly(self):
+        # the reference's spectrum, cut to the lags a segment meets, rings
+        # below zero around a spike this narrow on a squeezed floor
+        noise = QuadSpectrum.tabulated([0.0, OMEGA - 2e6, OMEGA, OMEGA + 2e6],
+                                       [0.05, 0.05, 1000.0, 0.05], [25.0] * 4)
+        net = engine.compile(scenario.mz_network(tau=TAU_PI, carrier_phase=math.pi / 2,
+                                                 noise=noise))
+        with pytest.raises(MCError, match="too sharply"):
+            montecarlo.cross_validate(net, SUM, OMEGA, cfg(segments=16, length=64))
 

@@ -336,7 +336,7 @@ def test_complex_amp_requires_finite():
 
 def test_delay_stores_consistent_length():
     d = Delay(7.32 / SPEED_OF_LIGHT, 0.5)
-    assert d.delta_l == pytest.approx(7.32, abs=1e-12)
+    assert d.tau * SPEED_OF_LIGHT == pytest.approx(7.32, abs=1e-12)
     assert d.tau == 7.32 / 299792458.0
 
 

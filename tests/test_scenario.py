@@ -143,14 +143,34 @@ def test_zero_squeezing_cannot_entangle():
     assert delta == pytest.approx(1.0, abs=1e-9)
 
 
-def test_beam_levels_match_closed_form_with_losses():
-    report = run_experiment()
-    cfg = report.config
-    eta = (1.0 - report.detection_loss) * (1.0 - report.phase_path_loss)
-    ideal = (cfg.vx1 + cfg.vx2 + 2 * cfg.vy) / 4
-    expected = mzi.degraded_variance(ideal, 1.0 - eta)
-    assert report.phase.beam1 == pytest.approx(expected, rel=1e-9)
-    assert report.phase.beam2 == pytest.approx(expected, rel=1e-9)
+def closed_form_levels(cfg, mode, report):
+    """(single-beam, anticorrelated) levels of the ideal experiment after the
+    mode's loss.  The shared excess C = cov(Y_s1, Y_s2) adds to the phase
+    quadrature the beams read in phase mode and subtracts in amplitude mode."""
+    c = cfg.excess_correlation * max(0.0, cfg.vy - 1.0)
+    sign = 1.0 if mode == "phase" else -1.0
+    beam = (cfg.vx1 + cfg.vx2 + 2 * cfg.vy + 2 * sign * c) / 4
+    anti = cfg.vy + sign * c
+    eta = 1.0 - report.detection_loss
+    if mode == "phase":
+        eta *= 1.0 - report.phase_path_loss
+    return (mzi.degraded_variance(beam, 1.0 - eta), mzi.degraded_variance(anti, 1.0 - eta))
+
+
+# a visibility of 0 leaves no carrier on the phase readout, and no level
+@given(cfg=st.builds(replace, CONFIGS, visibility=st.floats(0.05, 1.0),
+                     excess_correlation=st.floats(-1.0, 1.0)))
+def test_beam_levels_match_closed_form_with_losses(cfg):
+    report = run_experiment(cfg)
+    uncorrelated = run_experiment(replace(cfg, excess_correlation=0.0))
+    for mode in ("amplitude", "phase"):
+        got = getattr(report, mode)
+        beam, anti = closed_form_levels(cfg, mode, report)
+        assert got.beam1 == pytest.approx(beam, rel=1e-12)
+        assert got.beam2 == pytest.approx(beam, rel=1e-12)
+        assert got.anticorrelation == pytest.approx(anti, rel=1e-12)
+        assert got.correlation == pytest.approx(getattr(uncorrelated, mode).correlation,
+                                                rel=1e-12)
 
 
 def test_amplitude_mode_first_splitter_is_bar():
