@@ -26,10 +26,10 @@ input quadrature variances.  All spectra are normalised to the shot-noise
 level of the same detector combination, which for a passive network equals
 the detected carrier flux.
 
-Every entry point is a view of one reverse walk over a whole frequency
-axis: :func:`sweep` evaluates blocks of frequencies per walk,
-:func:`spectrum` is its one-point view, and :func:`transfer` seeds the walk
-with the M identity rows.
+Every spectrum is a view of one reverse walk over a whole frequency axis:
+:func:`forms` reads the quadrature coefficients off it, :func:`sweep`
+evaluates blocks of frequencies per walk, and :func:`spectrum` is its
+one-point view.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ class CompiledNetwork:
     pipeline-traversal order: an entry is injected when its position is
     len(spec.sources) or more.  Each entry's ``noise`` is the one statement
     of that input's quadrature spectrum; every spectrum and Monte-Carlo run
-    reads it.  n_inputs/n_detectors give the transfer-matrix shape (N
-    columns, M rows).
+    reads it.  A(w) has n_detectors rows (M) and n_inputs columns (N).
     """
 
     spec: NetworkSpec
@@ -131,15 +130,6 @@ def _linear_map(el) -> tuple[tuple[tuple[complex, ...], ...], float]:
     if isinstance(el, Loss):
         return ((math.sqrt(el.eta), math.sqrt(1.0 - el.eta)),), 0.0
     raise TypeError(f"unknown element {el!r}")  # pragma: no cover - union is closed
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """A(w): rows = detectors, columns = roster inputs; plus the carriers."""
-
-    omega: float
-    a: np.ndarray  # (M, N) complex
-    carriers: np.ndarray  # (M,) complex
 
 
 @dataclass(frozen=True)
@@ -248,13 +238,6 @@ def _adjoint(net: CompiledNetwork, seeds: np.ndarray,
     return out
 
 
-def transfer(net: CompiledNetwork, omega: float) -> TransferMatrix:
-    """Evaluate the input->detector matrix at sideband frequency omega (rad/s)."""
-    a = _adjoint(net, np.eye(net.n_detectors), np.array([omega], dtype=float))[0]
-    return TransferMatrix(omega=omega, a=a,
-                          carriers=np.array(net.carriers, dtype=complex))
-
-
 def combo_weights(net: CompiledNetwork, combo: Combo) -> np.ndarray:
     """The combo's weight on each detector, in net.detector_names order."""
     w = np.zeros(net.n_detectors)
@@ -345,26 +328,6 @@ def snl(net: CompiledNetwork, combo: Combo) -> float:
     weights = combo_weights(net, combo)
     alpha = np.array(net.carriers, dtype=complex)
     return float(np.sum((weights ** 2) * np.abs(alpha) ** 2))
-
-
-@dataclass(frozen=True)
-class DCLevels:
-    """Mean photocurrents per detector and their differences."""
-
-    detector_names: tuple[str, ...]
-    means: tuple[float, ...]
-
-    def mean(self, detector: str) -> float:
-        return self.means[self.detector_names.index(detector)]
-
-    def difference(self, d1: str, d2: str) -> float:
-        return self.mean(d1) - self.mean(d2)
-
-
-def dc_levels(net: CompiledNetwork) -> DCLevels:
-    """DC photocurrents |alpha_k|^2; the two-port difference traces the fringe."""
-    means = tuple(float(abs(c) ** 2) for c in net.carriers)
-    return DCLevels(detector_names=net.detector_names, means=means)
 
 
 @dataclass(frozen=True)

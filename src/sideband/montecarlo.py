@@ -78,9 +78,16 @@ class MCConfig:
             raise MCError(
                 f"sample rate {self.sample_rate:g} Hz too low: need "
                 f"f_s > 4 * measurement frequency")
+        if omega > 0.0 and _bin_index(omega, self) == 0:
+            raise MCError(f"measurement frequency {omega / (2.0 * math.pi):g} Hz "
+                          f"snaps to 0 Hz: bin width f_s/L = "
+                          f"{self.sample_rate / self.segment_length:g} Hz")
 
     def delay_samples(self, tau: float) -> int:
         exact = tau * self.sample_rate
+        if not abs(exact) < 2.0 ** 53:  # every double is an integer from here on
+            raise MCError(f"delay {tau:g} s is {exact:.3g} samples at "
+                          f"f_s = {self.sample_rate:g} Hz, more than 2^53")
         nearest = round(exact)
         if abs(exact - nearest) > DELAY_TOLERANCE:
             raise MCError(
@@ -100,7 +107,9 @@ class MCEstimate:
 
 @dataclass
 class MCStreams:
-    """Per-detector photocurrent sample streams (DC level included)."""
+    """Per-detector photocurrent sample streams (DC level included).  Kept
+    for ``bench/spans.py``, which wraps ``combo_stream`` by attribute (pinned
+    by ``tests/test_bench_trace.py``), until the tracer wraps _streams."""
 
     streams: np.ndarray  # (M, T) float64, rows in net.detector_names order
 
@@ -220,23 +229,22 @@ def _accumulate(out: np.ndarray, x: np.ndarray, y: np.ndarray, coefs):
 
 
 def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray,
-             root: np.random.SeedSequence, paired: bool = False) -> np.ndarray:
-    """Weighted photocurrent fluctuations sum_k weights[r, k] dn_k(t), no DC.
+             root: np.random.SeedSequence) -> np.ndarray:
+    """Weighted photocurrent fluctuations sum_k weights[r, k] dn_k(t), no DC:
+    R signal rows, then R vacuum rows (every input at vacuum variance).
 
-    Each roster input carries its own noise.  ``taps`` are
-    :func:`expand_taps` of ``net``; an input's taps fold into one complex
-    coefficient per row and distinct delay: weights, conj(alpha_k), the tap
-    gains and, for constant spectra, sqrt(V_X) and sqrt(V_Y).  ``paired``
-    appends one more row per weight row: the same weights with every input
-    at vacuum variance, added from the same white draws before a tabulated
-    input is coloured.  Inputs
-    are drawn on a thread pool, at most workers + 1 in flight in a fixed set
-    of buffers, and the calling thread adds them in roster order, so the
-    result is bit-identical for any worker count.  The calling thread also
-    colours tabulated inputs: freed on a draw thread, the colouring's FFT
-    temporaries (16 MiB at 2^21 samples) stay in that thread's malloc arena
-    for as long as thread timing decides, and peak memory would vary from run
-    to run.
+    Each roster input carries its own noise, drawn on the substream of its
+    roster position.  ``taps`` are :func:`expand_taps` of ``net``; an input's
+    taps fold into one complex coefficient per row and distinct delay:
+    weights, conj(alpha_k), the tap gains and, for a signal row of a constant
+    spectrum, sqrt(V_X) and sqrt(V_Y).  Vacuum rows add the white draws
+    before a tabulated input is coloured.  Inputs are drawn on a thread pool,
+    at most workers + 1 in flight in a fixed set of buffers, and the calling
+    thread adds them in roster order, so the result is bit-identical for any
+    worker count.  The calling thread also colours tabulated inputs: freed on
+    a draw thread, the colouring's FFT temporaries (16 MiB at 2^21 samples)
+    stay in that thread's malloc arena for as long as thread timing decides,
+    and peak memory would vary from run to run.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -252,29 +260,25 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
             folded[j][d] = folded[j].get(d, 0.0) + term
     blank = np.zeros(weights.shape[0])
 
-    def over_rows(signal, vacuum):
-        return np.concatenate([signal, vacuum]) if paired else signal
-
     jobs = []  # (substream, spectrum, taps on the white draws, taps after colouring)
     for j, entry in enumerate(net.roster):
         spec = entry.noise
-        sx, sy = ((math.sqrt(spec.vx), math.sqrt(spec.vy)) if spec.is_constant
-                  else (1.0, 1.0))
         white, coloured = [], []
         for d, c in sorted(folded[j].items()):
             if not c.any():
                 continue
-            signal, vacuum = (c.real * sx, -c.imag * sy), (c.real, -c.imag)
+            cx, cy = c.real, -c.imag  # coefficients of X and Y, one per row
             if spec.is_constant:
-                white.append((d, *map(over_rows, signal, vacuum)))
+                white.append((d, np.concatenate([cx * math.sqrt(spec.vx), cx]),
+                              np.concatenate([cy * math.sqrt(spec.vy), cy])))
             else:
-                coloured.append((d, *(over_rows(s, blank) for s in signal)))
-                if paired:
-                    white.append((d, *(over_rows(blank, v) for v in vacuum)))
+                white.append((d, np.concatenate([blank, cx]), np.concatenate([blank, cy])))
+                coloured.append((d, np.concatenate([cx, blank]),
+                                 np.concatenate([cy, blank])))
         if white or coloured:
             jobs.append((children[j], spec, white, coloured))
 
-    out = np.zeros(((2 if paired else 1) * weights.shape[0], n))
+    out = np.zeros((2 * weights.shape[0], n))
     workers = _workers()
     # a ring of buffers: input i draws into slot i % len(ring), and input
     # i + len(ring) is submitted once input i has been added
@@ -294,19 +298,6 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
             if i + len(ring) < len(jobs):
                 pending.append(submit(i + len(ring)))
     return out
-
-
-def simulate(net: engine.CompiledNetwork, cfg: MCConfig) -> MCStreams:
-    """Sample per-detector photocurrent streams; bit-reproducible per seed.
-
-    Each roster entry carries its own noise.  Input generation is keyed by
-    roster position on spawned substreams, so streams are independent of
-    element evaluation order and of the number of threads drawing them.
-    """
-    streams = _streams(net, cfg, expand_taps(net, cfg), np.eye(net.n_detectors),
-                       np.random.SeedSequence(cfg.seed))
-    streams += (np.abs(net.carriers) ** 2)[:, None]  # DC photocurrent
-    return MCStreams(streams)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +461,7 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
     weights = engine.combo_weights(net, combo)[None, :]
     taps = expand_taps(net, cfg)
 
-    signal_row, vacuum_row = _streams(net, cfg, taps, weights, signal_ss, paired=True)
+    signal_row, vacuum_row = _streams(net, cfg, taps, weights, signal_ss)
     est_sig = periodogram(signal_row, omega, cfg)
     est_vac = periodogram(vacuum_row, omega, cfg)
     if est_vac.estimate <= 0.0:

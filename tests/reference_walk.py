@@ -2,7 +2,8 @@
 
 It carries every port as combinations of all N roster inputs, so it yields
 the whole transfer matrix A(w) at every frequency.  The engine reads the
-same linear maps (``PipelineStep.gains`` and ``tau``) in reverse order.
+same linear maps (``PipelineStep.gains`` and ``tau``) in reverse order;
+:func:`engine_matrix` reads A(w) off that reverse walk.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+from sideband import engine
 
 
 def run_pipeline(net, omegas: np.ndarray, ports: Sequence[str]) -> dict[str, np.ndarray]:
@@ -58,3 +61,10 @@ def forward_reference(net, omegas) -> np.ndarray:
     """A(w) for every w in ``omegas``: an (F, M, N) array."""
     state = run_pipeline(net, omegas, net.detector_ports)
     return np.stack([state[p] for p in net.detector_ports], axis=1)
+
+
+def engine_matrix(net, omega: float) -> np.ndarray:
+    """A(omega) from the engine's reverse walk seeded with the M identity
+    rows: an (M, N) array."""
+    return engine._adjoint(net, np.eye(net.n_detectors),
+                           np.array([omega], dtype=float))[0]

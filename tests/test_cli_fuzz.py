@@ -230,11 +230,18 @@ def test_bad_values_are_one_line_usage_errors(nets, argv):
      "LONG.tau=25ns", "--freq", "20MHz", "--segments", "8", "--segment-length", "64"],
     ["oracle", "--net", "@huge_weight", "--override", "LONG.tau=250ns", "--combo",
      "measure:W", "--freq", "1MHz", "--segments", "8", "--segment-length", "64"],
+    # a nonzero frequency below half a bin width would be read at 0 Hz
+    ["oracle", "--net", "@mz_phase", "--freq", "20MHz", "--sample-rate", "1e300",
+     "--segments", "64"],
+    # a delay of 2^53 samples or more: every such double is an integer
+    ["oracle", "--net", "@mz_phase", "--freq", "20.5MHz", "--sample-rate", "164e6",
+     "--segments", "16", "--segment-length", "64", "--override", "LONG.tau=1e285"],
 ])
 def test_impossible_numbers_are_one_line_numerical_errors(nets, argv):
-    code, _, err = run([nets.get(a, a) for a in argv])
+    code, out, err = run([nets.get(a, a) for a in argv])
     assert code == 5
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [

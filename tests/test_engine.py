@@ -18,7 +18,7 @@ from sideband.network import (
 )
 
 import netgen
-from reference_walk import forward_reference, run_pipeline
+from reference_walk import engine_matrix, forward_reference, run_pipeline
 
 TAU = 1.0 / (2 * 20.5e6)  # theta = pi at 20.5 MHz
 OMEGA = 2 * math.pi * 20.5e6
@@ -30,6 +30,11 @@ def mz_net(phi=math.pi / 2, vx=0.617, vy=63.0, amp=100.0, tau=TAU, noise=None):
     spec = scenario.mz_network(tau=tau, carrier_phase=phi, amp=amp,
                                noise=noise or QuadSpectrum.constant(vx, vy))
     return engine.compile(spec)
+
+
+def dc_levels(net):
+    """Mean photocurrent |alpha_k|^2 of each detector, by name."""
+    return {name: abs(c) ** 2 for name, c in zip(net.detector_names, net.carriers)}
 
 
 def lossless_random_net(rng):
@@ -88,20 +93,20 @@ class TestTransfer:
             net = mz_net(phi=phi, tau=tau)
             g = np.exp(1j * phi) * np.exp(-1j * omega * tau)
             expected = 0.5 * np.array([[1 + g, 1 - g], [1 - g, 1 + g]])
-            got = engine.transfer(net, omega).a
+            got = engine_matrix(net, omega)
             assert np.abs(got - expected).max() < 1e-12
 
     def test_lossless_unitarity(self):
         net = mz_net()
         rng = np.random.default_rng(3)
         for omega in rng.uniform(0, 2 * np.pi * 60e6, size=100):
-            a = engine.transfer(net, omega).a
+            a = engine_matrix(net, omega)
             assert np.abs(a @ a.conj().T - np.eye(2)).max() < 1e-12
 
     def test_bar_state_at_zero_phase(self):
         # phi = 0, theta = 0: both splittings undo, all carrier exits port C
         net = mz_net(phi=0.0)
-        a = engine.transfer(net, 0.0).a
+        a = engine_matrix(net, 0.0)
         assert np.abs(np.abs(a) - np.eye(2)).max() < 1e-12
         assert abs(net.carriers[0]) == pytest.approx(100.0, rel=1e-12)
         assert abs(net.carriers[1]) == pytest.approx(0.0, abs=1e-9)
@@ -112,7 +117,7 @@ class TestTransfer:
             spec = netgen.random_spec(rng)
             net = engine.compile(spec)
             amps = np.array([e.amp for e in net.roster], dtype=complex)
-            expected = engine.transfer(net, 0.0).a @ amps
+            expected = engine_matrix(net, 0.0) @ amps
             assert np.abs(np.array(net.carriers) - expected).max() < 1e-12
 
 
@@ -266,21 +271,21 @@ class TestDCLevels:
     @pytest.mark.parametrize("phi", [0.0, math.pi / 3, math.pi / 2, 1.1, math.pi])
     def test_fringe_difference(self, phi):
         net = mz_net(phi=phi, amp=1.0)
-        dc = engine.dc_levels(net)
+        dc = dc_levels(net)
         # hand-propagated carriers: alpha*(1 +/- e^{i phi})/2 per port
         expected = abs((1 + np.exp(1j * phi)) / 2) ** 2 - abs((1 - np.exp(1j * phi)) / 2) ** 2
-        assert dc.difference("C", "D") == pytest.approx(math.cos(phi), abs=1e-12)
-        assert dc.difference("C", "D") == pytest.approx(expected, abs=1e-12)
+        assert dc["C"] - dc["D"] == pytest.approx(math.cos(phi), abs=1e-12)
+        assert dc["C"] - dc["D"] == pytest.approx(expected, abs=1e-12)
 
     def test_lock_point_is_dark(self):
         net = mz_net(phi=math.pi / 2, amp=100.0)
-        dc = engine.dc_levels(net)
-        assert dc.difference("C", "D") / 1e4 == pytest.approx(0.0, abs=1e-12)
+        dc = dc_levels(net)
+        assert (dc["C"] - dc["D"]) / 1e4 == pytest.approx(0.0, abs=1e-12)
 
     def test_third_fringe(self):
         net = mz_net(phi=math.pi / 3, amp=100.0)
-        assert engine.dc_levels(net).difference("C", "D") == pytest.approx(
-            0.5 * 1e4, rel=1e-12)
+        dc = dc_levels(net)
+        assert dc["C"] - dc["D"] == pytest.approx(0.5 * 1e4, rel=1e-12)
 
     def test_phase_and_delay_carrier_phase_share_a_sign(self):
         # phase multiplies by e^{+i phi} and a zero-length delay by
@@ -291,7 +296,8 @@ class TestDCLevels:
             "phase P from B1.out1 phi=0.6;"
             "delay L from B1.out2 length=0m carrier_phase=0.6;"
             "bs B2 from P.out, L.out; det C from B2.out1; det D from B2.out2;"))
-        assert engine.dc_levels(net).means == pytest.approx((1e4, 0.0), abs=1e-9)
+        dc = dc_levels(net)
+        assert (dc["C"], dc["D"]) == pytest.approx((1e4, 0.0), abs=1e-9)
 
 
 class TestConservation:
@@ -310,7 +316,7 @@ class TestConservation:
             net = lossless_random_net(rng)
             m = net.n_detectors
             omega = rng.uniform(0, 2 * math.pi * 40e6)
-            a = engine.transfer(net, omega).a
+            a = engine_matrix(net, omega)
             assert np.abs(a @ a.conj().T - np.eye(m)).max() < 1e-12
 
 
@@ -501,7 +507,7 @@ class TestReverseWalk:
         _, net = _walk_net(seed, lossy, direct)
         omegas = _axis(seed, 1)
         for omega in (*omegas[:4], omegas[-1]):
-            _assert_within(engine.transfer(net, omega).a,
+            _assert_within(engine_matrix(net, omega),
                            forward_reference(net, [omega])[0], 1.0)
 
     @settings(max_examples=40, deadline=None)

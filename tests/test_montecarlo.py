@@ -12,6 +12,7 @@ from sideband.montecarlo import MCConfig, MCError
 from sideband.network import VACUUM_SPECTRUM, Combo, Delay, Loss, QuadSpectrum
 
 import netgen
+from reference_walk import engine_matrix
 
 F_M = 20.5e6
 OMEGA = 2 * math.pi * F_M
@@ -33,35 +34,45 @@ DIFF = Combo.diff_of("C", "D")
 SUM = Combo.sum_of("C", "D")
 
 
+def detector_streams(net, c):
+    """Per-detector photocurrent streams, DC level included: the signal rows
+    of the oracle's accumulator weighted with the M identity rows, on the
+    seed's own SeedSequence."""
+    m = net.n_detectors
+    streams = montecarlo._streams(net, c, montecarlo.expand_taps(net, c), np.eye(m),
+                                  np.random.SeedSequence(c.seed))[:m]
+    return streams + (np.abs(net.carriers) ** 2)[:, None]
+
+
 class TestSimulate:
     def test_fixed_seed_is_bit_identical(self):
         net = mz_net()
-        a = montecarlo.simulate(net, cfg(seed=7, segments=16, length=64))
-        b = montecarlo.simulate(net, cfg(seed=7, segments=16, length=64))
-        assert np.array_equal(a.streams, b.streams)
-        c = montecarlo.simulate(net, cfg(seed=8, segments=16, length=64))
-        assert not np.array_equal(a.streams, c.streams)
+        a = detector_streams(net, cfg(seed=7, segments=16, length=64))
+        b = detector_streams(net, cfg(seed=7, segments=16, length=64))
+        assert np.array_equal(a, b)
+        c = detector_streams(net, cfg(seed=8, segments=16, length=64))
+        assert not np.array_equal(a, c)
 
     def test_vacuum_inputs_sit_at_shot_noise(self):
         net = mz_net(vx=1.0, vy=1.0)
-        mc = montecarlo.simulate(net, cfg(seed=3, segments=128))
+        streams = detector_streams(net, cfg(seed=3, segments=128))
         for k, name in enumerate(net.detector_names):
             flux = abs(net.carriers[k]) ** 2
-            sample_var = mc.streams[k].var()
-            se = flux * math.sqrt(2.0 / mc.streams.shape[1])
+            sample_var = streams[k].var()
+            se = flux * math.sqrt(2.0 / streams.shape[1])
             assert abs(sample_var - flux) <= 3 * se, name
 
     def test_delay_must_be_integer_samples(self):
         net = mz_net(tau=TAU_PI * 1.01)
         with pytest.raises(MCError, match="integer number of samples"):
-            montecarlo.simulate(net, cfg())
+            detector_streams(net, cfg())
 
     def test_dc_level_present(self):
         net = mz_net()
-        mc = montecarlo.simulate(net, cfg(seed=1, segments=16, length=64))
+        streams = detector_streams(net, cfg(seed=1, segments=16, length=64))
         for k in range(net.n_detectors):
             flux = abs(net.carriers[k]) ** 2
-            assert mc.streams[k].mean() == pytest.approx(flux, rel=0.05)
+            assert streams[k].mean() == pytest.approx(flux, rel=0.05)
 
 
 class TestPeriodogram:
@@ -336,8 +347,8 @@ def with_noise(spec, noise):
 
 
 def rolled_tap_sum(net, c):
-    """simulate's streams rebuilt with every tap as a rolled copy of the
-    input's own draws, DC included."""
+    """:func:`detector_streams` rebuilt with every tap as a rolled copy of
+    the input's own draws, DC included."""
     n = c.total_samples
     omegas = 2 * np.pi * np.fft.rfftfreq(n, d=1 / c.sample_rate)
     ref = np.tile((np.abs(net.carriers) ** 2)[:, None], (1, n))
@@ -387,12 +398,13 @@ class TestComboStreams:
             dc = np.abs(net.carriers) ** 2
             combo_dc = sum(w * dc[net.detector_names.index(d)] for d, w in combo.weights)
             for got, run in ((seen[0], net), (seen[1], vacuum_net)):
-                # the detector streams simulate would draw on the signal
-                # substream (a fresh SeedSequence: spawning advances it)
+                # the per-detector signal rows drawn on the signal substream
+                # (a fresh SeedSequence: spawning advances it)
                 signal_ss = np.random.SeedSequence(c.seed).spawn(1)[0]
+                m = run.n_detectors
                 detectors = montecarlo._streams(
-                    run, c, montecarlo.expand_taps(run, c), np.eye(run.n_detectors),
-                    signal_ss) + dc[:, None]
+                    run, c, montecarlo.expand_taps(run, c), np.eye(m),
+                    signal_ss)[:m] + dc[:, None]
                 ref = sum(w * detectors[net.detector_names.index(d)]
                           for d, w in combo.weights) - combo_dc
                 tol = 1e-12 * (np.max(np.abs(ref)) + abs(combo_dc))
@@ -408,7 +420,7 @@ class TestComboStreams:
         for _ in range(8):
             spec = integer_delay_net(rng, c.sample_rate)
             net = engine.compile(with_noise(spec, TABULATED) if tabulated else spec)
-            got = montecarlo.simulate(net, c).streams
+            got = detector_streams(net, c)
             ref = rolled_tap_sum(net, c)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -420,7 +432,7 @@ class TestComboStreams:
         spec = scenario.mz_network(tau=(montecarlo.CHUNK + 3) / c.sample_rate,
                                    carrier_phase=math.pi / 2, amp=100.0, noise=noise)
         net = engine.compile(spec)
-        got = montecarlo.simulate(net, c).streams
+        got = detector_streams(net, c)
         ref = rolled_tap_sum(net, c)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -447,13 +459,13 @@ class TestComboStreams:
         first = dataclasses.replace(spec.sources[0], noise=TABULATED)
         net = engine.compile(dataclasses.replace(spec, sources=(first, *spec.sources[1:])))
         c = cfg(seed=5, segments=32, length=64)
-        default = montecarlo.simulate(net, c).streams
+        default = detector_streams(net, c)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often: a reused buffer would show
         try:
             for workers in (1, 3, 8):
                 monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
-                again = montecarlo.simulate(net, c).streams
+                again = detector_streams(net, c)
                 assert np.array_equal(again, default), workers
         finally:
             sys.setswitchinterval(interval)
@@ -478,7 +490,7 @@ class TestTaps:
                 for k, det in enumerate(taps):
                     for j, d, g in det:
                         a[k, j] += g * np.exp(-1j * omega * d / c.sample_rate)
-                assert np.max(np.abs(a - engine.transfer(net, omega).a)) <= 1e-12
+                assert np.max(np.abs(a - engine_matrix(net, omega))) <= 1e-12
         assert lossy >= 5 and open_ports >= 5
 
     def test_bundled_presets_at_164_mhz(self):
