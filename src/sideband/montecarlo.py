@@ -6,20 +6,26 @@ the band, or shaped by FFT coloring for tabulated spectra, with vacuum
 variance 1 per sample).  The compiled pipeline is expanded into delay taps
 per detector by applying each step's linear map -- its gains, and a shift
 by its delay tau in samples -- the same maps the frequency-domain engine
-walks.  Photocurrent fluctuation streams are
+walks.  Photocurrent fluctuations are
 dn_k(t) = 2 Re(conj(alpha_k) sum taps), sampled at a rate that makes every
-delay a whole number of samples (circular-buffer shifts).
+delay a whole number of samples, on circular streams of T = K L samples.
 
 Spectra come from a Welch periodogram read at one FFT bin: the mean of the
-segments' bin powers, at a resolution of one bin width f_s / L.  The
-shot-noise reference is a second row accumulated from the same draws with
-every input at vacuum variance, so the signal and vacuum bin powers share
-their randomness and their ratio is a low-variance estimate.
+segments' bin powers, at a resolution of one bin width f_s / L.  A
+segment's bin is its projection onto one kernel of L samples, and
+projection is linear, so no photocurrent stream is built: each input is
+projected onto the kernel as it is drawn, and a row's segment projections
+are the sum of its inputs' projections, shifted by the tap delays and
+weighted by the tap coefficients.  The shot-noise reference is a second row
+accumulated from the same draws with every input at vacuum variance, so the
+signal and vacuum bin powers share their randomness and their ratio is a
+low-variance estimate.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from collections import deque
@@ -33,12 +39,13 @@ from .network import QuadSpectrum
 DELAY_TOLERANCE = 1e-6  # max |tau*f_s - round(tau*f_s)|
 
 #: the most samples a sampling plan may hold, 8x the acceptance plan's
-#: 512 x 4096: a float64 stream buffer is then 128 MiB, and a run holds two
-#: per drawing thread plus one per output row
+#: 512 x 4096: a tabulated input's float64 stream is then 128 MiB, and a run
+#: holds one at a time, plus its FFT temporaries; constant-spectrum inputs
+#: are drawn a block at a time, and a row is K x 2 projections
 MAX_TOTAL_SAMPLES = 2 ** 24
 
-#: output samples per block of tap accumulation: a block of each row and of
-#: the shifted inputs stays in cache while every tap of an input is added
+#: samples per block of an input's draws, rounded down to whole segments:
+#: a block stays in cache while it is projected at every lag its taps need
 CHUNK = 2 ** 14
 
 
@@ -107,11 +114,12 @@ class MCEstimate:
 
 @dataclass
 class MCStreams:
-    """Per-detector photocurrent sample streams (DC level included).  Kept
-    for ``bench/spans.py``, which wraps ``combo_stream`` by attribute (pinned
-    by ``tests/test_bench_trace.py``), until the tracer wraps _streams."""
+    """Per-detector rows: photocurrent streams, or their segment projections
+    flattened.  Kept for ``bench/spans.py``, which wraps ``combo_stream`` by
+    attribute (pinned by ``tests/test_bench_trace.py``), until the tracer
+    wraps _streams."""
 
-    streams: np.ndarray  # (M, T) float64, rows in net.detector_names order
+    streams: np.ndarray  # (M, ...) float64, rows in net.detector_names order
 
     def combo_stream(self, net: engine.CompiledNetwork, combo) -> np.ndarray:
         weights = engine.combo_weights(net, combo)
@@ -175,80 +183,110 @@ def expand_taps(net: engine.CompiledNetwork, cfg: MCConfig) -> list[list[tuple[i
 
 
 def _workers() -> int:
-    """Threads that draw input streams: one per core this process may use."""
+    """Threads that draw constant-spectrum inputs: one per core this process
+    may use."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _draw(seed: np.random.SeedSequence, x: np.ndarray, y: np.ndarray):
-    """Fill x and y with one input's unit-variance white noise."""
-    rng = np.random.default_rng(seed)
-    rng.standard_normal(out=x)
-    rng.standard_normal(out=y)
+def _project(fill, lags, basis: np.ndarray, count: int) -> np.ndarray:
+    """Project a circular stream of ``count`` segments onto ``basis``, the
+    (L, 2) real and imaginary parts of the segment kernel, at every lag in
+    ``lags`` (each in [0, L)): [i, k] is the projection of the L samples
+    that start lags[i] samples before segment k.
 
-
-def _colour(spec, cfg: MCConfig, x: np.ndarray, y: np.ndarray):
-    """FFT-colour white x and y in place to a tabulated spectrum's variances."""
-    n = x.size
-    omegas = 2.0 * math.pi * np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate)
-    for buf, variance_fn in ((x, spec.vx_at), (y, spec.vy_at)):
-        shaped = np.fft.rfft(buf)
-        shaped *= np.sqrt(variance_fn(omegas))
-        buf[:] = np.fft.irfft(shaped, n)
-
-
-def _accumulate(out: np.ndarray, x: np.ndarray, y: np.ndarray, coefs):
-    """out[r, i] += cx[r] x[i - d] + cy[r] y[i - d], indices mod n, for every
-    (d, cx, cy) in ``coefs``; rows whose cx and cy are both 0 are skipped.
-
-    The output is walked in blocks of CHUNK samples, every tap of a block
-    before the next, with block-sized temporaries.  Each element gets the
-    same operations in the same order as adding whole shifted rows would
-    (taps in ``coefs`` order), so the sums do not depend on the block size.
+    ``fill(block, start)`` writes the stream's samples from ``start`` on
+    into ``block``.  It is called in stream order, CHUNK samples rounded
+    down to whole segments (at least one) at a time, and a block stays in
+    cache while it is projected at every lag.  Segment 0's windows wrap
+    round, so they are joined at the end from the stream's last and first
+    samples.
     """
-    n = x.size
-    t, u = np.empty(CHUNK), np.empty(CHUNK)
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        for d, cx, cy in coefs:
-            # outputs below d read the end of the inputs: a circular shift
-            for a, b in ((lo, min(hi, d)), (max(lo, d), hi)):
-                if a >= b:
-                    continue
-                src = (a - d) % n
-                xs, ys = x[src:src + b - a], y[src:src + b - a]
-                ts, us = t[:b - a], u[:b - a]
-                for r in range(out.shape[0]):
-                    if cx[r] == 0.0 and cy[r] == 0.0:
-                        continue
-                    np.multiply(xs, cx[r], out=ts)
-                    np.multiply(ys, cy[r], out=us)
-                    ts += us
-                    out[r, a:b] += ts
+    length = basis.shape[0]
+    step = max(1, CHUNK // length)  # segments per block
+    buf = np.zeros((step + 1) * length)  # the previous block's last segment, then a block
+    out = np.empty((len(lags), count, 2))
+    for k0 in range(0, count, step):
+        size = (min(k0 + step, count) - k0) * length
+        fill(buf[length:length + size], k0 * length)
+        if k0 == 0:
+            head = buf[length:2 * length].copy()
+        for i, r in enumerate(lags):
+            out[i, k0:k0 + size // length] = (
+                buf[length - r:length - r + size].reshape(-1, length) @ basis)
+        buf[:length] = buf[size:size + length]
+    buf[length:2 * length] = head
+    for i, r in enumerate(lags):
+        out[i, 0] = buf[length - r:2 * length - r] @ basis
+    return out
+
+
+def _white(seed: np.random.SeedSequence, lags, basis: np.ndarray, count: int) -> np.ndarray:
+    """One input's unit-variance X and Y streams, drawn on its substream a
+    block at a time and projected as drawn: (2, len(lags), K, 2)."""
+    rng = np.random.default_rng(seed)
+    return np.stack([_project(lambda block, _: rng.standard_normal(out=block),
+                              lags, basis, count) for _ in range(2)])
+
+
+def _coloured(seed: np.random.SeedSequence, spec: QuadSpectrum, lags, basis: np.ndarray,
+              cfg: MCConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A tabulated input's projections before and after FFT colouring to
+    its spectrum's variances, each (2, len(lags), K, 2).  X, then Y, is
+    drawn whole on the input's substream, projected, coloured and projected
+    again; one stream is held at a time."""
+    def project(stream):
+        return _project(lambda block, at: np.copyto(block, stream[at:at + block.size]),
+                        lags, basis, cfg.segment_count)
+
+    rng = np.random.default_rng(seed)
+    n = cfg.total_samples
+    white, coloured = [], []
+    for variance_fn in (spec.vx_at, spec.vy_at):
+        stream = rng.standard_normal(n)
+        white.append(project(stream))
+        shaped = np.fft.rfft(stream)
+        del stream
+        shaped *= np.sqrt(variance_fn(
+            2.0 * math.pi * np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate)))
+        stream = np.fft.irfft(shaped, n)
+        del shaped
+        coloured.append(project(stream))
+    return np.stack(white), np.stack(coloured)
 
 
 def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray,
-             root: np.random.SeedSequence) -> np.ndarray:
-    """Weighted photocurrent fluctuations sum_k weights[r, k] dn_k(t), no DC:
-    R signal rows, then R vacuum rows (every input at vacuum variance).
+             root: np.random.SeedSequence, omega: float) -> np.ndarray:
+    """Segment projections of the weighted photocurrent fluctuations
+    sum_k weights[r, k] dn_k(t), no DC, onto omega's bin kernel:
+    (2R, K, 2), R signal rows, then R vacuum rows (every input at vacuum
+    variance); [r, k] is segment k's projection onto the real and
+    imaginary parts of the kernel.  No stream of a row is built.
 
     Each roster input carries its own noise, drawn on the substream of its
     roster position.  ``taps`` are :func:`expand_taps` of ``net``; an input's
-    taps fold into one complex coefficient per row and distinct delay:
-    weights, conj(alpha_k), the tap gains and, for a signal row of a constant
-    spectrum, sqrt(V_X) and sqrt(V_Y).  Vacuum rows add the white draws
-    before a tabulated input is coloured.  Inputs are drawn on a thread pool,
-    at most workers + 1 in flight in a fixed set of buffers, and the calling
-    thread adds them in roster order, so the result is bit-identical for any
-    worker count.  The calling thread also colours tabulated inputs: freed on
-    a draw thread, the colouring's FFT temporaries (16 MiB at 2^21 samples)
-    stay in that thread's malloc arena for as long as thread timing decides,
-    and peak memory would vary from run to run.
+    taps fold into one complex coefficient per row and distinct delay d
+    (mod T): weights, conj(alpha_k), the tap gains and, for a signal row of
+    a constant spectrum, sqrt(V_X) and sqrt(V_Y).  Projection is linear,
+    so a tap adds its coefficient times the input's projections at lag
+    d mod L, rolled by d // L segments.  Vacuum rows take a tabulated
+    input's projections before colouring, signal rows after.
+
+    Constant-spectrum inputs are drawn and projected on a thread pool, a
+    block at a time, at most workers + 1 inputs in flight.  Tabulated inputs
+    are drawn, coloured and projected on the calling thread, one stream at
+    a time: freed on a draw thread, the colouring's FFT temporaries (16 MiB
+    at 2^21 samples) would stay in that thread's malloc arena for as long
+    as thread timing decides, and peak memory would vary from run to run.
+    The calling thread adds the inputs in roster order, so the result is
+    bit-identical for any worker count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    n = cfg.total_samples
+    n, length, count = cfg.total_samples, cfg.segment_length, cfg.segment_count
+    kernel = _kernel(omega, cfg)
+    basis = np.stack([kernel.real, kernel.imag], axis=1)
     conj_alphas = np.conj(np.array(net.carriers, dtype=complex))
     children = root.spawn(net.n_inputs)
 
@@ -260,7 +298,7 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
             folded[j][d] = folded[j].get(d, 0.0) + term
     blank = np.zeros(weights.shape[0])
 
-    jobs = []  # (substream, spectrum, taps on the white draws, taps after colouring)
+    jobs = []  # (substream, spectrum, lags, taps on the white draws, taps after colouring)
     for j, entry in enumerate(net.roster):
         spec = entry.noise
         white, coloured = [], []
@@ -275,28 +313,33 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
                 white.append((d, np.concatenate([blank, cx]), np.concatenate([blank, cy])))
                 coloured.append((d, np.concatenate([cx, blank]),
                                  np.concatenate([cy, blank])))
-        if white or coloured:
-            jobs.append((children[j], spec, white, coloured))
+        if white:
+            lags = sorted({d % length for d, _, _ in white})
+            jobs.append((children[j], spec, lags, white, coloured))
 
-    out = np.zeros((2 * weights.shape[0], n))
+    out = np.zeros((2 * weights.shape[0], count, 2))
     workers = _workers()
-    # a ring of buffers: input i draws into slot i % len(ring), and input
-    # i + len(ring) is submitted once input i has been added
-    ring = [(np.empty(n), np.empty(n)) for _ in range(min(workers + 1, len(jobs)))]
+    queue = iter([(seed, lags) for seed, spec, lags, _, _ in jobs if spec.is_constant])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        def submit(i):
-            return pool.submit(_draw, jobs[i][0], *ring[i % len(ring)])
+        pending = deque()
 
-        pending = deque(submit(i) for i in range(len(ring)))
-        for i, (_, spec, white, coloured) in enumerate(jobs):
-            pending.popleft().result()
-            x, y = ring[i % len(ring)]
-            _accumulate(out, x, y, white)
-            if coloured:
-                _colour(spec, cfg, x, y)
-                _accumulate(out, x, y, coloured)
-            if i + len(ring) < len(jobs):
-                pending.append(submit(i + len(ring)))
+        def top_up():
+            for seed, lags in itertools.islice(queue, workers + 1 - len(pending)):
+                pending.append(pool.submit(_white, seed, lags, basis, count))
+
+        top_up()
+        for seed, spec, lags, white, coloured in jobs:
+            if spec.is_constant:
+                parts = [(pending.popleft().result(), white)]
+                top_up()
+            else:
+                parts = zip(_coloured(seed, spec, lags, basis, cfg), (white, coloured))
+            for projections, terms in parts:
+                for d, cx, cy in terms:
+                    x, y = projections[:, lags.index(d % length)]
+                    shift = d // length
+                    out += (cx[:, None, None] * np.roll(x, shift, axis=0)
+                            + cy[:, None, None] * np.roll(y, shift, axis=0))
     return out
 
 
@@ -333,32 +376,28 @@ def _kernel(omega: float, cfg: MCConfig) -> np.ndarray:
     return kernel - kernel.mean()
 
 
-def segment_powers(stream: np.ndarray, omega: float, cfg: MCConfig) -> np.ndarray:
-    """Per-segment bin powers at omega, coherent-gain normalised.
+def segment_powers(projections: np.ndarray, omega: float, cfg: MCConfig) -> np.ndarray:
+    """Per-segment bin powers at omega, coherent-gain normalised, from the
+    (K, 2) projections of the segments onto the real and imaginary parts of
+    the segment kernel (see :func:`_kernel`), which also remove each
+    segment's mean.
 
     A sinusoid of amplitude A exactly on the bin gives A^2/2; white noise of
-    variance s^2 gives s^2 / (L/2) per bin with a rectangular window.  The
-    one bin is read as two real projections, on the real and imaginary parts
-    of the segment kernel, which also remove each segment's mean.
+    variance s^2 gives s^2 / (L/2) per bin with a rectangular window.
     """
-    length = cfg.segment_length
     f_nyq_omega = math.pi * cfg.sample_rate
     if not 0.0 <= omega < f_nyq_omega:
         raise MCError(f"frequency {omega:g} rad/s outside [0, pi*f_s)")
-    if stream.size < cfg.total_samples:
-        raise MCError(
-            f"stream too short: {stream.size} < {cfg.total_samples} samples")
-
-    m = _bin_index(omega, cfg)
-    kernel = _kernel(omega, cfg)
-    segments = stream[:cfg.total_samples].reshape(cfg.segment_count, length)
-    proj = segments @ np.stack([kernel.real, kernel.imag], axis=1)  # (K, 2)
-    one_sided = 1.0 if _real_bin(m, length) else 2.0
-    return one_sided * (proj ** 2).sum(axis=1) / (_window(cfg).sum() ** 2)
+    if projections.shape != (cfg.segment_count, 2):
+        raise MCError(f"need ({cfg.segment_count}, 2) segment projections, "
+                      f"got {projections.shape}")
+    one_sided = 1.0 if _real_bin(_bin_index(omega, cfg), cfg.segment_length) else 2.0
+    return one_sided * (projections ** 2).sum(axis=1) / (_window(cfg).sum() ** 2)
 
 
-def periodogram(stream: np.ndarray, omega: float, cfg: MCConfig) -> MCEstimate:
-    """Welch-averaged bin power at omega.
+def periodogram(projections: np.ndarray, omega: float, cfg: MCConfig) -> MCEstimate:
+    """Welch-averaged bin power at omega, from the (K, 2) segment
+    projections of :func:`segment_powers`.
 
     The estimate is the mean of the K segment powers, an unbiased bin power
     for stationary input.  The reported standard error is estimate * sqrt(1/K) for a
@@ -366,7 +405,7 @@ def periodogram(stream: np.ndarray, omega: float, cfg: MCConfig) -> MCEstimate:
     estimate * sqrt(2/K) for a real bin (see :func:`_real_bin`), whose
     power is chi-squared with one degree of freedom.
     """
-    powers = segment_powers(np.asarray(stream, dtype=float), omega, cfg)
+    powers = segment_powers(np.asarray(projections, dtype=float), omega, cfg)
     estimate = float(powers.mean())
     rel_var = 2.0 if _real_bin(_bin_index(omega, cfg), cfg.segment_length) else 1.0
     stderr = abs(estimate) * math.sqrt(rel_var / cfg.segment_count)
@@ -418,10 +457,12 @@ def _seen_spectrum(noise: QuadSpectrum, sample_rate: float, n: int,
     that grid with this spectrum equals the sum over the stream's own n
     points with ``noise``.  Cached: runs that differ only in their seed
     share it."""
-    stream_omegas = 2.0 * math.pi * np.fft.rfftfreq(n, d=1.0 / sample_rate)
     tables = []
     for variance_fn in (noise.vx_at, noise.vy_at):
-        lags = np.fft.irfft(variance_fn(stream_omegas), n)[:span]
+        # the grid is built per table and the slice copied, so no n-point
+        # array outlives the FFT that reads it
+        lags = np.fft.irfft(variance_fn(
+            2.0 * math.pi * np.fft.rfftfreq(n, d=1.0 / sample_rate)), n)[:span].copy()
         tables.append(np.fft.rfft(np.concatenate([lags, [0.0], lags[:0:-1]])).real)
     try:
         return QuadSpectrum.tabulated(np.pi * sample_rate / span * np.arange(span + 1),
@@ -461,7 +502,7 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
     weights = engine.combo_weights(net, combo)[None, :]
     taps = expand_taps(net, cfg)
 
-    signal_row, vacuum_row = _streams(net, cfg, taps, weights, signal_ss)
+    signal_row, vacuum_row = _streams(net, cfg, taps, weights, signal_ss, omega)
     est_sig = periodogram(signal_row, omega, cfg)
     est_vac = periodogram(vacuum_row, omega, cfg)
     if est_vac.estimate <= 0.0:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,45 +35,68 @@ DIFF = Combo.diff_of("C", "D")
 SUM = Combo.sum_of("C", "D")
 
 
-def detector_streams(net, c):
-    """Per-detector photocurrent streams, DC level included: the signal rows
-    of the oracle's accumulator weighted with the M identity rows, on the
-    seed's own SeedSequence."""
+def detector_projections(net, c):
+    """Per-detector segment projections onto OMEGA's bin kernel, (M, K, 2):
+    the signal rows of the oracle's accumulator weighted with the M identity
+    rows, on the seed's own SeedSequence."""
     m = net.n_detectors
-    streams = montecarlo._streams(net, c, montecarlo.expand_taps(net, c), np.eye(m),
-                                  np.random.SeedSequence(c.seed))[:m]
-    return streams + (np.abs(net.carriers) ** 2)[:, None]
+    return montecarlo._streams(net, c, montecarlo.expand_taps(net, c), np.eye(m),
+                               np.random.SeedSequence(c.seed), OMEGA)[:m]
+
+
+def project(streams, omega, c):
+    """The projections of (..., T) streams onto omega's bin kernel, segment
+    by segment: (..., K, 2)."""
+    kernel = segment_kernel(omega, c)
+    segments = streams.reshape(*streams.shape[:-1], c.segment_count, c.segment_length)
+    return segments @ np.stack([kernel.real, kernel.imag], axis=1)
+
+
+def max_relative_gap(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
 class TestSimulate:
     def test_fixed_seed_is_bit_identical(self):
         net = mz_net()
-        a = detector_streams(net, cfg(seed=7, segments=16, length=64))
-        b = detector_streams(net, cfg(seed=7, segments=16, length=64))
+        a = detector_projections(net, cfg(seed=7, segments=16, length=64))
+        b = detector_projections(net, cfg(seed=7, segments=16, length=64))
         assert np.array_equal(a, b)
-        c = detector_streams(net, cfg(seed=8, segments=16, length=64))
+        c = detector_projections(net, cfg(seed=8, segments=16, length=64))
         assert not np.array_equal(a, c)
 
     def test_vacuum_inputs_sit_at_shot_noise(self):
+        # with every input at vacuum a detector's fluctuation is white with
+        # variance |alpha|^2, so a segment's projections are Gaussian with
+        # covariance |alpha|^2 G, G the Gram matrix of the kernel's parts
         net = mz_net(vx=1.0, vy=1.0)
-        streams = detector_streams(net, cfg(seed=3, segments=128))
+        c = cfg(seed=3, segments=16384, length=64)
+        kernel = segment_kernel(OMEGA, c)
+        basis = np.stack([kernel.real, kernel.imag], axis=1)
+        gram = basis.T @ basis
+        powers = (detector_projections(net, c) ** 2).sum(axis=2)  # (M, K)
         for k, name in enumerate(net.detector_names):
             flux = abs(net.carriers[k]) ** 2
-            sample_var = streams[k].var()
-            se = flux * math.sqrt(2.0 / streams.shape[1])
-            assert abs(sample_var - flux) <= 3 * se, name
+            mean = powers[k].mean()
+            se = flux * math.sqrt(2.0 * np.trace(gram @ gram) / c.segment_count)
+            assert abs(mean - flux * np.trace(gram)) <= 3 * se, name
 
     def test_delay_must_be_integer_samples(self):
         net = mz_net(tau=TAU_PI * 1.01)
         with pytest.raises(MCError, match="integer number of samples"):
-            detector_streams(net, cfg())
+            detector_projections(net, cfg())
 
     def test_dc_level_present(self):
+        # the tests-side streams carry the DC level; the kernel has no mean,
+        # so their projections are the rows, which never hold it
         net = mz_net()
-        streams = detector_streams(net, cfg(seed=1, segments=16, length=64))
+        c = cfg(seed=1, segments=16, length=64)
+        streams = rolled_tap_sum(net, c)
         for k in range(net.n_detectors):
             flux = abs(net.carriers[k]) ** 2
             assert streams[k].mean() == pytest.approx(flux, rel=0.05)
+        assert max_relative_gap(detector_projections(net, c),
+                                project(streams, OMEGA, c)) <= 1e-12
 
 
 class TestPeriodogram:
@@ -83,7 +107,8 @@ class TestPeriodogram:
         t = np.arange(c.total_samples) / c.sample_rate
         amp = 3.7
         stream = amp * np.sin(2 * np.pi * f * t)
-        est = montecarlo.periodogram(stream, 2 * np.pi * f, c)
+        omega = 2 * np.pi * f
+        est = montecarlo.periodogram(project(stream, omega, c), omega, c)
         assert est.estimate == pytest.approx(amp ** 2 / 2, rel=0.01)
 
     def test_white_noise_level(self):
@@ -94,7 +119,7 @@ class TestPeriodogram:
         expected = sigma2 / (256 / 2)
         for m in (10, 40, 100):
             omega = 2 * np.pi * m * c.sample_rate / 256
-            est = montecarlo.periodogram(stream, omega, c)
+            est = montecarlo.periodogram(project(stream, omega, c), omega, c)
             assert abs(est.estimate - expected) <= 3 * est.stderr
 
     def test_odd_length_top_bin_is_complex(self):
@@ -103,21 +128,23 @@ class TestPeriodogram:
         c = cfg(segments=20000, length=9, window="rect")
         stream = np.random.default_rng(12).normal(0, 1, c.total_samples)
         for m in (1, 4):
-            est = montecarlo.periodogram(stream, 2 * np.pi * m * c.sample_rate / 9, c)
+            omega = 2 * np.pi * m * c.sample_rate / 9
+            est = montecarlo.periodogram(project(stream, omega, c), omega, c)
             assert est.stderr == pytest.approx(est.estimate * math.sqrt(1 / 20000))
             assert abs(est.estimate - 2 / 9) <= 4 * est.stderr, m
             assert np.std(est.powers) / est.estimate == pytest.approx(1.0, abs=0.05), m
 
     def test_frequency_bounds(self):
         c = cfg(segments=16, length=64)
-        stream = np.zeros(c.total_samples)
+        projections = np.zeros((c.segment_count, 2))
         with pytest.raises(MCError, match="outside"):
-            montecarlo.periodogram(stream, 2 * np.pi * c.sample_rate, c)
+            montecarlo.periodogram(projections, 2 * np.pi * c.sample_rate, c)
 
     def test_short_stream_rejected(self):
         c = cfg(segments=16, length=64)
-        with pytest.raises(MCError, match="too short"):
-            montecarlo.periodogram(np.zeros(10), OMEGA, c)
+        for shape in ((10, 2), (c.total_samples,)):
+            with pytest.raises(MCError, match=r"need \(16, 2\) segment projections"):
+                montecarlo.periodogram(np.zeros(shape), OMEGA, c)
 
     def test_stderr_convention(self):
         # a complex bin's power is exponential (relative variance 1); the real
@@ -126,7 +153,8 @@ class TestPeriodogram:
         stream = np.random.default_rng(0).normal(0, 1, c.total_samples)
         # 31.75 bins, just below Nyquist, snaps to bin L/2 = 32
         for bins, rel_var in ((10, 1), (0, 2), (31.75, 2)):
-            est = montecarlo.periodogram(stream, 2 * np.pi * bins * c.sample_rate / 64, c)
+            omega = 2 * np.pi * bins * c.sample_rate / 64
+            est = montecarlo.periodogram(project(stream, omega, c), omega, c)
             assert est.stderr == pytest.approx(est.estimate * math.sqrt(rel_var / 1024))
 
 
@@ -368,8 +396,9 @@ def rolled_tap_sum(net, c):
 
 class TestComboStreams:
     """cross_validate accumulates the combo's signal and vacuum rows from one
-    set of draws, on the signal substream; each must equal the combo of the
-    per-detector fluctuation streams drawn there."""
+    set of draws, on the signal substream, as segment projections onto the
+    bin kernel; each must equal the combo of the per-detector projections
+    drawn there, and those the projections of the tests-side streams."""
 
     @pytest.mark.parametrize("tabulated", [False, True])
     def test_cross_validate_stream_is_combo_of_detector_streams(self, tabulated,
@@ -379,9 +408,9 @@ class TestComboStreams:
         seen = []
         periodogram = montecarlo.periodogram
 
-        def capture(stream, *args):
-            seen.append(stream.copy())
-            return periodogram(stream, *args)
+        def capture(projections, *args):
+            seen.append(projections.copy())
+            return periodogram(projections, *args)
 
         monkeypatch.setattr(montecarlo, "periodogram", capture)
         checked = 0
@@ -395,22 +424,19 @@ class TestComboStreams:
             montecarlo.cross_validate(net, combo, OMEGA, c)
             assert len(seen) == 2  # one periodogram per row
             vacuum_net = engine.compile(with_noise(spec, VACUUM_SPECTRUM))
-            dc = np.abs(net.carriers) ** 2
-            combo_dc = sum(w * dc[net.detector_names.index(d)] for d, w in combo.weights)
             for got, run in ((seen[0], net), (seen[1], vacuum_net)):
                 # the per-detector signal rows drawn on the signal substream
                 # (a fresh SeedSequence: spawning advances it)
                 signal_ss = np.random.SeedSequence(c.seed).spawn(1)[0]
                 m = run.n_detectors
                 detectors = montecarlo._streams(
-                    run, c, montecarlo.expand_taps(run, c), np.eye(m),
-                    signal_ss)[:m] + dc[:, None]
+                    run, c, montecarlo.expand_taps(run, c), np.eye(m), signal_ss, OMEGA)[:m]
                 ref = sum(w * detectors[net.detector_names.index(d)]
-                          for d, w in combo.weights) - combo_dc
-                tol = 1e-12 * (np.max(np.abs(ref)) + abs(combo_dc))
-                combo_stream = montecarlo.MCStreams(detectors).combo_stream(net, combo)
-                for stream in (got, combo_stream - combo_dc):
-                    assert np.max(np.abs(stream - ref)) <= tol
+                          for d, w in combo.weights)
+                combo_stream = montecarlo.MCStreams(
+                    detectors.reshape(m, -1)).combo_stream(net, combo)
+                for projections in (got, combo_stream.reshape(got.shape)):
+                    assert max_relative_gap(projections, ref) <= 1e-12
             checked += 1
 
     @pytest.mark.parametrize("tabulated", [False, True])
@@ -420,55 +446,75 @@ class TestComboStreams:
         for _ in range(8):
             spec = integer_delay_net(rng, c.sample_rate)
             net = engine.compile(with_noise(spec, TABULATED) if tabulated else spec)
-            got = detector_streams(net, c)
-            ref = rolled_tap_sum(net, c)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            got = detector_projections(net, c)
+            ref = project(rolled_tap_sum(net, c), OMEGA, c)
+            assert max_relative_gap(got, ref) <= 1e-12
 
     @pytest.mark.parametrize("noise", [QuadSpectrum.constant(0.617, 63.0), TABULATED])
     def test_long_plan_matches_rolled_tap_sum(self, noise):
-        # more than two accumulation blocks, and a delay longer than one
+        # more than two blocks of draws, and a delay longer than one
         c = cfg(seed=29, segments=70, length=512)
         assert c.total_samples > 2 * montecarlo.CHUNK
         spec = scenario.mz_network(tau=(montecarlo.CHUNK + 3) / c.sample_rate,
                                    carrier_phase=math.pi / 2, amp=100.0, noise=noise)
         net = engine.compile(spec)
-        got = detector_streams(net, c)
-        ref = rolled_tap_sum(net, c)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        got = detector_projections(net, c)
+        ref = project(rolled_tap_sum(net, c), OMEGA, c)
+        assert max_relative_gap(got, ref) <= 1e-12
 
     def test_blocked_accumulation_is_the_rolled_sum(self):
-        # bit for bit: each element gets the same products and adds in the
-        # same order; delays cross block boundaries and wrap around the end
-        chunk = montecarlo.CHUNK
-        n = 3 * chunk + 77
-        rng = np.random.default_rng(3)
-        x, y = rng.standard_normal((2, n))
-        coefs = [(d, rng.standard_normal(2), rng.standard_normal(2))
-                 for d in (0, 1, 5, chunk - 1, chunk, chunk + 5, 2 * chunk + 100, n - 1)]
-        coefs[3][1][1] = coefs[3][2][1] = 0.0  # row 1 skips one tap
-        got = np.zeros((2, n))
-        montecarlo._accumulate(got, x, y, coefs)
-        ref = np.zeros((2, n))
-        for d, cx, cy in coefs:
-            for r in range(2):
-                ref[r] += np.roll(cx[r] * x + cy[r] * y, d)
-        assert np.array_equal(got, ref)
+        # draws come in blocks of whole segments: with L = 100 a block is
+        # 163 segments, and T = 400 segments is no whole number of blocks;
+        # the delays read lags 0, 1 and L - 1, cross segment and block
+        # boundaries, and wrap round the end of the stream
+        c = cfg(seed=31, segments=400, length=100)
+        block = montecarlo.CHUNK // c.segment_length * c.segment_length
+        assert c.total_samples % block
+        n = c.total_samples
+        for d in (0, 1, 99, 100, 105, block + 7, n - 1):
+            for noise in (QuadSpectrum.constant(0.617, 63.0), TABULATED):
+                net = engine.compile(scenario.mz_network(
+                    tau=d / c.sample_rate, carrier_phase=math.pi / 2, amp=100.0, noise=noise))
+                got = detector_projections(net, c)
+                ref = project(rolled_tap_sum(net, c), OMEGA, c)
+                assert max_relative_gap(got, ref) <= 1e-12, (d, noise.is_constant)
 
     def test_worker_count_does_not_change_streams(self, monkeypatch):
         spec = scenario.experiment_network(scenario.ExperimentConfig(), "phase")
         first = dataclasses.replace(spec.sources[0], noise=TABULATED)
         net = engine.compile(dataclasses.replace(spec, sources=(first, *spec.sources[1:])))
         c = cfg(seed=5, segments=32, length=64)
-        default = detector_streams(net, c)
+        default = detector_projections(net, c)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often: a reused buffer would show
         try:
             for workers in (1, 3, 8):
                 monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
-                again = detector_streams(net, c)
+                again = detector_projections(net, c)
                 assert np.array_equal(again, default), workers
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestMemory:
+    """No stream-length row is built: constant-spectrum inputs are drawn and
+    projected a block at a time, and a tabulated input holds one stream,
+    plus its FFT temporaries, at a time."""
+
+    @pytest.mark.parametrize("noise, streams", [(QuadSpectrum.constant(0.617, 63.0), 1),
+                                                (TABULATED, 3)])
+    def test_traced_peak_at_the_acceptance_plan(self, noise, streams):
+        c = cfg(seed=3, segments=4096, length=512)  # T = 2^21 samples
+        net = engine.compile(scenario.mz_network(tau=TAU_PI, carrier_phase=math.pi / 2,
+                                                 amp=100.0, noise=noise))
+        montecarlo._seen_spectrum.cache_clear()  # count the reference's work too
+        tracemalloc.start()
+        try:
+            montecarlo.cross_validate(net, DIFF, OMEGA, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < streams * 8 * c.total_samples, peak / 2 ** 20
 
 
 class TestTaps:
@@ -519,7 +565,7 @@ class TestSegmentPowers:
         scale = 1e-12 * spectrum.max()
         for m, omega_bins in ((0, 0.0), (10, 10.0), (length // 2, length / 2 - 0.25)):
             omega = 2 * np.pi * omega_bins * c.sample_rate / length
-            got = montecarlo.segment_powers(stream, omega, c)
+            got = montecarlo.segment_powers(project(stream, omega, c), omega, c)
             ref = (2.0 if 0 < m < length // 2 else 1.0) * spectrum[:, m]
             assert np.max(np.abs(got - ref)) <= scale, m
 
