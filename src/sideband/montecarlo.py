@@ -105,19 +105,17 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    omega: float
     estimate: float
-    stderr: float
-    segments: int
     powers: np.ndarray = field(repr=False, compare=False)  # (K,) segment powers
 
 
 @dataclass
 class MCStreams:
-    """Per-detector rows: photocurrent streams, or their segment projections
-    flattened.  Kept for ``bench/spans.py``, which wraps ``combo_stream`` by
-    attribute (pinned by ``tests/test_bench_trace.py``), until the tracer
-    wraps _streams."""
+    """Per-detector rows, such as segment projections flattened, and their
+    combination for a combo.  Only the tests build these rows; the class is
+    kept for ``bench/spans.py``, which wraps ``combo_stream`` by attribute
+    (pinned by ``tests/test_bench_trace.py``), until the tracer wraps
+    _streams."""
 
     streams: np.ndarray  # (M, ...) float64, rows in net.detector_names order
 
@@ -258,20 +256,22 @@ def _coloured(seed: np.random.SeedSequence, spec: QuadSpectrum, lags, basis: np.
 
 def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray,
              root: np.random.SeedSequence, omega: float) -> np.ndarray:
-    """Segment projections of the weighted photocurrent fluctuations
-    sum_k weights[r, k] dn_k(t), no DC, onto omega's bin kernel:
-    (2R, K, 2), R signal rows, then R vacuum rows (every input at vacuum
-    variance); [r, k] is segment k's projection onto the real and
-    imaginary parts of the kernel.  No stream of a row is built.
+    """Segment projections of the combo's photocurrent fluctuations
+    sum_k weights[k] dn_k(t), no DC, onto omega's bin kernel: (2, K, 2),
+    the signal row, then the vacuum row (every input at vacuum variance);
+    [r, k] is segment k's projection onto the real and imaginary parts of
+    the kernel.  No stream of a row is built.
 
     Each roster input carries its own noise, drawn on the substream of its
     roster position.  ``taps`` are :func:`expand_taps` of ``net``; an input's
-    taps fold into one complex coefficient per row and distinct delay d
-    (mod T): weights, conj(alpha_k), the tap gains and, for a signal row of
-    a constant spectrum, sqrt(V_X) and sqrt(V_Y).  Projection is linear,
-    so a tap adds its coefficient times the input's projections at lag
-    d mod L, rolled by d // L segments.  Vacuum rows take a tabulated
-    input's projections before colouring, signal rows after.
+    taps fold into one complex coefficient c per distinct delay d (mod T):
+    weights, conj(alpha_k) and the tap gains.  Projection is linear, so a
+    tap adds Re(c) times the input's X projections and -Im(c) times its Y
+    projections, at lag d mod L, rolled by d // L segments.  Both rows use
+    one rule: coefficient times scale times projections.  The vacuum row
+    reads the white projections at scale 1; the signal row reads a constant
+    spectrum's white projections at scale (sqrt(V_X), sqrt(V_Y)), and a
+    tabulated one's coloured projections at scale 1.
 
     Constant-spectrum inputs are drawn and projected on a thread pool, a
     block at a time, at most workers + 1 inputs in flight.  Tabulated inputs
@@ -290,36 +290,22 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
     conj_alphas = np.conj(np.array(net.carriers, dtype=complex))
     children = root.spawn(net.n_inputs)
 
-    folded: list[dict[int, np.ndarray]] = [{} for _ in range(net.n_inputs)]
+    folded: list[dict[int, complex]] = [{} for _ in range(net.n_inputs)]
     for k, det in enumerate(taps):
         for j, d, g in det:
             d %= n  # circular shift, like a roll by d
-            term = weights[:, k] * (conj_alphas[k] * g)
-            folded[j][d] = folded[j].get(d, 0.0) + term
-    blank = np.zeros(weights.shape[0])
+            folded[j][d] = folded[j].get(d, 0j) + weights[k] * (conj_alphas[k] * g)
 
-    jobs = []  # (substream, spectrum, lags, taps on the white draws, taps after colouring)
+    jobs = []  # (substream, spectrum, lags, (delay, coefficient) terms)
     for j, entry in enumerate(net.roster):
-        spec = entry.noise
-        white, coloured = [], []
-        for d, c in sorted(folded[j].items()):
-            if not c.any():
-                continue
-            cx, cy = c.real, -c.imag  # coefficients of X and Y, one per row
-            if spec.is_constant:
-                white.append((d, np.concatenate([cx * math.sqrt(spec.vx), cx]),
-                              np.concatenate([cy * math.sqrt(spec.vy), cy])))
-            else:
-                white.append((d, np.concatenate([blank, cx]), np.concatenate([blank, cy])))
-                coloured.append((d, np.concatenate([cx, blank]),
-                                 np.concatenate([cy, blank])))
-        if white:
-            lags = sorted({d % length for d, _, _ in white})
-            jobs.append((children[j], spec, lags, white, coloured))
+        terms = [(d, c) for d, c in sorted(folded[j].items()) if c]
+        if terms:
+            jobs.append((children[j], entry.noise, sorted({d % length for d, _ in terms}),
+                         terms))
 
-    out = np.zeros((2 * weights.shape[0], count, 2))
+    out = np.zeros((2, count, 2))
     workers = _workers()
-    queue = iter([(seed, lags) for seed, spec, lags, _, _ in jobs if spec.is_constant])
+    queue = iter([(seed, lags) for seed, spec, lags, _ in jobs if spec.is_constant])
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
 
@@ -328,18 +314,23 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
                 pending.append(pool.submit(_white, seed, lags, basis, count))
 
         top_up()
-        for seed, spec, lags, white, coloured in jobs:
+        for seed, spec, lags, terms in jobs:
             if spec.is_constant:
-                parts = [(pending.popleft().result(), white)]
+                white = signal = pending.popleft().result()
                 top_up()
+                scale = (math.sqrt(spec.vx), math.sqrt(spec.vy))
             else:
-                parts = zip(_coloured(seed, spec, lags, basis, cfg), (white, coloured))
-            for projections, terms in parts:
-                for d, cx, cy in terms:
-                    x, y = projections[:, lags.index(d % length)]
-                    shift = d // length
-                    out += (cx[:, None, None] * np.roll(x, shift, axis=0)
-                            + cy[:, None, None] * np.roll(y, shift, axis=0))
+                white, signal = _coloured(seed, spec, lags, basis, cfg)
+                scale = (1.0, 1.0)
+            position = {lag: i for i, lag in enumerate(lags)}
+            for d, c in terms:
+                i, shift = position[d % length], d // length
+                cx, cy = c.real, -c.imag  # coefficients of X and Y
+                for row, projections, (sx, sy) in ((out[0], signal, scale),
+                                                   (out[1], white, (1.0, 1.0))):
+                    x, y = projections[:, i]
+                    row += ((cx * sx) * np.roll(x, shift, axis=0)
+                            + (cy * sy) * np.roll(y, shift, axis=0))
     return out
 
 
@@ -400,17 +391,11 @@ def periodogram(projections: np.ndarray, omega: float, cfg: MCConfig) -> MCEstim
     projections of :func:`segment_powers`.
 
     The estimate is the mean of the K segment powers, an unbiased bin power
-    for stationary input.  The reported standard error is estimate * sqrt(1/K) for a
-    complex bin, whose power is exponentially distributed, and
-    estimate * sqrt(2/K) for a real bin (see :func:`_real_bin`), whose
-    power is chi-squared with one degree of freedom.
+    for stationary input; the powers are returned too, for the error of a
+    ratio of two rows (see :func:`cross_validate`).
     """
     powers = segment_powers(np.asarray(projections, dtype=float), omega, cfg)
-    estimate = float(powers.mean())
-    rel_var = 2.0 if _real_bin(_bin_index(omega, cfg), cfg.segment_length) else 1.0
-    stderr = abs(estimate) * math.sqrt(rel_var / cfg.segment_count)
-    return MCEstimate(omega=omega, estimate=estimate, stderr=stderr,
-                      segments=cfg.segment_count, powers=powers)
+    return MCEstimate(estimate=float(powers.mean()), powers=powers)
 
 
 def _window_reference(net: engine.CompiledNetwork, combo, omega: float, cfg: MCConfig,
@@ -499,7 +484,7 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
     # the seed's first child, as in earlier versions: a seed draws the same
     # signal inputs
     signal_ss = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    weights = engine.combo_weights(net, combo)[None, :]
+    weights = engine.combo_weights(net, combo)
     taps = expand_taps(net, cfg)
 
     signal_row, vacuum_row = _streams(net, cfg, taps, weights, signal_ss, omega)

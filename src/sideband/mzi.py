@@ -23,8 +23,6 @@ class PulsedDesign:
     measurement frequency to f_m = f_rep / (2 n).
     """
 
-    f_rep: float
-    n: int
     delta_l: float
     f_m: float
 
@@ -71,8 +69,6 @@ def pulsed_design(f_rep: float, n: int) -> PulsedDesign:
     if n < 1:
         raise ValueError("n must be a positive integer")
     return PulsedDesign(
-        f_rep=f_rep,
-        n=n,
         delta_l=_finite_length(SPEED_OF_LIGHT * n / f_rep, "repetition rate", f_rep),
         f_m=f_rep / (2.0 * n),
     )

@@ -197,7 +197,6 @@ class ModeResult:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    config: ExperimentConfig
     amplitude: ModeResult
     phase: ModeResult
     detection_loss: float
@@ -241,7 +240,6 @@ def run_experiment(cfg: ExperimentConfig | None = None) -> ExperimentReport:
                                    beam1=b1, beam2=b2)
 
     return ExperimentReport(
-        config=cfg,
         amplitude=results["amplitude"],
         phase=results["phase"],
         detection_loss=cfg.fitted_detection_loss(),

@@ -35,13 +35,20 @@ DIFF = Combo.diff_of("C", "D")
 SUM = Combo.sum_of("C", "D")
 
 
-def detector_projections(net, c):
+def detector_projections(net, c, substream=False):
     """Per-detector segment projections onto OMEGA's bin kernel, (M, K, 2):
-    the signal rows of the oracle's accumulator weighted with the M identity
-    rows, on the seed's own SeedSequence."""
-    m = net.n_detectors
-    return montecarlo._streams(net, c, montecarlo.expand_taps(net, c), np.eye(m),
-                               np.random.SeedSequence(c.seed), OMEGA)[:m]
+    the signal rows of the oracle's accumulator, one call per detector with
+    its one-hot weight row.  Each call draws on a fresh SeedSequence of the
+    seed, or with ``substream`` on its first child, where cross_validate
+    draws: spawning advances a SeedSequence, so a reused one would draw
+    other children."""
+    def root():
+        seed = np.random.SeedSequence(c.seed)
+        return seed.spawn(1)[0] if substream else seed
+
+    taps = montecarlo.expand_taps(net, c)
+    return np.stack([montecarlo._streams(net, c, taps, weights, root(), OMEGA)[0]
+                     for weights in np.eye(net.n_detectors)])
 
 
 def project(streams, omega, c):
@@ -120,7 +127,8 @@ class TestPeriodogram:
         for m in (10, 40, 100):
             omega = 2 * np.pi * m * c.sample_rate / 256
             est = montecarlo.periodogram(project(stream, omega, c), omega, c)
-            assert abs(est.estimate - expected) <= 3 * est.stderr
+            se = est.powers.std() / math.sqrt(c.segment_count)
+            assert abs(est.estimate - expected) <= 3 * se
 
     def test_odd_length_top_bin_is_complex(self):
         # L = 9 has no Nyquist bin: its top bin 4 is complex like bins 1-3,
@@ -130,8 +138,8 @@ class TestPeriodogram:
         for m in (1, 4):
             omega = 2 * np.pi * m * c.sample_rate / 9
             est = montecarlo.periodogram(project(stream, omega, c), omega, c)
-            assert est.stderr == pytest.approx(est.estimate * math.sqrt(1 / 20000))
-            assert abs(est.estimate - 2 / 9) <= 4 * est.stderr, m
+            se = est.powers.std() / math.sqrt(c.segment_count)
+            assert abs(est.estimate - 2 / 9) <= 4 * se, m
             assert np.std(est.powers) / est.estimate == pytest.approx(1.0, abs=0.05), m
 
     def test_frequency_bounds(self):
@@ -148,14 +156,18 @@ class TestPeriodogram:
 
     def test_stderr_convention(self):
         # a complex bin's power is exponential (relative variance 1); the real
-        # bins 0 and L/2 are chi-squared with one degree of freedom (2)
+        # bins 0 and L/2 are chi-squared with one degree of freedom (2).  By
+        # the delta method the sample relative variance var/mean^2 of K
+        # powers has variance 4/K (exponential) or 24/K (chi-squared), so at
+        # K = 1024 the tolerance of 4 standard errors is 0.25 and 0.61
         c = cfg(segments=1024, length=64)
         stream = np.random.default_rng(0).normal(0, 1, c.total_samples)
         # 31.75 bins, just below Nyquist, snaps to bin L/2 = 32
-        for bins, rel_var in ((10, 1), (0, 2), (31.75, 2)):
+        for bins, rel_var, spread in ((10, 1, 4), (0, 2, 24), (31.75, 2, 24)):
             omega = 2 * np.pi * bins * c.sample_rate / 64
             est = montecarlo.periodogram(project(stream, omega, c), omega, c)
-            assert est.stderr == pytest.approx(est.estimate * math.sqrt(rel_var / 1024))
+            got = est.powers.var() / est.estimate ** 2
+            assert abs(got - rel_var) <= 4 * math.sqrt(spread / c.segment_count), bins
 
 
 class TestCrossValidate:
@@ -375,8 +387,9 @@ def with_noise(spec, noise):
 
 
 def rolled_tap_sum(net, c):
-    """:func:`detector_streams` rebuilt with every tap as a rolled copy of
-    the input's own draws, DC included."""
+    """The per-detector streams that :func:`detector_projections` projects,
+    built with every tap as a rolled copy of the input's own draws, DC
+    included."""
     n = c.total_samples
     omegas = 2 * np.pi * np.fft.rfftfreq(n, d=1 / c.sample_rate)
     ref = np.tile((np.abs(net.carriers) ** 2)[:, None], (1, n))
@@ -426,11 +439,8 @@ class TestComboStreams:
             vacuum_net = engine.compile(with_noise(spec, VACUUM_SPECTRUM))
             for got, run in ((seen[0], net), (seen[1], vacuum_net)):
                 # the per-detector signal rows drawn on the signal substream
-                # (a fresh SeedSequence: spawning advances it)
-                signal_ss = np.random.SeedSequence(c.seed).spawn(1)[0]
+                detectors = detector_projections(run, c, substream=True)
                 m = run.n_detectors
-                detectors = montecarlo._streams(
-                    run, c, montecarlo.expand_taps(run, c), np.eye(m), signal_ss, OMEGA)[:m]
                 ref = sum(w * detectors[net.detector_names.index(d)]
                           for d, w in combo.weights)
                 combo_stream = montecarlo.MCStreams(
