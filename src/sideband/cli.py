@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, dsl, engine, entanglement, montecarlo, mzi, scenario
-from .network import Combo, NetworkSpec, axis_error, validate
+from .network import Combo, NetworkSpec, axis_error
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -68,16 +68,19 @@ def _parse_flag(flag: str, text: str, parse, *args):
 def _compile(path: str, text: str, overrides: list[str]) -> engine.CompiledNetwork:
     """The network ``text`` with ``overrides``, compiled; a refusal exits 2, 3 or 4."""
     try:
-        spec = dsl.parse(text, overrides)
+        return engine.compile(dsl.parse(text, overrides))
     except dsl.ParseError as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE)
     except dsl.OverrideError as exc:
         raise CliError(str(exc), EXIT_IO)
-    try:
-        return engine.compile(spec)
     except engine.StructuralError as exc:
-        listing = "\n".join("  " + str(v) for v in exc.violations)
-        raise CliError(f"{path}: network is invalid:\n{listing}", EXIT_VALIDATION)
+        raise _invalid(path, exc)
+
+
+def _invalid(subject: str, exc: engine.StructuralError) -> CliError:
+    """The one report of a network that does not validate: one line per violation."""
+    listing = "\n".join("  " + str(v) for v in exc.violations)
+    return CliError(f"{subject}: network is invalid:\n{listing}", EXIT_VALIDATION)
 
 
 def _load_network(path: str, overrides: list[str]) -> tuple[engine.CompiledNetwork, str]:
@@ -208,19 +211,7 @@ def _emit_csv(rows: list[tuple], header: str, out: str | None, manifest: dict):
 # Commands
 
 def cmd_validate(args) -> int:
-    text = _read_text(args.net)
-    try:
-        spec = dsl.parse(text)
-    except dsl.ParseError as exc:
-        print(f"{args.net}: parse error", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
-    violations = validate(spec)
-    if violations:
-        print(f"{args.net}: {len(violations)} violation(s)", file=sys.stderr)
-        for v in violations:
-            print("  " + str(v), file=sys.stderr)
-        return EXIT_VALIDATION
+    spec = _load_network(args.net, [])[0].spec
     print(f"{args.net}: ok ({len(spec.sources)} sources, {len(spec.elements)} "
           f"elements, {len(spec.detectors)} detectors)")
     return EXIT_OK
@@ -263,17 +254,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    overrides = {}
-    for item in args.override:
-        if "=" not in item:
-            raise CliError(f"override must look like key=value: {item!r}", EXIT_IO)
-        key, raw = item.split("=", 1)
-        try:
-            overrides[key] = float(raw)
-        except ValueError:
-            raise CliError(f"override {key} needs a number, got {raw!r}", EXIT_IO)
     try:
-        cfg = scenario.config_with_overrides(scenario.ExperimentConfig(), overrides)
+        cfg = scenario.config_with_overrides(scenario.ExperimentConfig(), args.override)
     except (KeyError, ValueError) as exc:  # args[0]: a KeyError's str() adds quotes
         raise CliError(exc.args[0], EXIT_IO)
 
@@ -281,6 +263,8 @@ def cmd_scenario(args) -> int:
         report = scenario.run_experiment(cfg)
     except scenario.CalibrationError as exc:
         raise CliError(str(exc), EXIT_NUMERICAL)
+    except engine.StructuralError as exc:  # a source breaks the Heisenberg bound
+        raise _invalid("scenario", exc)
     try:
         pair = entanglement.CorrelationPair(v_plus=report.v_plus, v_minus=report.v_minus)
     except ValueError as exc:  # no carrier reaches a readout: V is NaN
@@ -353,21 +337,17 @@ def cmd_design(args) -> int:
     if not 1 <= args.n <= MAX_DESIGN_ROWS:
         raise CliError(f"--n must be between 1 and {MAX_DESIGN_ROWS}, got {args.n}",
                        EXIT_IO)
-    rows = []
     try:
         if args.fm is not None:
             f_m = _parse_flag("--fm", args.fm, dsl.parse_quantity, dsl.FREQ)
-            delta_l = mzi.delay_for_frequency(f_m)
-            rows.append({"n": None, "f_m_hz": f_m, "delta_l_m": delta_l,
-                         "tau_s": delta_l / scenario.SPEED_OF_LIGHT})
+            designs = [(None, mzi.PulsedDesign(mzi.delay_for_frequency(f_m), f_m))]
         else:
             f_rep = _parse_flag("--frep", args.frep, dsl.parse_quantity, dsl.FREQ)
-            for n in range(1, args.n + 1):
-                d = mzi.pulsed_design(f_rep, n)
-                rows.append({"n": n, "f_m_hz": d.f_m, "delta_l_m": d.delta_l,
-                             "tau_s": d.delta_l / scenario.SPEED_OF_LIGHT})
+            designs = [(n, mzi.pulsed_design(f_rep, n)) for n in range(1, args.n + 1)]
     except ValueError as exc:
         raise CliError(str(exc), EXIT_IO)
+    rows = [{"n": n, "f_m_hz": d.f_m, "delta_l_m": d.delta_l,
+             "tau_s": d.delta_l / scenario.SPEED_OF_LIGHT} for n, d in designs]
     payload = {"manifest": make_manifest("design"), "designs": rows}
     _emit_json(payload, args.out)
     return EXIT_OK
@@ -438,9 +418,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except engine.StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -108,6 +108,7 @@ class ExperimentConfig:
     def __post_init__(self):
         loss = self.detection_loss
         finite_variance = "give a finite, positive variance"
+        finite_positive = "be finite and positive"
         for key, ok, want in (
             ("visibility", 0.0 <= self.visibility <= 1.0, "lie in [0, 1]"),
             ("detection_loss", loss is None or 0.0 <= loss < 1.0, "lie in [0, 1)"),
@@ -116,8 +117,8 @@ class ExperimentConfig:
             ("squeezing1_db", _gives_variance(self.squeezing1_db), finite_variance),
             ("squeezing2_db", _gives_variance(self.squeezing2_db), finite_variance),
             ("excess_db", _gives_variance(self.excess_db), finite_variance),
-            ("rep_rate_hz", math.isfinite(self.rep_rate_hz) and self.rep_rate_hz > 0.0,
-             "be finite and positive"),
+            ("amp_sum_target", 0.0 < self.amp_sum_target < math.inf, finite_positive),
+            ("rep_rate_hz", 0.0 < self.rep_rate_hz < math.inf, finite_positive),
             ("pulse_multiple", self.pulse_multiple >= 1, "be at least 1"),
         ):
             if not ok:
@@ -176,12 +177,15 @@ def experiment_network(cfg: ExperimentConfig, mode: str) -> NetworkSpec:
     return _at(_preset(f"entangled_{mode}"), cfg.design.f_m, sources, elements)
 
 
+#: The cross-beam measure of each mode's preset: V- (beam 1 - beam 2) in
+#: phase mode, V+ (beam 1 + beam 2) in amplitude mode.
+_CORRELATION = {"phase": "VMINUS", "amplitude": "VPLUS"}
+
+
 def correlation_weights(mode: str) -> Combo:
-    """The cross-beam combo of the ``entangled_{mode}`` preset: V- (VMINUS,
-    beam 1 - beam 2) in phase mode, V+ (VPLUS, beam 1 + beam 2) in amplitude mode."""
-    name = "VMINUS" if mode == "phase" else "VPLUS"
-    return next(m.combo for m in _preset(f"entangled_{mode}").measurements
-                if m.name == name)
+    """The cross-beam combo of the ``entangled_{mode}`` preset."""
+    measures = _preset(f"entangled_{mode}").measurements
+    return next(m.combo for m in measures if m.name == _CORRELATION[mode])
 
 
 @dataclass(frozen=True)
@@ -226,13 +230,16 @@ def run_experiment(cfg: ExperimentConfig | None = None) -> ExperimentReport:
     results = {}
     for mode in ("amplitude", "phase"):
         net = engine.compile(experiment_network(cfg, mode))
-        combos = [m.combo for m in net.spec.measurements]  # BEAM1, BEAM2, V, ANTI
+        measures = {m.name: m.combo for m in net.spec.measurements}
+        combos = [measures[name] for name in ("BEAM1", "BEAM2", _CORRELATION[mode], "ANTI")]
         sweep = engine.sweep(net, combos, omegas)
         levels = sweep.normalized[:, 0]
         if shared:
             weights = np.array([engine.combo_weights(net, c) for c in combos])
-            c_y = engine.forms(net, weights, omegas)[1][0]  # s1 and s2 lead the roster
-            cross = 2.0 * shared * (c_y[:, 0] * np.conj(c_y[:, 1])).real
+            c_y = engine.forms(net, weights, omegas)[1][0]
+            roster = [s.name for s in net.roster]
+            s1, s2 = c_y[:, roster.index("s1")], c_y[:, roster.index("s2")]
+            cross = 2.0 * shared * (s1 * np.conj(s2)).real
             with np.errstate(invalid="ignore"):  # no carrier: snl 0, the level NaN
                 levels = levels + cross / sweep.snl[:, 0]
         b1, b2, corr, anti = levels.tolist()
@@ -247,11 +254,19 @@ def run_experiment(cfg: ExperimentConfig | None = None) -> ExperimentReport:
     )
 
 
-def config_with_overrides(cfg: ExperimentConfig, overrides: dict[str, float]) -> ExperimentConfig:
-    """Apply CLI-style overrides; 'squeezing_db' sets both input squeezings."""
+def config_with_overrides(cfg: ExperimentConfig, items: list[str]) -> ExperimentConfig:
+    """Apply CLI-style ``KEY=VALUE`` overrides in order, a later one winning;
+    'squeezing_db' sets both input squeezings.  KeyError on an unknown key."""
     keys = {f.name for f in fields(ExperimentConfig)}
     updates: dict[str, object] = {}
-    for key, value in overrides.items():
+    for item in items:
+        if "=" not in item:
+            raise ValueError(f"override must look like key=value: {item!r}")
+        key, raw = item.split("=", 1)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"override {key} needs a number, got {raw!r}") from None
         if key == "squeezing_db":
             updates["squeezing1_db"] = updates["squeezing2_db"] = value
         elif key not in keys:

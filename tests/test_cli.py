@@ -79,11 +79,33 @@ class TestValidate:
             "measure PM diff(C,D) freqs=15MHz:25MHz:0.5MHz;",
             "measure PM diff(C,D) freqs=-0.4MHz:0.4MHz:1Hz;")
         assert "-0.4MHz" in text
-        assert main(["validate", write(tmp_path, "neg.net", text)]) == 4
+        path = write(tmp_path, "neg.net", text)
+        assert main(["validate", path]) == 4
         err = capsys.readouterr().err
-        assert "1 violation(s)" in err
+        assert err.startswith(f"error: {path}: network is invalid:\n")
         assert err.count("[range] PM: frequencies must be finite and >= 0") == 1
         assert len(validate(dsl.parse(text))) == 1
+
+    @pytest.mark.parametrize("text, violation", [
+        ("source a coherent amp=;\n", None),
+        ("source a coherent amp=1; bs B from a; det C from B.out1; det D from B.out2;"
+         "measure M sum(D,X) freqs=1MHz;",
+         "[unknown-detector] M: measurement references unknown detector 'X'"),
+    ])
+    def test_validate_and_simulate_report_a_fault_alike(self, tmp_path, capsys, text,
+                                                        violation):
+        path = write(tmp_path, "bad.net", text)
+        reports = []
+        for argv in (["validate", path], ["simulate", "--net", path]):
+            assert main(argv) == (3 if violation is None else 4)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            reports.append(captured.err)
+        assert reports[0] == reports[1]
+        if violation is None:
+            assert reports[0].startswith(f"error: {path}: line 1, col ")
+        else:
+            assert reports[0] == f"error: {path}: network is invalid:\n  {violation}\n"
 
 
 class TestSimulate:
@@ -251,7 +273,6 @@ class TestSimulate:
             calls.append(spec)
             return validate(spec)
 
-        monkeypatch.setattr(cli, "validate", counting)
         monkeypatch.setattr(engine, "validate", counting)
         assert main(["simulate", "--net", preset_path("mz_phase")]) == 0
         assert len(calls) == 1
@@ -345,6 +366,23 @@ class TestScenario:
         assert err.startswith("error: infeasible calibration") and "\n" not in err
         assert "Traceback" not in err
 
+    def test_heisenberg_breach_is_a_validation_error(self, capsys):
+        assert main(["scenario", "--override", "excess_db=0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scenario: network is invalid:\n"
+            "  [heisenberg] s1: Heisenberg bound violated: V_X * V_Y < 1\n"
+            "  [heisenberg] s2: Heisenberg bound violated: V_X * V_Y < 1\n")
+
+    def test_later_override_wins(self, tmp_path):
+        out = str(tmp_path / "order.json")
+        assert main(["scenario", "--override", "squeezing1_db=-2",
+                     "--override", "squeezing_db=-2.2",
+                     "--override", "squeezing1_db=-2.3", "--out", out]) == 0
+        config = load_json(out)["config"]
+        assert (config["squeezing1_db"], config["squeezing2_db"]) == (-2.3, -2.2)
+
     def test_unknown_override_key(self, capsys):
         assert main(["scenario", "--override", "bogus=1"]) == 2
         assert capsys.readouterr().err == "error: unknown scenario override 'bogus'\n"
@@ -359,6 +397,8 @@ class TestScenario:
         ("visibility=1.5", "visibility"),
         ("detection_loss=1", "detection_loss"),
         ("pulse_multiple=2.5", "pulse_multiple"),
+        ("amp_sum_target=nan", "amp_sum_target"),
+        ("amp_sum_target=inf", "amp_sum_target"),
     ])
     def test_bad_override_value_is_usage_error(self, override, key, capsys):
         assert main(["scenario", "--override", override]) == 2
@@ -503,6 +543,11 @@ class TestOracle:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["manifest"]["seed"] == 777
+
+    def test_bad_seed_env_is_usage_error(self, preset_path, monkeypatch, capsys):
+        monkeypatch.setenv("SIDEBAND_SEED", "abc")
+        assert main(["oracle", "--net", preset_path("mz_phase"), "--freq", "20.5MHz"]) == 2
+        assert capsys.readouterr().err == "error: SIDEBAND_SEED must be an integer, got 'abc'\n"
 
 
 class TestDesign:

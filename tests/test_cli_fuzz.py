@@ -137,6 +137,10 @@ def nets(tmp_path_factory):
     (root / "huge_weight.net").write_text(
         presets.load("mz_phase") + "measure W weights(C=1e200, D=1) freqs=1MHz;\n")
     paths["@huge_weight"] = str(root / "huge_weight.net")
+    # no measure statement, so no default axis
+    (root / "no_measure.net").write_text(
+        "source a coherent amp=1; bs B from a; det C from B.out1; det D from B.out2;\n")
+    paths["@no_measure"] = str(root / "no_measure.net")
     paths["@out_file"] = str(root / "out.txt")
     paths["@out_dir"] = str(root)
     paths["@no_dir"] = str(root / "missing" / "out.txt")
@@ -177,6 +181,9 @@ def test_every_run_ends_with_a_documented_code(nets, argv):
     ["simulate", "--net", "@mz_phase", "--combo", "single:x"],
     ["simulate", "--net", "@mz_phase", "--combo", "single:"],
     ["simulate", "--net", "@mz_phase", "--override", "B1.t=abc"],
+    ["simulate", "--net", "@mz_phase", "--combo", "single:5"],
+    ["simulate", "--net", "@entangled_phase", "--combo", "sum"],
+    ["simulate", "--net", "@no_measure", "--combo", "single:0"],
     ["oracle", "--net", "@mz_phase", "--freq", "20.5MHz", "--combo", "single:x"],
     ["oracle", "--net", "@mz_phase", "--freq", "20.5MHz", "--mc-override", "NOPE.t=1"],
     ["oracle", "--net", "@mz_phase", "--freq", "20.5MHz", "--mc-override", "B1.t=abc"],
@@ -223,6 +230,8 @@ def test_bad_values_are_one_line_usage_errors(nets, argv):
     # no carrier reaches the phase readout, so V- is NaN
     ["scenario", "--override", "visibility=0"],
     ["scenario", "--override", "visibility=1e-300"],
+    # a finite, positive target that no physical detection loss reaches
+    ["scenario", "--override", "amp_sum_target=5"],
     # the carrier flux or a combo weight squared overflows
     ["simulate", "--net", "@mz_phase", "--override", "a.amp=1e160", "--freqs", "20MHz"],
     ["simulate", "--net", "@huge_weight", "--combo", "measure:W"],

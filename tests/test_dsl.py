@@ -148,6 +148,20 @@ class TestParseDiagnostics:
                            f"det C from B.out1; det D from B.out2; measure M {combo} freqs=1MHz;")
         assert message in diag.message
 
+    @pytest.mark.parametrize("text, message", [
+        ("source __a coherent amp=1;", "names starting with '__' are reserved"),
+        ("source a coherent amp=1; det D from measure;", "'measure' is a reserved word"),
+        ("source a squeezed amp=1 vx=0.5Hz vy=2;",
+         "unit mismatch: expected dB or none, got 'Hz'"),
+        ("source a coherent amp=1 amp=2;", "parameter 'amp' given twice"),
+        ("source a squeezed amp=1 vx=2 vy=0;", "vy out of range: must be > 0"),
+        ("source a thermal amp=1;", "unknown source kind 'thermal'"),
+        ("source a coherent amp=1; phase P from a, a phi=0;",
+         "phase takes at most 1 input(s)"),
+    ])
+    def test_statement_rule_is_a_parse_error(self, text, message):
+        assert parse_error(text).message == message
+
     def test_weights_is_a_reserved_word(self):
         diag = parse_error("source a coherent amp=1; det weights from a;")
         assert "'weights' is a reserved word" in diag.message

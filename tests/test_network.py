@@ -132,6 +132,24 @@ def test_combo_with_no_detector():
     assert [v.code for v in validate(spec)] == ["combo"]
 
 
+@pytest.mark.parametrize("spec, violation", [
+    (NetworkSpec(sources=(SourceDecl("a", 1.0), SourceDecl("a", 1.0)),
+                 detectors=(DetectorDecl("D1", "a"),)),
+     "[duplicate-name] a: name declared more than once"),
+    (NetworkSpec(sources=(SourceDecl("a", 1.0), SourceDecl("b", 1.0)),
+                 elements=(ElementDecl("L", Loss(0.5), ("a", "b")),),
+                 detectors=(DetectorDecl("D1", "L.out"),)),
+     "[arity] L: takes at most 1 inputs, got 2"),
+    (NetworkSpec(sources=(SourceDecl("a", 1.0),), detectors=(DetectorDecl("D1", ""),)),
+     "[unbound-input] D1: detector port not driven"),
+    (dataclasses.replace(minimal_spec(), measurements=(
+        Measurement("M", Combo.sum_of("D1", "X"), FreqList((1e6,))),)),
+     "[unknown-detector] M: measurement references unknown detector 'X'"),
+])
+def test_spec_the_parser_cannot_write_is_one_violation(spec, violation):
+    assert [str(v) for v in validate(spec)] == [violation]
+
+
 def test_double_driven_port():
     spec = NetworkSpec(
         sources=(SourceDecl("a", 1.0),),

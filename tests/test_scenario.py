@@ -134,8 +134,7 @@ def test_perfect_visibility_removes_phase_penalty():
 
 
 def test_zero_squeezing_cannot_entangle():
-    cfg = scenario.config_with_overrides(
-        ExperimentConfig(), {"squeezing_db": 0.0})
+    cfg = scenario.config_with_overrides(ExperimentConfig(), ["squeezing_db=0"])
     report = run_experiment(cfg)
     assert report.v_plus == pytest.approx(1.0, abs=1e-9)
     assert report.v_minus == pytest.approx(1.0, abs=1e-9)
@@ -193,6 +192,23 @@ def test_common_mode_excess_shifts_diagnostics_only():
     assert corr.amplitude.anticorrelation < base.amplitude.anticorrelation
 
 
+def test_experiment_reads_the_preset_by_name(monkeypatch):
+    cfg = ExperimentConfig(excess_correlation=0.5)
+    shipped = run_experiment(cfg)
+
+    def reordered(name):
+        # an unused input first in the roster, and the measures in reverse
+        spec = dsl.parse("source z vacuum;\n" + presets.load(name))
+        return replace(spec, measurements=spec.measurements[::-1])
+
+    monkeypatch.setattr(scenario, "_preset", reordered)
+    report = run_experiment(cfg)
+    for mode in ("amplitude", "phase"):
+        got, want = getattr(report, mode), getattr(shipped, mode)
+        for field in ("correlation", "anticorrelation", "beam1", "beam2"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+
+
 def test_mz_network_builder_passes_through_noise():
     spec = scenario.mz_network(tau=1 / 41e6, carrier_phase=math.pi / 2,
                                noise=QuadSpectrum.constant(0.617, 63.0))
@@ -203,7 +219,7 @@ def test_mz_network_builder_passes_through_noise():
 
 def test_config_override_rejects_unknown_key():
     with pytest.raises(KeyError):
-        scenario.config_with_overrides(ExperimentConfig(), {"bogus": 1.0})
+        scenario.config_with_overrides(ExperimentConfig(), ["bogus=1"])
 
 
 @pytest.mark.parametrize("squeezing_db", [3.0, -1.5])
