@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, dsl, engine, entanglement, montecarlo, mzi, scenario
-from .network import Combo, NetworkSpec, axis_error
+from .network import Combo, FreqList, NetworkSpec, axis_error
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -298,6 +298,9 @@ def cmd_oracle(args) -> int:
     net, text = _load_network(args.net, args.override)
     combo = _resolve_combo(net.spec, args.combo)
     freq = _parse_flag("--freq", args.freq, dsl.parse_quantity, dsl.FREQ)
+    problem = axis_error(FreqList((freq,)))
+    if problem:
+        raise CliError(f"bad --freq {args.freq!r}: {problem}", EXIT_IO)
     seed = _seed_from(args)
 
     # the engine reads the uncorrupted network and the Monte-Carlo runs the

@@ -2,7 +2,7 @@
 
 Each network input carries independent stationary Gaussian quadrature
 processes X(t), Y(t) with the variances of its QuadSpectrum (white across
-the band, or shaped by FFT coloring for tabulated spectra, with vacuum
+the band, or white draws through a FIR for tabulated spectra, with vacuum
 variance 1 per sample).  The compiled pipeline is expanded into delay taps
 per detector by applying each step's linear map -- its gains, and a shift
 by its delay tau in samples -- the same maps the frequency-domain engine
@@ -24,7 +24,6 @@ low-variance estimate.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -39,9 +38,8 @@ from .network import QuadSpectrum
 DELAY_TOLERANCE = 1e-6  # max |tau*f_s - round(tau*f_s)|
 
 #: the most samples a sampling plan may hold, 8x the acceptance plan's
-#: 512 x 4096: a tabulated input's float64 stream is then 128 MiB, and a run
-#: holds one at a time, plus its FFT temporaries; constant-spectrum inputs
-#: are drawn a block at a time, and a row is K x 2 projections
+#: 512 x 4096: every input is drawn a block at a time, and a row is K x 2
+#: projections
 MAX_TOTAL_SAMPLES = 2 ** 24
 
 #: samples per block of an input's draws, rounded down to whole segments:
@@ -181,8 +179,7 @@ def expand_taps(net: engine.CompiledNetwork, cfg: MCConfig) -> list[list[tuple[i
 
 
 def _workers() -> int:
-    """Threads that draw constant-spectrum inputs: one per core this process
-    may use."""
+    """Threads that draw the inputs: one per core this process may use."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -220,38 +217,50 @@ def _project(fill, lags, basis: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _white(seed: np.random.SeedSequence, lags, basis: np.ndarray, count: int) -> np.ndarray:
-    """One input's unit-variance X and Y streams, drawn on its substream a
-    block at a time and projected as drawn: (2, len(lags), K, 2)."""
+def _fir(variance_fn, sample_rate: float, span: int) -> np.ndarray:
+    """A FIR of 2 ``span`` taps whose response is the square root of
+    ``variance_fn`` on the grid of 2 ``span`` frequencies (frequency
+    sampling), centred on tap ``span``."""
+    omegas = np.pi * sample_rate / span * np.arange(span + 1)
+    return np.roll(np.fft.irfft(np.sqrt(variance_fn(omegas)), 2 * span), span)
+
+
+def _fir_fill(rng: np.random.Generator, h: np.ndarray, n: int):
+    """A ``fill`` for :func:`_project` that writes c[t] = sum_m h[m]
+    d[(t + m) mod n], d the next n draws of ``rng``, by overlap-save: draws
+    are made len(h) - 1 ahead, and the first len(h) - 1 kept for the wrap."""
+    reach = h.size - 1
+    head = ahead = rng.standard_normal(reach)
+    response = None
+
+    def fill(block, start):
+        nonlocal ahead, response
+        if start == 0:  # the largest block; FFTs of even 2^a 3^b 5^c points are fast
+            response = np.conj(np.fft.rfft(h, min(m << a for m in (1, 3, 5, 9) for a in range(
+                1, (block.size + reach).bit_length() + 1) if m << a >= block.size + reach)))
+        drawn = np.concatenate(
+            [ahead, rng.standard_normal(min(block.size + reach, n - start) - ahead.size)])
+        draws = np.concatenate([drawn, head[:block.size + reach - drawn.size]])
+        block[:] = np.fft.irfft(np.fft.rfft(draws, 2 * response.size - 2) * response)[:block.size]
+        ahead = drawn[block.size:]
+    return fill
+
+
+def _draw(seed: np.random.SeedSequence, noise: QuadSpectrum, span: int, lags,
+          basis: np.ndarray, cfg: MCConfig):
+    """One input's X and Y projections, each (2, len(lags), K, 2): its
+    unit-variance draws, made on its substream a block at a time and
+    projected as drawn; then, for a tabulated ``noise``, the same draws
+    through its :func:`_fir` of ``span``, else the first again."""
     rng = np.random.default_rng(seed)
-    return np.stack([_project(lambda block, _: rng.standard_normal(out=block),
-                              lags, basis, count) for _ in range(2)])
-
-
-def _coloured(seed: np.random.SeedSequence, spec: QuadSpectrum, lags, basis: np.ndarray,
-              cfg: MCConfig) -> tuple[np.ndarray, np.ndarray]:
-    """A tabulated input's projections before and after FFT colouring to
-    its spectrum's variances, each (2, len(lags), K, 2).  X, then Y, is
-    drawn whole on the input's substream, projected, coloured and projected
-    again; one stream is held at a time."""
-    def project(stream):
-        return _project(lambda block, at: np.copyto(block, stream[at:at + block.size]),
-                        lags, basis, cfg.segment_count)
-
+    white = np.stack([_project(lambda block, _: rng.standard_normal(out=block),
+                               lags, basis, cfg.segment_count) for _ in range(2)])
+    if noise.is_constant:
+        return white, white
     rng = np.random.default_rng(seed)
-    n = cfg.total_samples
-    white, coloured = [], []
-    for variance_fn in (spec.vx_at, spec.vy_at):
-        stream = rng.standard_normal(n)
-        white.append(project(stream))
-        shaped = np.fft.rfft(stream)
-        del stream
-        shaped *= np.sqrt(variance_fn(
-            2.0 * math.pi * np.fft.rfftfreq(n, d=1.0 / cfg.sample_rate)))
-        stream = np.fft.irfft(shaped, n)
-        del shaped
-        coloured.append(project(stream))
-    return np.stack(white), np.stack(coloured)
+    return white, np.stack([_project(
+        _fir_fill(rng, _fir(variance_fn, cfg.sample_rate, span), cfg.total_samples),
+        lags, basis, cfg.segment_count) for variance_fn in (noise.vx_at, noise.vy_at)])
 
 
 def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray,
@@ -271,20 +280,19 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
     one rule: coefficient times scale times projections.  The vacuum row
     reads the white projections at scale 1; the signal row reads a constant
     spectrum's white projections at scale (sqrt(V_X), sqrt(V_Y)), and a
-    tabulated one's coloured projections at scale 1.
+    tabulated one's filtered projections at scale 1, at delay d + span: its
+    FIR (span = L + D, D the longest tap delay) leads the draws by span.  A
+    plan with T < 3 span is refused: the FIR's wrap would alias onto the
+    lags a kernel of span samples meets.
 
-    Constant-spectrum inputs are drawn and projected on a thread pool, a
-    block at a time, at most workers + 1 inputs in flight.  Tabulated inputs
-    are drawn, coloured and projected on the calling thread, one stream at
-    a time: freed on a draw thread, the colouring's FFT temporaries (16 MiB
-    at 2^21 samples) would stay in that thread's malloc arena for as long
-    as thread timing decides, and peak memory would vary from run to run.
-    The calling thread adds the inputs in roster order, so the result is
-    bit-identical for any worker count.
+    Every input is drawn and projected on a thread pool, a block at a time,
+    at most workers + 1 in flight, and added in roster order on the calling
+    thread, so the result is bit-identical for any worker count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     n, length, count = cfg.total_samples, cfg.segment_length, cfg.segment_count
+    span = length + max(d for det in taps for _, d, _ in det)
     kernel = _kernel(omega, cfg)
     basis = np.stack([kernel.real, kernel.imag], axis=1)
     conj_alphas = np.conj(np.array(net.carriers, dtype=complex))
@@ -296,38 +304,37 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
             d %= n  # circular shift, like a roll by d
             folded[j][d] = folded[j].get(d, 0j) + weights[k] * (conj_alphas[k] * g)
 
-    jobs = []  # (substream, spectrum, lags, (delay, coefficient) terms)
+    if n < 3 * span and not all(e.noise.is_constant for e in net.roster):
+        raise MCError(f"a tabulated spectrum needs T >= 3 (L + D) = {3 * span} samples, got {n}")
+    jobs = []  # (substream, spectrum, lags, signal-row lead, terms)
     for j, entry in enumerate(net.roster):
         terms = [(d, c) for d, c in sorted(folded[j].items()) if c]
+        lead = 0 if entry.noise.is_constant else span
         if terms:
-            jobs.append((children[j], entry.noise, sorted({d % length for d, _ in terms}),
-                         terms))
+            lags = sorted({(d + shift) % length for d, _ in terms for shift in (0, lead)})
+            jobs.append((children[j], entry.noise, lags, lead, terms))
 
     out = np.zeros((2, count, 2))
     workers = _workers()
-    queue = iter([(seed, lags) for seed, spec, lags, _ in jobs if spec.is_constant])
+    queue = iter(jobs)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
 
         def top_up():
-            for seed, lags in itertools.islice(queue, workers + 1 - len(pending)):
-                pending.append(pool.submit(_white, seed, lags, basis, count))
+            for seed, noise, lags, *_ in itertools.islice(queue, workers + 1 - len(pending)):
+                pending.append(pool.submit(_draw, seed, noise, span, lags, basis, cfg))
 
         top_up()
-        for seed, spec, lags, terms in jobs:
-            if spec.is_constant:
-                white = signal = pending.popleft().result()
-                top_up()
-                scale = (math.sqrt(spec.vx), math.sqrt(spec.vy))
-            else:
-                white, signal = _coloured(seed, spec, lags, basis, cfg)
-                scale = (1.0, 1.0)
+        for _, noise, lags, lead, terms in jobs:
+            white, signal = pending.popleft().result()
+            top_up()
+            scale = (1.0, 1.0) if lead else (math.sqrt(noise.vx), math.sqrt(noise.vy))
             position = {lag: i for i, lag in enumerate(lags)}
             for d, c in terms:
-                i, shift = position[d % length], d // length
                 cx, cy = c.real, -c.imag  # coefficients of X and Y
-                for row, projections, (sx, sy) in ((out[0], signal, scale),
-                                                   (out[1], white, (1.0, 1.0))):
+                for row, projections, (sx, sy), at in ((out[0], signal, scale, d + lead),
+                                                       (out[1], white, (1.0, 1.0), d)):
+                    i, shift = position[at % length], at // length
                     x, y = projections[:, i]
                     row += ((cx * sx) * np.roll(x, shift, axis=0)
                             + (cy * sy) * np.roll(y, shift, axis=0))
@@ -399,7 +406,7 @@ def periodogram(projections: np.ndarray, omega: float, cfg: MCConfig) -> MCEstim
 
 
 def _window_reference(net: engine.CompiledNetwork, combo, omega: float, cfg: MCConfig,
-                      max_delay: int) -> float:
+                      taps) -> float:
     """The engine's expectation of the Monte-Carlo ratio at omega's bin.
 
     A segment's bin power averages the spectrum through the segment kernel
@@ -411,43 +418,35 @@ def _window_reference(net: engine.CompiledNetwork, combo, omega: float, cfg: MCC
     engine sweep covers the half grid and the kernel's response is folded
     onto it.  A grid of more than T = K L points is never needed: the
     streams are circular with period T, and on T points the sum is exact.
-    A tabulated input's stream is correlated at every lag, so no such grid
-    is exact for it; on N = 2 (L + D) points the engine reads it through
-    :func:`_seen_spectrum`, which keeps the lags the kernel meets.
+    A tabulated input's stream, its draws through a FIR of 2 (L + D) taps,
+    is read on N = 2 (L + D) points through :func:`_seen_spectrum`.
     NaN when no carrier reaches the combo.
     """
-    span = cfg.segment_length + max_delay
+    span = cfg.segment_length + max(d for det in taps for _, d, _ in det)
     tabulated = any(not e.noise.is_constant for e in net.roster)
     size = min(2 * span if tabulated else span, cfg.total_samples)
     gain = np.abs(np.fft.fft(_kernel(omega, cfg), size)) ** 2
     folded = gain[:size // 2 + 1].copy()
     folded[1:(size + 1) // 2] += gain[size - 1:size // 2:-1]
     omegas = 2.0 * math.pi * cfg.sample_rate / size * np.arange(folded.size)
-    if size < cfg.total_samples and tabulated:
-        net = replace(net, roster=tuple(
-            e if e.noise.is_constant else replace(e, noise=_seen_spectrum(
-                e.noise, cfg.sample_rate, cfg.total_samples, span))
-            for e in net.roster))
+    net = replace(net, roster=tuple(
+        e if e.noise.is_constant
+        else replace(e, noise=_seen_spectrum(e.noise, cfg.sample_rate, span))
+        for e in net.roster))
     sweep = engine.sweep(net, combo, omegas)
     snl = float(sweep.snl @ folded)
     return float(sweep.absolute @ folded) / snl if snl > 0.0 else math.nan
 
 
-@functools.lru_cache(maxsize=32)
-def _seen_spectrum(noise: QuadSpectrum, sample_rate: float, n: int,
-                   span: int) -> QuadSpectrum:
-    """The spectrum of a tabulated input's coloured stream of n samples with
-    its correlations beyond lag ``span`` - 1 cut, on the grid of 2 ``span``
-    points.  A kernel of ``span`` samples meets no other lag, so a sum over
-    that grid with this spectrum equals the sum over the stream's own n
-    points with ``noise``.  Cached: runs that differ only in their seed
-    share it."""
+def _seen_spectrum(noise: QuadSpectrum, sample_rate: float, span: int) -> QuadSpectrum:
+    """The spectrum, on the grid of 2 ``span`` points, of the lags below
+    ``span`` of h*h, the linear autocorrelation of a tabulated input's
+    :func:`_fir` h.  These are the lags a kernel of ``span`` samples meets,
+    and on them a stream of T >= 3 ``span`` samples is correlated as h*h."""
     tables = []
     for variance_fn in (noise.vx_at, noise.vy_at):
-        # the grid is built per table and the slice copied, so no n-point
-        # array outlives the FFT that reads it
-        lags = np.fft.irfft(variance_fn(
-            2.0 * math.pi * np.fft.rfftfreq(n, d=1.0 / sample_rate)), n)[:span].copy()
+        response = np.fft.rfft(_fir(variance_fn, sample_rate, span), 4 * span)
+        lags = np.fft.irfft(np.abs(response) ** 2, 4 * span)[:span]
         tables.append(np.fft.rfft(np.concatenate([lags, [0.0], lags[:0:-1]])).real)
     try:
         return QuadSpectrum.tabulated(np.pi * sample_rate / span * np.arange(span + 1),
@@ -501,8 +500,7 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
 
     engine_net = net if reference is None else reference
     engine_value = engine.spectrum(engine_net, combo, omega).normalized
-    expected = _window_reference(engine_net, combo, omega, cfg,
-                                max(d for det in taps for _, d, _ in det))
+    expected = _window_reference(engine_net, combo, omega, cfg, taps)
     z = (mc_value - expected) / stderr
     return CrossValidation(omega=omega, engine_value=float(engine_value),
                            reference=expected, mc_value=mc_value, stderr=stderr,

@@ -145,6 +145,17 @@ class TestSimulate:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert all(abs(float(r.split(",")[3]) - 1.0) < 1e-9 for r in rows)
 
+    def test_default_combo_without_measure_is_sum(self, tmp_path, capsys):
+        path = write(tmp_path, "two.net",
+                     "source a coherent amp=50; bs B from a t=0.6;"
+                     "det C from B.out1; det D from B.out2;")
+        assert main(["simulate", "--net", path, "--freqs", "1MHz"]) == 0
+        default = capsys.readouterr().out
+        assert main(["simulate", "--net", path, "--freqs", "1MHz", "--combo", "sum"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(["simulate", "--net", path, "--freqs", "1MHz", "--combo", "single:0"]) == 0
+        assert capsys.readouterr().out != default
+
     def test_default_combo_and_freqs_from_measure(self, preset_path, capsys):
         assert main(["simulate", "--net", preset_path("mz_phase")]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]

@@ -213,6 +213,8 @@ def test_every_run_ends_with_a_documented_code(nets, argv):
     ["validate", "@not_utf8"],
     ["simulate", "--net", "@not_utf8"],
     ["oracle", "--net", "@not_utf8", "--freq", "20.5MHz"],
+    ["oracle", "--net", "@mz_phase", "--freq=-20MHz"],
+    ["oracle", "--net", "@mz_phase", "--freq=-20MHz", "--sample-rate", "164e6"],
 ])
 def test_bad_values_are_one_line_usage_errors(nets, argv):
     code, _, err = run([nets.get(a, a) for a in argv])
@@ -245,6 +247,10 @@ def test_bad_values_are_one_line_usage_errors(nets, argv):
     # a delay of 2^53 samples or more: every such double is an integer
     ["oracle", "--net", "@mz_phase", "--freq", "20.5MHz", "--sample-rate", "164e6",
      "--segments", "16", "--segment-length", "64", "--override", "LONG.tau=1e285"],
+    # no carrier, so the vacuum row has no power
+    ["oracle", "--net", "@mz_phase", "--override", "a.amp=0", "--override",
+     "LONG.tau=24.390243902439025ns", "--freq", "20.5MHz", "--sample-rate", "164e6",
+     "--segments", "16", "--segment-length", "64"],
 ])
 def test_impossible_numbers_are_one_line_numerical_errors(nets, argv):
     code, out, err = run([nets.get(a, a) for a in argv])

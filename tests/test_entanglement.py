@@ -89,5 +89,6 @@ class TestAssess:
     def test_asymmetric_beams_warn(self):
         report = assess(CorrelationPair(0.63, 0.76), beam_levels=(21.0, 25.0))
         assert any("asymmetric" in w for w in report.warnings)
+        assert report.as_json_dict()["warnings"] == list(report.warnings)
         report = assess(CorrelationPair(0.63, 0.76), beam_levels=(21.0, 21.1))
         assert report.warnings == ()

@@ -236,6 +236,15 @@ class TestCrossValidate:
             failures += int(abs(result.z) > 3)
         assert failures <= 1
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: cfg(segments=1), "segment_count >= 2"),
+        (lambda: cfg(window="flat"), "window must be"),
+        (lambda: cfg().check_frequency(-1.0), "must be >= 0"),
+    ])
+    def test_bad_plan_is_refused(self, make, message):
+        with pytest.raises(MCError, match=message):
+            make()
+
     def test_frequency_guard(self):
         net = mz_net()
         with pytest.raises(MCError, match="too low"):
@@ -333,8 +342,22 @@ def segment_kernel(omega, c):
 
 def stream_grid_ratio(net, combo, omega, c):
     """E[P_sig] / E[P_vac] of one segment, summed over the T frequencies of
-    the circular streams: exact for any input spectrum."""
+    the circular streams: exact for any input spectrum.  A tabulated input's
+    stream is its draws through the FIR h of :func:`fir`, so its spectrum
+    there is |DFT_T(h)|^2."""
     n = c.total_samples
+    span = c.segment_length + max(d for det in montecarlo.expand_taps(net, c)
+                                  for _, d, _ in det)
+    grid = 2 * np.pi * np.fft.rfftfreq(n, 1 / c.sample_rate)
+
+    def seen(q):
+        if q.is_constant:
+            return q
+        return QuadSpectrum.tabulated(grid, *(
+            np.abs(np.fft.rfft(fir(v, c.sample_rate, span), n)) ** 2 for v in (q.vx_at, q.vy_at)))
+
+    net = dataclasses.replace(net, roster=tuple(
+        dataclasses.replace(e, noise=seen(e.noise)) for e in net.roster))
     gain = np.abs(np.fft.fft(segment_kernel(omega, c), n)) ** 2
     s = engine.sweep(net, combo, 2 * np.pi * np.fft.fftfreq(n, 1 / c.sample_rate))
     return (s.absolute @ gain) / (s.snl @ gain)
@@ -386,18 +409,33 @@ def with_noise(spec, noise):
         dataclasses.replace(s, noise=noise) for s in spec.sources))
 
 
+def fir(variance_fn, fs, span):
+    """Frequency sampling: the 2 span taps whose DFT is the square root of
+    the spectrum at 2 pi fs j / (2 span), centred on tap span."""
+    grid = 2 * np.pi * fs * np.arange(span + 1) / (2 * span)
+    return np.roll(np.fft.irfft(np.sqrt(variance_fn(grid)), 2 * span), span)
+
+
+def circular_filter(draws, h):
+    """c[t] = sum_m h[m] draws[(t + m) mod n], through the n-point DFT."""
+    n = draws.size
+    return np.fft.irfft(np.fft.rfft(draws) * np.conj(np.fft.rfft(h, n)), n)
+
+
 def rolled_tap_sum(net, c):
     """The per-detector streams that :func:`detector_projections` projects,
     built with every tap as a rolled copy of the input's own draws, DC
-    included."""
+    included.  A tabulated input's draws pass through its :func:`fir`,
+    which leads them by span samples, so they are rolled back by span."""
     n = c.total_samples
-    omegas = 2 * np.pi * np.fft.rfftfreq(n, d=1 / c.sample_rate)
     ref = np.tile((np.abs(net.carriers) ** 2)[:, None], (1, n))
     children = np.random.SeedSequence(c.seed).spawn(net.n_inputs)
     taps = montecarlo.expand_taps(net, c)
+    span = c.segment_length + max(d for det in taps for _, d, _ in det)
     for j, q in enumerate(e.noise for e in net.roster):
         draws = np.random.default_rng(children[j]).standard_normal((2, n))
-        x, y = (np.fft.irfft(np.fft.rfft(w) * np.sqrt(v(omegas)), n)
+        x, y = (math.sqrt(v(0.0)) * w if q.is_constant
+                else np.roll(circular_filter(w, fir(v, c.sample_rate, span)), span)
                 for w, v in zip(draws, (q.vx_at, q.vy_at)))
         for k, det in enumerate(taps):
             for jj, d, g in det:
@@ -462,8 +500,9 @@ class TestComboStreams:
 
     @pytest.mark.parametrize("noise", [QuadSpectrum.constant(0.617, 63.0), TABULATED])
     def test_long_plan_matches_rolled_tap_sum(self, noise):
-        # more than two blocks of draws, and a delay longer than one
-        c = cfg(seed=29, segments=70, length=512)
+        # more than two blocks of draws, and a delay longer than one; a
+        # tabulated input needs T >= 3 (L + D)
+        c = cfg(seed=29, segments=100, length=512)
         assert c.total_samples > 2 * montecarlo.CHUNK
         spec = scenario.mz_network(tau=(montecarlo.CHUNK + 3) / c.sample_rate,
                                    carrier_phase=math.pi / 2, amp=100.0, noise=noise)
@@ -476,7 +515,8 @@ class TestComboStreams:
         # draws come in blocks of whole segments: with L = 100 a block is
         # 163 segments, and T = 400 segments is no whole number of blocks;
         # the delays read lags 0, 1 and L - 1, cross segment and block
-        # boundaries, and wrap round the end of the stream
+        # boundaries, and wrap round the end of the stream; a tabulated input
+        # with a delay past T / 3 - L is refused
         c = cfg(seed=31, segments=400, length=100)
         block = montecarlo.CHUNK // c.segment_length * c.segment_length
         assert c.total_samples % block
@@ -485,6 +525,10 @@ class TestComboStreams:
             for noise in (QuadSpectrum.constant(0.617, 63.0), TABULATED):
                 net = engine.compile(scenario.mz_network(
                     tau=d / c.sample_rate, carrier_phase=math.pi / 2, amp=100.0, noise=noise))
+                if not noise.is_constant and n < 3 * (c.segment_length + d):
+                    with pytest.raises(MCError, match="tabulated spectrum needs T >= 3"):
+                        detector_projections(net, c)
+                    continue
                 got = detector_projections(net, c)
                 ref = project(rolled_tap_sum(net, c), OMEGA, c)
                 assert max_relative_gap(got, ref) <= 1e-12, (d, noise.is_constant)
@@ -507,17 +551,15 @@ class TestComboStreams:
 
 
 class TestMemory:
-    """No stream-length row is built: constant-spectrum inputs are drawn and
-    projected a block at a time, and a tabulated input holds one stream,
-    plus its FFT temporaries, at a time."""
+    """No stream-length array is built: every input is drawn, filtered and
+    projected a block at a time."""
 
     @pytest.mark.parametrize("noise, streams", [(QuadSpectrum.constant(0.617, 63.0), 1),
-                                                (TABULATED, 3)])
+                                                (TABULATED, 1)])
     def test_traced_peak_at_the_acceptance_plan(self, noise, streams):
         c = cfg(seed=3, segments=4096, length=512)  # T = 2^21 samples
         net = engine.compile(scenario.mz_network(tau=TAU_PI, carrier_phase=math.pi / 2,
                                                  amp=100.0, noise=noise))
-        montecarlo._seen_spectrum.cache_clear()  # count the reference's work too
         tracemalloc.start()
         try:
             montecarlo.cross_validate(net, DIFF, OMEGA, c)
@@ -582,8 +624,8 @@ class TestSegmentPowers:
 
 class TestTabulatedInputs:
     def test_shaped_spectrum_tracks_engine(self):
-        # tabulated spectra route through FFT coloring; the engine reads the
-        # same interpolated value at the measurement bin
+        # tabulated spectra route through a FIR; the engine reads the same
+        # interpolated value at the measurement bin
         noise = QuadSpectrum.tabulated(
             [0.0, OMEGA / 2, OMEGA, 2 * OMEGA],
             [0.6, 0.62, 0.65, 0.7],
@@ -605,4 +647,34 @@ class TestTabulatedInputs:
                                                  noise=noise))
         with pytest.raises(MCError, match="too sharply"):
             montecarlo.cross_validate(net, SUM, OMEGA, cfg(segments=16, length=64))
+
+    def test_fir_fill_is_the_circular_filter(self):
+        # three blocks, the last one short, and the filter's wrap round the
+        # end of the stream, at lags that cross segment boundaries
+        c = cfg(segments=600, length=64)
+        n = c.total_samples
+        assert 2 * montecarlo.CHUNK < n < 3 * montecarlo.CHUNK
+        h = np.random.default_rng(1).standard_normal(150)
+        draws = np.random.default_rng(2).standard_normal(n)
+        direct = sum(h[m] * np.roll(draws, -m) for m in range(h.size))
+        kernel = segment_kernel(OMEGA, c)
+        lags = [0, 1, 40, 63]
+        got = montecarlo._project(montecarlo._fir_fill(np.random.default_rng(2), h, n), lags,
+                                  np.stack([kernel.real, kernel.imag], axis=1), c.segment_count)
+        ref = np.stack([project(np.roll(direct, r), OMEGA, c) for r in lags])
+        assert max_relative_gap(got, ref) <= 1e-12
+
+    def test_plan_shorter_than_three_spans_is_refused(self):
+        # a 4-sample delay and L = 12: span = 16, so T = 48 is the shortest
+        # plan a tabulated input may use; a constant spectrum needs no wrap
+        net = engine.compile(scenario.mz_network(tau=TAU_PI, carrier_phase=math.pi / 2,
+                                                 amp=100.0, noise=TABULATED))
+        with pytest.raises(MCError, match=r"needs T >= 3 \(L \+ D\) = 48 samples, got 36"):
+            montecarlo.cross_validate(net, DIFF, OMEGA, cfg(segments=3, length=12))
+        for noise, segments in ((TABULATED, 4), (QuadSpectrum.constant(0.617, 63.0), 3)):
+            net = engine.compile(scenario.mz_network(tau=TAU_PI, carrier_phase=math.pi / 2,
+                                                     amp=100.0, noise=noise))
+            result = montecarlo.cross_validate(net, DIFF, OMEGA, cfg(segments=segments,
+                                                                     length=12))
+            assert math.isfinite(result.z)
 

@@ -117,3 +117,5 @@ class TestVisibilityAndLoss:
             mzi.visibility_to_loss(1.2)
         with pytest.raises(ValueError):
             mzi.degraded_variance(0.5, 1.5)
+        with pytest.raises(ValueError, match="variance must be positive"):
+            mzi.degraded_variance(0.0, 0.1)

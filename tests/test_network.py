@@ -330,6 +330,17 @@ def test_quad_spectrum_rejects_nonpositive():
         QuadSpectrum.constant(1.0, -2.0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"vx": 1.0}, "constant spectrum needs vx and vy"),
+    ({"omegas": (0.0, 1.0), "vx_table": (1.0, 1.0)}, "needs vx_table and vy_table"),
+    ({"omegas": (0.0, 1.0), "vx_table": (1.0,), "vy_table": (1.0, 1.0)}, "equal length"),
+    ({"omegas": (0.0,), "vx_table": (1.0,), "vy_table": (1.0,)}, "at least two grid points"),
+])
+def test_quad_spectrum_rejects_a_missing_or_short_table(fields, message):
+    with pytest.raises(ValueError, match=message):
+        QuadSpectrum(**fields)
+
+
 def test_tabulated_spectrum_interpolates():
     spec = QuadSpectrum.tabulated([0.0, 10.0, 20.0], [1.0, 2.0, 4.0], [4.0, 2.0, 1.0])
     assert spec.vx_at(15.0) == pytest.approx(3.0)

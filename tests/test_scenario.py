@@ -217,6 +217,12 @@ def test_mz_network_builder_passes_through_noise():
     assert pt.normalized == pytest.approx(63.0, rel=1e-9)
 
 
+def test_preset_without_a_named_statement_is_refused():
+    spec = scenario.experiment_network(scenario.ExperimentConfig(), "phase")
+    with pytest.raises(KeyError, match=r"preset has no statement named \['nope'\]"):
+        scenario._at(spec, 1e6, {"nope": {}}, {})
+
+
 def test_config_override_rejects_unknown_key():
     with pytest.raises(KeyError):
         scenario.config_with_overrides(ExperimentConfig(), ["bogus=1"])
