@@ -11,15 +11,15 @@ dn_k(t) = 2 Re(conj(alpha_k) sum taps), sampled at a rate that makes every
 delay a whole number of samples, on circular streams of T = K L samples.
 
 Spectra come from a Welch periodogram read at one FFT bin: the mean of the
-segments' bin powers, at a resolution of one bin width f_s / L.  A
-segment's bin is its projection onto one kernel of L samples, and
-projection is linear, so no photocurrent stream is built: each input is
-projected onto the kernel as it is drawn, and a row's segment projections
-are the sum of its inputs' projections, shifted by the tap delays and
-weighted by the tap coefficients.  The shot-noise reference is a second row
-accumulated from the same draws with every input at vacuum variance, so the
-signal and vacuum bin powers share their randomness and their ratio is a
-low-variance estimate.
+segments' bin powers, at a resolution of one bin width f_s / L.  A segment's
+bin is its projection onto one kernel of L samples, and projection is
+linear, so no photocurrent stream is built: each input is projected onto the
+kernel as it is drawn, and a row's segment projections are the sum of its
+inputs' projections, shifted by the tap delays and weighted by the tap
+coefficients; a tabulated input's FIR is folded into the kernel too.  The
+shot-noise reference is a second row accumulated from the same draws with
+every input at vacuum variance, so the signal and vacuum bin powers share
+their randomness and their ratio is a low-variance estimate.
 """
 
 from __future__ import annotations
@@ -186,10 +186,10 @@ def _workers() -> int:
 
 
 def _project(fill, lags, basis: np.ndarray, count: int) -> np.ndarray:
-    """Project a circular stream of ``count`` segments onto ``basis``, the
-    (L, 2) real and imaginary parts of the segment kernel, at every lag in
-    ``lags`` (each in [0, L)): [i, k] is the projection of the L samples
-    that start lags[i] samples before segment k.
+    """Project a circular stream of ``count`` segments onto ``basis``, (L, C)
+    columns of L-sample kernels, at every lag in ``lags`` (each in [0, L)):
+    [i, k] is the C projections of the L samples that start lags[i] samples
+    before segment k.
 
     ``fill(block, start)`` writes the stream's samples from ``start`` on
     into ``block``.  It is called in stream order, CHUNK samples rounded
@@ -201,7 +201,7 @@ def _project(fill, lags, basis: np.ndarray, count: int) -> np.ndarray:
     length = basis.shape[0]
     step = max(1, CHUNK // length)  # segments per block
     buf = np.zeros((step + 1) * length)  # the previous block's last segment, then a block
-    out = np.empty((len(lags), count, 2))
+    out = np.empty((len(lags), count, basis.shape[1]))
     for k0 in range(0, count, step):
         size = (min(k0 + step, count) - k0) * length
         fill(buf[length:length + size], k0 * length)
@@ -225,25 +225,29 @@ def _fir(variance_fn, sample_rate: float, span: int) -> np.ndarray:
     return np.roll(np.fft.irfft(np.sqrt(variance_fn(omegas)), 2 * span), span)
 
 
-def _fir_fill(rng: np.random.Generator, h: np.ndarray, n: int):
-    """A ``fill`` for :func:`_project` that writes c[t] = sum_m h[m]
-    d[(t + m) mod n], d the next n draws of ``rng``, by overlap-save: draws
-    are made len(h) - 1 ahead, and the first len(h) - 1 kept for the wrap."""
-    reach = h.size - 1
-    head = ahead = rng.standard_normal(reach)
-    response = None
+def _filtered(fill, lags, basis: np.ndarray, h: np.ndarray, count: int):
+    """:func:`_project` of a stream s onto the (L, 2) ``basis``, and of s
+    through the FIR ``h``, c[t] = sum_m h[m] s[(t + m - span) mod T] with
+    span = len(h) // 2, in one pass over s: (len(lags), K, 2) each.
 
-    def fill(block, start):
-        nonlocal ahead, response
-        if start == 0:  # the largest block; FFTs of even 2^a 3^b 5^c points are fast
-            response = np.conj(np.fft.rfft(h, min(m << a for m in (1, 3, 5, 9) for a in range(
-                1, (block.size + reach).bit_length() + 1) if m << a >= block.size + reach)))
-        drawn = np.concatenate(
-            [ahead, rng.standard_normal(min(block.size + reach, n - start) - ahead.size)])
-        draws = np.concatenate([drawn, head[:block.size + reach - drawn.size]])
-        block[:] = np.fft.irfft(np.fft.rfft(draws, 2 * response.size - 2) * response)[:block.size]
-        ahead = drawn[block.size:]
-    return fill
+    Filtering and projection are linear: c's window is s's window onto
+    g = basis * h, from span samples before it.  g, padded to whole segments,
+    is cut into J sub-kernels set as columns beside ``basis``, whose rolled
+    projections sum to c's.  Cost: one draw of s, and a matmul of 2 (J + 1)
+    columns, J about 3 + 2 D / L for 2 (L + D) taps (5 at L = 512, D = 4).
+    """
+    length = basis.shape[0]
+    pad = -(h.size // 2) % length  # zeros that start g on a segment boundary
+    parts = np.convolve(np.pad(basis @ [1, 1j], (pad, -(pad + h.size - 1) % length)),
+                        h).reshape(-1, length)
+    wide = _project(fill, lags, np.hstack([basis, parts.real.T, parts.imag.T]), count)
+    before = (h.size // 2 + pad) // length  # segments g starts before the window
+    signal = np.zeros((len(lags), count, 2))
+    for j in range(len(parts)):  # rolled by slices: np.roll's copies raise the peak RSS
+        shift = (before - j) % count
+        signal[:, shift:] += wide[:, :count - shift, 2 + j::len(parts)]
+        signal[:, :shift] += wide[:, count - shift:, 2 + j::len(parts)]
+    return wide[..., :2].copy(), signal  # a copy, so that the wide array is freed
 
 
 def _draw(seed: np.random.SeedSequence, noise: QuadSpectrum, span: int, lags,
@@ -251,16 +255,15 @@ def _draw(seed: np.random.SeedSequence, noise: QuadSpectrum, span: int, lags,
     """One input's X and Y projections, each (2, len(lags), K, 2): its
     unit-variance draws, made on its substream a block at a time and
     projected as drawn; then, for a tabulated ``noise``, the same draws
-    through its :func:`_fir` of ``span``, else the first again."""
+    through its :func:`_fir` of ``span`` (:func:`_filtered`), else the first."""
     rng = np.random.default_rng(seed)
-    white = np.stack([_project(lambda block, _: rng.standard_normal(out=block),
-                               lags, basis, cfg.segment_count) for _ in range(2)])
+    fill = lambda block, _: rng.standard_normal(out=block)  # noqa: E731
     if noise.is_constant:
+        white = np.stack([_project(fill, lags, basis, cfg.segment_count) for _ in range(2)])
         return white, white
-    rng = np.random.default_rng(seed)
-    return white, np.stack([_project(
-        _fir_fill(rng, _fir(variance_fn, cfg.sample_rate, span), cfg.total_samples),
-        lags, basis, cfg.segment_count) for variance_fn in (noise.vx_at, noise.vy_at)])
+    white, signal = zip(*[_filtered(fill, lags, basis, _fir(v, cfg.sample_rate, span),
+                                    cfg.segment_count) for v in (noise.vx_at, noise.vy_at)])
+    return np.stack(white), np.stack(signal)
 
 
 def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray,
@@ -272,18 +275,18 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
     the kernel.  No stream of a row is built.
 
     Each roster input carries its own noise, drawn on the substream of its
-    roster position.  ``taps`` are :func:`expand_taps` of ``net``; an input's
-    taps fold into one complex coefficient c per distinct delay d (mod T):
-    weights, conj(alpha_k) and the tap gains.  Projection is linear, so a
-    tap adds Re(c) times the input's X projections and -Im(c) times its Y
-    projections, at lag d mod L, rolled by d // L segments.  Both rows use
-    one rule: coefficient times scale times projections.  The vacuum row
-    reads the white projections at scale 1; the signal row reads a constant
-    spectrum's white projections at scale (sqrt(V_X), sqrt(V_Y)), and a
-    tabulated one's filtered projections at scale 1, at delay d + span: its
-    FIR (span = L + D, D the longest tap delay) leads the draws by span.  A
-    plan with T < 3 span is refused: the FIR's wrap would alias onto the
-    lags a kernel of span samples meets.
+    roster position.  ``taps`` are :func:`expand_taps` of ``net``; an
+    input's taps fold into one complex coefficient c per distinct delay d
+    (mod T): weights, conj(alpha_k) and the tap gains.  Projection is
+    linear, so a tap adds Re(c) times the input's X projections and -Im(c)
+    times its Y projections, at lag d mod L, rolled by d // L segments.
+    Both rows use one rule: coefficient times scale times projections.  The
+    vacuum row reads the white projections at scale 1, the signal row a
+    constant spectrum's at scale (sqrt(V_X), sqrt(V_Y)) and a tabulated
+    one's through its FIR of 2 span taps (span = L + D, D the longest tap
+    delay) at scale 1.  A plan with T < 3 span is refused: the stream's wrap
+    would alias the FIR's autocorrelation onto the lags a kernel of span
+    samples meets.
 
     Every input is drawn and projected on a thread pool, a block at a time,
     at most workers + 1 in flight, and added in roster order on the calling
@@ -306,13 +309,9 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
 
     if n < 3 * span and not all(e.noise.is_constant for e in net.roster):
         raise MCError(f"a tabulated spectrum needs T >= 3 (L + D) = {3 * span} samples, got {n}")
-    jobs = []  # (substream, spectrum, lags, signal-row lead, terms)
-    for j, entry in enumerate(net.roster):
-        terms = [(d, c) for d, c in sorted(folded[j].items()) if c]
-        lead = 0 if entry.noise.is_constant else span
-        if terms:
-            lags = sorted({(d + shift) % length for d, _ in terms for shift in (0, lead)})
-            jobs.append((children[j], entry.noise, lags, lead, terms))
+    jobs = [(children[j], entry.noise, sorted({d % length for d, _ in terms}), terms)
+            for j, entry in enumerate(net.roster)
+            if (terms := [(d, c) for d, c in sorted(folded[j].items()) if c])]
 
     out = np.zeros((2, count, 2))
     workers = _workers()
@@ -321,20 +320,20 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
         pending = deque()
 
         def top_up():
-            for seed, noise, lags, *_ in itertools.islice(queue, workers + 1 - len(pending)):
+            for seed, noise, lags, _ in itertools.islice(queue, workers + 1 - len(pending)):
                 pending.append(pool.submit(_draw, seed, noise, span, lags, basis, cfg))
 
         top_up()
-        for _, noise, lags, lead, terms in jobs:
+        for _, noise, lags, terms in jobs:
             white, signal = pending.popleft().result()
             top_up()
-            scale = (1.0, 1.0) if lead else (math.sqrt(noise.vx), math.sqrt(noise.vy))
+            scale = (math.sqrt(noise.vx), math.sqrt(noise.vy)) if noise.is_constant else (1.0, 1.0)
             position = {lag: i for i, lag in enumerate(lags)}
             for d, c in terms:
                 cx, cy = c.real, -c.imag  # coefficients of X and Y
-                for row, projections, (sx, sy), at in ((out[0], signal, scale, d + lead),
-                                                       (out[1], white, (1.0, 1.0), d)):
-                    i, shift = position[at % length], at // length
+                i, shift = position[d % length], d // length
+                for row, projections, (sx, sy) in ((out[0], signal, scale),
+                                                   (out[1], white, (1.0, 1.0))):
                     x, y = projections[:, i]
                     row += ((cx * sx) * np.roll(x, shift, axis=0)
                             + (cy * sy) * np.roll(y, shift, axis=0))

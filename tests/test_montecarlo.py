@@ -549,10 +549,18 @@ class TestComboStreams:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_workers_fall_back_to_the_cpu_count(self, monkeypatch):
+        # where the process cannot read its affinity, every core counts, and
+        # an unknown count means one worker
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        for cores, workers in ((3, 3), (None, 1)):
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+            assert montecarlo._workers() == workers
+
 
 class TestMemory:
-    """No stream-length array is built: every input is drawn, filtered and
-    projected a block at a time."""
+    """No stream-length array is built: every input is drawn and projected a
+    block at a time, a tabulated one onto its FIR's sub-kernels too."""
 
     @pytest.mark.parametrize("noise, streams", [(QuadSpectrum.constant(0.617, 63.0), 1),
                                                 (TABULATED, 1)])
@@ -648,21 +656,52 @@ class TestTabulatedInputs:
         with pytest.raises(MCError, match="too sharply"):
             montecarlo.cross_validate(net, SUM, OMEGA, cfg(segments=16, length=64))
 
-    def test_fir_fill_is_the_circular_filter(self):
-        # three blocks, the last one short, and the filter's wrap round the
-        # end of the stream, at lags that cross segment boundaries
+    def test_filtered_projection_is_the_circular_filter(self):
+        # the sub-kernel projections of the white draws against a direct
+        # circular filter of the same draws, centred by span: three blocks,
+        # the last one short, and the filter's wrap round the end of the
+        # stream, at lags that cross segment boundaries
         c = cfg(segments=600, length=64)
         n = c.total_samples
         assert 2 * montecarlo.CHUNK < n < 3 * montecarlo.CHUNK
         h = np.random.default_rng(1).standard_normal(150)
         draws = np.random.default_rng(2).standard_normal(n)
-        direct = sum(h[m] * np.roll(draws, -m) for m in range(h.size))
+        direct = np.roll(sum(h[m] * np.roll(draws, -m) for m in range(h.size)), h.size // 2)
         kernel = segment_kernel(OMEGA, c)
         lags = [0, 1, 40, 63]
-        got = montecarlo._project(montecarlo._fir_fill(np.random.default_rng(2), h, n), lags,
-                                  np.stack([kernel.real, kernel.imag], axis=1), c.segment_count)
-        ref = np.stack([project(np.roll(direct, r), OMEGA, c) for r in lags])
-        assert max_relative_gap(got, ref) <= 1e-12
+        rng = np.random.default_rng(2)
+        got = montecarlo._filtered(lambda block, _: rng.standard_normal(out=block), lags,
+                                   np.stack([kernel.real, kernel.imag], axis=1), h,
+                                   c.segment_count)
+        for projections, stream in zip(got, (draws, direct)):
+            ref = np.stack([project(np.roll(stream, r), OMEGA, c) for r in lags])
+            assert max_relative_gap(projections, ref) <= 1e-12
+
+    def test_tabulated_input_draws_its_normals_once(self, monkeypatch):
+        # each input's generator draws 2 T normals, its X then its Y, and a
+        # tabulated input's filtered row comes from those same draws
+        c = cfg(seed=3, segments=16, length=64)
+        default_rng = np.random.default_rng
+        drawn = []
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+                self.count = 0
+                drawn.append(self)
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.rng.standard_normal(*args, **kwargs)
+                self.count += out.size
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        for noise in (QuadSpectrum.constant(0.617, 63.0), TABULATED):
+            net = engine.compile(scenario.mz_network(tau=TAU_PI, carrier_phase=math.pi / 2,
+                                                     amp=100.0, noise=noise))
+            drawn.clear()
+            montecarlo.cross_validate(net, DIFF, OMEGA, c)
+            assert [g.count for g in drawn] == [2 * c.total_samples] * net.n_inputs
 
     def test_plan_shorter_than_three_spans_is_refused(self):
         # a 4-sample delay and L = 12: span = 16, so T = 48 is the shortest
