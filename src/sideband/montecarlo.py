@@ -13,13 +13,17 @@ delay a whole number of samples, on circular streams of T = K L samples.
 Spectra come from a Welch periodogram read at one FFT bin: the mean of the
 segments' bin powers, at a resolution of one bin width f_s / L.  A segment's
 bin is its projection onto one kernel of L samples, and projection is
-linear, so no photocurrent stream is built: each input is projected onto the
-kernel as it is drawn, and a row's segment projections are the sum of its
-inputs' projections, shifted by the tap delays and weighted by the tap
+linear, so no photocurrent stream is built: each white stream is projected
+onto the kernel as it is drawn, and a row's segment projections are a sum
+of those projections, shifted by the tap delays and weighted by real
 coefficients; a tabulated input's FIR is folded into the kernel too.  The
-shot-noise reference is a second row accumulated from the same draws with
-every input at vacuum variance, so the signal and vacuum bin powers share
-their randomness and their ratio is a low-variance estimate.
+constant-spectrum inputs are not drawn one by one: a row reads them only
+through a few features, their sums at each distinct tap delay, so the
+fewest white streams with those features' covariance are drawn in their
+place (:func:`_factor`), with the same joint law.  The shot-noise reference
+is a second row accumulated from the same draws with every input at vacuum
+variance, so the signal and vacuum bin powers share their randomness and
+their ratio is a low-variance estimate.
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ from .network import QuadSpectrum
 DELAY_TOLERANCE = 1e-6  # max |tau*f_s - round(tau*f_s)|
 
 #: the most samples a sampling plan may hold, 8x the acceptance plan's
-#: 512 x 4096: every input is drawn a block at a time, and a row is K x 2
+#: 512 x 4096: every stream is drawn a block at a time, and a row is K x 2
 #: projections
 MAX_TOTAL_SAMPLES = 2 ** 24
 
-#: samples per block of an input's draws, rounded down to whole segments:
+#: samples per block of a stream's draws, rounded down to whole segments:
 #: a block stays in cache while it is projected at every lag its taps need
 CHUNK = 2 ** 14
 
@@ -250,20 +254,105 @@ def _filtered(fill, lags, basis: np.ndarray, h: np.ndarray, count: int):
     return wide[..., :2].copy(), signal  # a copy, so that the wide array is freed
 
 
-def _draw(seed: np.random.SeedSequence, noise: QuadSpectrum, span: int, lags,
-          basis: np.ndarray, cfg: MCConfig):
-    """One input's X and Y projections, each (2, len(lags), K, 2): its
-    unit-variance draws, made on its substream a block at a time and
-    projected as drawn; then, for a tabulated ``noise``, the same draws
-    through its :func:`_fir` of ``span`` (:func:`_filtered`), else the first."""
+def _factor(a: np.ndarray) -> np.ndarray:
+    """A factor B of ``a``'s Gram matrix, B B^T = A A^T, with as few columns
+    as its numerical rank: the rows of (F, C) ``a`` as (F, m) rows, m <= C.
+
+    Duplicate rows of ``a`` are dropped first (a dict of row tuples, in
+    first-seen order) and get bitwise-equal rows of B.  The unique rows'
+    Gram matrix is factored by Cholesky with diagonal pivoting: each column
+    pivots on the largest remaining diagonal entry (the first on a tie), and
+    the factor stops at a pivot <= max(diag) size eps or at C columns.
+    """
+    unique: dict[tuple, int] = {}
+    index = [unique.setdefault(row, len(unique)) for row in map(tuple, a.tolist())]
+    rows = np.array(list(unique), dtype=float).reshape(len(unique), a.shape[1])
+    gram = rows @ rows.T
+    size = len(gram)
+    residual = gram.diagonal().copy()
+    floor = residual.max(initial=0.0) * size * np.finfo(float).eps
+    factor = np.zeros((size, min(size, a.shape[1])))
+    pivots: list[int] = []
+    for k in range(factor.shape[1]):
+        p = int(np.argmax(residual))
+        if residual[p] <= floor:
+            factor = factor[:, :k]
+            break
+        column = (gram[:, p] - factor[:, :k] @ factor[p, :k]) / math.sqrt(residual[p])
+        column[pivots] = 0.0
+        column[p] = math.sqrt(residual[p])
+        factor[:, k] = column
+        residual -= column ** 2
+        residual[p] = 0.0
+        pivots.append(p)
+    return factor[index]
+
+
+def _plan(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray, span: int):
+    """The pool jobs that draw the combo's two rows, as (fir, lags, terms):
+    the constant-spectrum inputs' factor streams, then each tabulated
+    input's X and Y in roster order.  A job draws one quadrature of T unit
+    normals and projects it at ``lags`` (each d mod L), for a ``fir`` h also
+    through h; a term (r, d, b) adds b times those projections at lag
+    d mod L, rolled by d // L segments, to row r (0 signal, 1 vacuum).
+
+    An input's taps fold into one complex coefficient c per distinct delay
+    d (mod T): weights, conj(alpha_k) and the tap gains.  A tabulated
+    quadrature is read at Re(c) (X) or -Im(c) (Y), by the signal row through
+    h.  The constant inputs reach row r at delay d only through the feature
+    F_(r,d) = sum_s A[(r,d), s] W_s of their white quadratures W_s (roster
+    order, X then Y; signal-row features first, delays ascending), with
+    entries Re(c) sqrt(V_X) and -Im(c) sqrt(V_Y) in the signal row and
+    Re(c) and -Im(c) in the vacuum row.  The features are white with
+    covariance A A^T, so the streams of B = :func:`_factor` of A, one per
+    column, draw them with the same law.
+    """
+    n, length = cfg.total_samples, cfg.segment_length
+    conj_alphas = np.conj(np.array(net.carriers, dtype=complex))
+    folded: list[dict[int, complex]] = [{} for _ in range(net.n_inputs)]
+    for k, det in enumerate(taps):
+        for j, d, g in det:
+            d %= n  # circular shift, like a roll by d
+            folded[j][d] = folded[j].get(d, 0j) + weights[k] * (conj_alphas[k] * g)
+    terms = [[(d, c) for d, c in sorted(taps_j.items()) if c] for taps_j in folded]
+
+    constant = [j for j, e in enumerate(net.roster) if e.noise.is_constant]
+    delays = sorted({d for j in constant for d, _ in terms[j]})
+    a = np.zeros((2 * len(delays), 2 * len(constant)))
+    for s, j in enumerate(constant):
+        scales = ((math.sqrt(net.roster[j].noise.vx), math.sqrt(net.roster[j].noise.vy)),
+                  (1.0, 1.0))
+        for d, c in terms[j]:
+            f = delays.index(d)
+            for r, (sx, sy) in enumerate(scales):
+                a[r * len(delays) + f, 2 * s:2 * s + 2] = c.real * sx, -c.imag * sy
+    lags = sorted({d % length for d in delays})
+    features = [(r, d) for r in (0, 1) for d in delays]
+    jobs = [(None, lags, [(r, d, b) for (r, d), b in zip(features, column) if b])
+            for column in _factor(a).T]
+    for j, entry in enumerate(net.roster):
+        if entry.noise.is_constant or not terms[j]:
+            continue
+        lags = sorted({d % length for d, _ in terms[j]})
+        for variance_fn, part in ((entry.noise.vx_at, lambda c: c.real),
+                                  (entry.noise.vy_at, lambda c: -c.imag)):
+            jobs.append((_fir(variance_fn, cfg.sample_rate, span), lags,
+                         [(r, d, part(c)) for r in (0, 1) for d, c in terms[j]]))
+    return jobs
+
+
+def _run(seed: np.random.SeedSequence, fir, lags, basis: np.ndarray, count: int):
+    """One job of :func:`_plan`: T unit normals, drawn on ``seed`` a block at
+    a time and projected as drawn, as the (signal row, vacuum row) pair of
+    (len(lags), K, 2) projections the rows read: the white projections for
+    both, or the filtered ones for the signal row of a ``fir``."""
     rng = np.random.default_rng(seed)
     fill = lambda block, _: rng.standard_normal(out=block)  # noqa: E731
-    if noise.is_constant:
-        white = np.stack([_project(fill, lags, basis, cfg.segment_count) for _ in range(2)])
+    if fir is None:
+        white = _project(fill, lags, basis, count)
         return white, white
-    white, signal = zip(*[_filtered(fill, lags, basis, _fir(v, cfg.sample_rate, span),
-                                    cfg.segment_count) for v in (noise.vx_at, noise.vy_at)])
-    return np.stack(white), np.stack(signal)
+    white, signal = _filtered(fill, lags, basis, fir, count)
+    return signal, white
 
 
 def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray,
@@ -274,69 +363,48 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
     [r, k] is segment k's projection onto the real and imaginary parts of
     the kernel.  No stream of a row is built.
 
-    Each roster input carries its own noise, drawn on the substream of its
-    roster position.  ``taps`` are :func:`expand_taps` of ``net``; an
-    input's taps fold into one complex coefficient c per distinct delay d
-    (mod T): weights, conj(alpha_k) and the tap gains.  Projection is
-    linear, so a tap adds Re(c) times the input's X projections and -Im(c)
-    times its Y projections, at lag d mod L, rolled by d // L segments.
-    Both rows use one rule: coefficient times scale times projections.  The
-    vacuum row reads the white projections at scale 1, the signal row a
-    constant spectrum's at scale (sqrt(V_X), sqrt(V_Y)) and a tabulated
-    one's through its FIR of 2 span taps (span = L + D, D the longest tap
-    delay) at scale 1.  A plan with T < 3 span is refused: the stream's wrap
-    would alias the FIR's autocorrelation onto the lags a kernel of span
-    samples meets.
+    ``taps`` are :func:`expand_taps` of ``net``.  The rows are drawn by the
+    jobs of :func:`_plan`: the fewest white factor streams with the joint
+    law of the constant-spectrum inputs' features, then one job per
+    quadrature of each tabulated input, read through its FIR of 2 span taps
+    (span = L + D, D the longest tap delay).  Job s draws on the s-th of
+    len(jobs) children of ``root``.  Projection is linear, so both rows add
+    each job's terms by one rule: coefficient times the projections at lag
+    d mod L, rolled by d // L segments.  A plan with T < 3 span and a
+    tabulated input is refused: the stream's wrap would alias the FIR's
+    autocorrelation onto the lags a kernel of span samples meets.
 
-    Every input is drawn and projected on a thread pool, a block at a time,
-    at most workers + 1 in flight, and added in roster order on the calling
+    Every job is drawn and projected on a thread pool, a block at a time,
+    at most workers + 1 in flight, and added in job order on the calling
     thread, so the result is bit-identical for any worker count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     n, length, count = cfg.total_samples, cfg.segment_length, cfg.segment_count
     span = length + max(d for det in taps for _, d, _ in det)
-    kernel = _kernel(omega, cfg)
-    basis = np.stack([kernel.real, kernel.imag], axis=1)
-    conj_alphas = np.conj(np.array(net.carriers, dtype=complex))
-    children = root.spawn(net.n_inputs)
-
-    folded: list[dict[int, complex]] = [{} for _ in range(net.n_inputs)]
-    for k, det in enumerate(taps):
-        for j, d, g in det:
-            d %= n  # circular shift, like a roll by d
-            folded[j][d] = folded[j].get(d, 0j) + weights[k] * (conj_alphas[k] * g)
-
     if n < 3 * span and not all(e.noise.is_constant for e in net.roster):
         raise MCError(f"a tabulated spectrum needs T >= 3 (L + D) = {3 * span} samples, got {n}")
-    jobs = [(children[j], entry.noise, sorted({d % length for d, _ in terms}), terms)
-            for j, entry in enumerate(net.roster)
-            if (terms := [(d, c) for d, c in sorted(folded[j].items()) if c])]
+    kernel = _kernel(omega, cfg)
+    basis = np.stack([kernel.real, kernel.imag], axis=1)
+    jobs = _plan(net, cfg, taps, weights, span)
 
     out = np.zeros((2, count, 2))
     workers = _workers()
-    queue = iter(jobs)
+    queue = zip(root.spawn(len(jobs)), jobs)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
 
         def top_up():
-            for seed, noise, lags, _ in itertools.islice(queue, workers + 1 - len(pending)):
-                pending.append(pool.submit(_draw, seed, noise, span, lags, basis, cfg))
+            for seed, (fir, lags, _) in itertools.islice(queue, workers + 1 - len(pending)):
+                pending.append(pool.submit(_run, seed, fir, lags, basis, count))
 
         top_up()
-        for _, noise, lags, terms in jobs:
-            white, signal = pending.popleft().result()
+        for _, lags, terms in jobs:
+            rows = pending.popleft().result()
             top_up()
-            scale = (math.sqrt(noise.vx), math.sqrt(noise.vy)) if noise.is_constant else (1.0, 1.0)
             position = {lag: i for i, lag in enumerate(lags)}
-            for d, c in terms:
-                cx, cy = c.real, -c.imag  # coefficients of X and Y
-                i, shift = position[d % length], d // length
-                for row, projections, (sx, sy) in ((out[0], signal, scale),
-                                                   (out[1], white, (1.0, 1.0))):
-                    x, y = projections[:, i]
-                    row += ((cx * sx) * np.roll(x, shift, axis=0)
-                            + (cy * sy) * np.roll(y, shift, axis=0))
+            for r, d, coef in terms:
+                out[r] += coef * np.roll(rows[r][position[d % length]], d // length, axis=0)
     return out
 
 

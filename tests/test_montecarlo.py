@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -35,19 +36,15 @@ DIFF = Combo.diff_of("C", "D")
 SUM = Combo.sum_of("C", "D")
 
 
-def detector_projections(net, c, substream=False):
+def detector_projections(net, c):
     """Per-detector segment projections onto OMEGA's bin kernel, (M, K, 2):
     the signal rows of the oracle's accumulator, one call per detector with
     its one-hot weight row.  Each call draws on a fresh SeedSequence of the
-    seed, or with ``substream`` on its first child, where cross_validate
-    draws: spawning advances a SeedSequence, so a reused one would draw
+    seed: spawning advances a SeedSequence, so a reused one would draw
     other children."""
-    def root():
-        seed = np.random.SeedSequence(c.seed)
-        return seed.spawn(1)[0] if substream else seed
-
     taps = montecarlo.expand_taps(net, c)
-    return np.stack([montecarlo._streams(net, c, taps, weights, root(), OMEGA)[0]
+    return np.stack([montecarlo._streams(net, c, taps, weights, np.random.SeedSequence(c.seed),
+                                         OMEGA)[0]
                      for weights in np.eye(net.n_detectors)])
 
 
@@ -422,34 +419,94 @@ def circular_filter(draws, h):
     return np.fft.irfft(np.fft.rfft(draws) * np.conj(np.fft.rfft(h, n)), n)
 
 
-def rolled_tap_sum(net, c):
-    """The per-detector streams that :func:`detector_projections` projects,
-    built with every tap as a rolled copy of the input's own draws, DC
-    included.  A tabulated input's draws pass through its :func:`fir`,
-    which leads them by span samples, so they are rolled back by span."""
+def draw_matrix(net, c, weights):
+    """The constant-spectrum inputs' features at one instant, rebuilt from the
+    taps: (features, A), one feature (row r, delay d mod T) per row of A,
+    the signal row's first, delays ascending, over every delay a constant
+    input's taps reach; one column per quadrature of a constant input,
+    roster order, X then Y.  Feature (r, d) is sum_s A[(r, d), s] W_s."""
     n = c.total_samples
-    ref = np.tile((np.abs(net.carriers) ** 2)[:, None], (1, n))
-    children = np.random.SeedSequence(c.seed).spawn(net.n_inputs)
+    constant = [j for j, e in enumerate(net.roster) if e.noise.is_constant]
+    coefs = {}
+    for k, det in enumerate(montecarlo.expand_taps(net, c)):
+        for j, d, g in det:
+            if j in constant:
+                coefs[j, d % n] = (coefs.get((j, d % n), 0j)
+                                   + weights[k] * np.conj(net.carriers[k]) * g)
+    delays = sorted({d for _, d in coefs})
+    a = np.zeros((2, len(delays), len(constant), 2))
+    for (j, d), z in coefs.items():
+        q = net.roster[j].noise
+        cell = (delays.index(d), constant.index(j))
+        a[(0, *cell)] = z.real * math.sqrt(q.vx), -z.imag * math.sqrt(q.vy)
+        a[(1, *cell)] = z.real, -z.imag
+    return [(r, d) for r in (0, 1) for d in delays], a.reshape(2 * len(delays), 2 * len(constant))
+
+
+def job_rows(net, c, weights, root):
+    """The (2, T) signal and vacuum rows that ``montecarlo._streams`` projects,
+    from whole streams: each job of ``montecarlo._plan`` redrawn on its
+    seed, the s-th of len(jobs) children of ``root``, and each term a rolled
+    copy.  The factor streams' coefficients B must have B B^T = A A^T, A
+    from :func:`draw_matrix`; a tabulated input's X and Y jobs, in roster
+    order, are read at its taps' coefficients, in the signal row through
+    its :func:`fir`, which leads the draws by span samples, so they are
+    rolled back by span."""
+    n = c.total_samples
     taps = montecarlo.expand_taps(net, c)
     span = c.segment_length + max(d for det in taps for _, d, _ in det)
+    jobs = montecarlo._plan(net, c, taps, weights, span)
+    features, a = draw_matrix(net, c, weights)
+    factor = [terms for h, _, terms in jobs if h is None]
+    b = np.zeros((len(features), len(factor)))
+    for k, terms in enumerate(factor):
+        for r, d, coef in terms:
+            b[features.index((r, d)), k] = coef
+    gram = a @ a.T
+    assert np.max(np.abs(b @ b.T - gram), initial=0.0) <= 1e-12 * np.max(gram, initial=0.0)
+    assert len(factor) <= a.shape[1]
+
+    draws = (np.random.default_rng(seed).standard_normal(n) for seed in root.spawn(len(jobs)))
+    rows = np.zeros((2, n))
+    streams = [next(draws) for _ in factor]
+    for (r, d), coefs in zip(features, b):
+        for coef, z in zip(coefs, streams):
+            rows[r] += coef * np.roll(z, d)
     for j, q in enumerate(e.noise for e in net.roster):
-        draws = np.random.default_rng(children[j]).standard_normal((2, n))
-        x, y = (math.sqrt(v(0.0)) * w if q.is_constant
-                else np.roll(circular_filter(w, fir(v, c.sample_rate, span)), span)
-                for w, v in zip(draws, (q.vx_at, q.vy_at)))
+        if q.is_constant:
+            continue
+        coefs = {}
         for k, det in enumerate(taps):
             for jj, d, g in det:
                 if jj == j:
-                    z = np.conj(net.carriers[k]) * g
-                    ref[k] += np.roll(z.real * x - z.imag * y, d)
-    return ref
+                    coefs[d % n] = coefs.get(d % n, 0j) + weights[k] * np.conj(net.carriers[k]) * g
+        if not any(coefs.values()):
+            continue
+        for v, part in ((q.vx_at, np.real), (q.vy_at, lambda z: -np.imag(z))):
+            white = next(draws)
+            signal = np.roll(circular_filter(white, fir(v, c.sample_rate, span)), span)
+            for d, z in coefs.items():
+                rows[0] += part(z) * np.roll(signal, d)
+                rows[1] += part(z) * np.roll(white, d)
+    assert next(draws, None) is None  # every job is read
+    return rows
+
+
+def rolled_tap_sum(net, c):
+    """The per-detector streams that :func:`detector_projections` projects,
+    DC included: each detector's signal row of :func:`job_rows`, drawn for
+    its one-hot weight row on a fresh SeedSequence of the seed."""
+    return np.stack([abs(alpha) ** 2 + job_rows(net, c, weights,
+                                                np.random.SeedSequence(c.seed))[0]
+                     for alpha, weights in zip(net.carriers, np.eye(net.n_detectors))])
 
 
 class TestComboStreams:
     """cross_validate accumulates the combo's signal and vacuum rows from one
     set of draws, on the signal substream, as segment projections onto the
-    bin kernel; each must equal the combo of the per-detector projections
-    drawn there, and those the projections of the tests-side streams."""
+    bin kernel; each must equal the projections of the tests-side rows,
+    rebuilt from the jobs' draws, and the jobs must draw the features of the
+    combo of the detectors' streams with its covariance."""
 
     @pytest.mark.parametrize("tabulated", [False, True])
     def test_cross_validate_stream_is_combo_of_detector_streams(self, tabulated,
@@ -474,17 +531,16 @@ class TestComboStreams:
             seen.clear()
             montecarlo.cross_validate(net, combo, OMEGA, c)
             assert len(seen) == 2  # one periodogram per row
-            vacuum_net = engine.compile(with_noise(spec, VACUUM_SPECTRUM))
-            for got, run in ((seen[0], net), (seen[1], vacuum_net)):
-                # the per-detector signal rows drawn on the signal substream
-                detectors = detector_projections(run, c, substream=True)
-                m = run.n_detectors
-                ref = sum(w * detectors[net.detector_names.index(d)]
-                          for d, w in combo.weights)
-                combo_stream = montecarlo.MCStreams(
-                    detectors.reshape(m, -1)).combo_stream(net, combo)
-                for projections in (got, combo_stream.reshape(got.shape)):
-                    assert max_relative_gap(projections, ref) <= 1e-12
+            weights = engine.combo_weights(net, combo)
+            # the features' draw matrix is the combo of the detectors' ones
+            a = draw_matrix(net, c, weights)[1]
+            detectors = [draw_matrix(net, c, e)[1].ravel() for e in np.eye(net.n_detectors)]
+            combo_matrix = montecarlo.MCStreams(np.stack(detectors)).combo_stream(net, combo)
+            assert (np.max(np.abs(combo_matrix.reshape(a.shape) - a), initial=0.0)
+                    <= 1e-12 * np.max(np.abs(a), initial=0.0))
+            rows = job_rows(net, c, weights, np.random.SeedSequence(c.seed).spawn(1)[0])
+            for got, ref in zip(seen, project(rows, OMEGA, c)):
+                assert max_relative_gap(got, ref) <= 1e-12
             checked += 1
 
     @pytest.mark.parametrize("tabulated", [False, True])
@@ -558,8 +614,45 @@ class TestComboStreams:
             assert montecarlo._workers() == workers
 
 
+class TestFactor:
+    """``montecarlo._factor`` draws the constant-spectrum inputs' features as
+    the fewest white streams with their covariance: B B^T = A A^T."""
+
+    @staticmethod
+    def check(a, rank):
+        b = montecarlo._factor(a)
+        gram = a @ a.T
+        assert b.shape == (len(a), rank)
+        assert np.max(np.abs(b @ b.T - gram), initial=0.0) <= 1e-12 * np.max(gram, initial=0.0)
+        return b
+
+    def test_rank_deficient_gram_gives_rank_columns(self):
+        rng = np.random.default_rng(5)
+        for rows, cols, rank in ((5, 6, 3), (8, 4, 1), (7, 7, 6)):
+            self.check(rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols)),
+                       rank)
+
+    def test_duplicate_features_give_bitwise_equal_rows(self):
+        # the vacuum row's features repeat the signal row's at vacuum variance
+        rng = np.random.default_rng(6)
+        unique = rng.standard_normal((3, 4))
+        order = [0, 1, 0, 2, 1, 1]
+        b = self.check(unique[order], 3)
+        for i, j in itertools.combinations(range(len(order)), 2):
+            assert np.array_equal(b[i], b[j]) == (order[i] == order[j])
+
+    def test_zero_gram_gives_no_columns(self):
+        self.check(np.zeros((4, 6)), 0)
+        self.check(np.zeros((0, 0)), 0)
+
+    def test_never_more_columns_than_quadratures(self):
+        rng = np.random.default_rng(7)
+        for rows, cols in ((2, 1), (9, 2), (40, 3), (3, 8)):
+            self.check(rng.standard_normal((rows, cols)), min(rows, cols))
+
+
 class TestMemory:
-    """No stream-length array is built: every input is drawn and projected a
+    """No stream-length array is built: every stream is drawn and projected a
     block at a time, a tabulated one onto its FIR's sub-kernels too."""
 
     @pytest.mark.parametrize("noise, streams", [(QuadSpectrum.constant(0.617, 63.0), 1),
@@ -678,9 +771,21 @@ class TestTabulatedInputs:
             assert max_relative_gap(projections, ref) <= 1e-12
 
     def test_tabulated_input_draws_its_normals_once(self, monkeypatch):
-        # each input's generator draws 2 T normals, its X then its Y, and a
-        # tabulated input's filtered row comes from those same draws
+        # every job's generator draws T normals, one quadrature: the
+        # constant-spectrum inputs' factor streams, then a tabulated input's
+        # X and Y, whose filtered row comes from those same draws.  The
+        # bench's oracle cases, with 2, 6, 8 and 2 inputs, make 2, 2, 3 and 3
         c = cfg(seed=3, segments=16, length=64)
+        config = scenario.ExperimentConfig()
+        cases = [
+            (mz_net(), DIFF, 2),
+            (engine.compile(scenario.experiment_network(config, "amplitude")),
+             scenario.correlation_weights("amplitude"), 2),
+            (engine.compile(scenario.experiment_network(config, "phase")),
+             scenario.correlation_weights("phase"), 3),
+            (engine.compile(scenario.mz_network(tau=TAU_PI, carrier_phase=math.pi / 2,
+                                                amp=100.0, noise=TABULATED)), DIFF, 3),
+        ]
         default_rng = np.random.default_rng
         drawn = []
 
@@ -696,12 +801,10 @@ class TestTabulatedInputs:
                 return out
 
         monkeypatch.setattr(np.random, "default_rng", Counting)
-        for noise in (QuadSpectrum.constant(0.617, 63.0), TABULATED):
-            net = engine.compile(scenario.mz_network(tau=TAU_PI, carrier_phase=math.pi / 2,
-                                                     amp=100.0, noise=noise))
+        for net, combo, jobs in cases:
             drawn.clear()
-            montecarlo.cross_validate(net, DIFF, OMEGA, c)
-            assert [g.count for g in drawn] == [2 * c.total_samples] * net.n_inputs
+            montecarlo.cross_validate(net, combo, OMEGA, c)
+            assert [g.count for g in drawn] == [c.total_samples] * jobs
 
     def test_plan_shorter_than_three_spans_is_refused(self):
         # a 4-sample delay and L = 12: span = 16, so T = 48 is the shortest
