@@ -11,6 +11,11 @@ keywords, duplicate names, unit mismatches, out-of-range parameters,
 unphysical squeezing) with line/column diagnostics; global wiring issues are
 the business of network.validate, so a parsed spec can still fail there.
 
+Tokens are plain strings.  Positions are worked out only for a diagnostic,
+which lexes the text again with offsets: a character that no token takes is
+then the error reported.  Only '\n' starts a line, and the snippet is that
+line without one trailing '\r'.
+
 An override NAME.PARAM=VALUE given to parse() is read as if written in the
 statement NAME, under that statement's checks; a refused one raises
 OverrideError.
@@ -91,191 +96,221 @@ class SerializeError(ValueError):
     pass
 
 
-# One match per token; the kind is the name of the group that matched.
-# Whitespace matches nothing, so finditer steps over it.  A comment that runs
-# to a newline matches no named group and is dropped; one that ends the text
-# is skipped by the eof lookahead, so eof sits at its '#'.
-_TOKEN_RE = re.compile(r"""
-      (?P<number> (?P<num> [+-]? (?: \d+\.?\d* | \.\d+ ) (?: [eE][+-]?\d+ )? )
-                  (?P<unit> [A-Za-z]+ )? )
-    | (?P<punct> [;=,():.] )
-    | (?P<ident> [A-Za-z_][A-Za-z0-9_]* )
-    | (?P<eof> (?= (?: \#[^\n]* )? \Z ) )
-    | \#[^\n]*
-    | (?P<bad> [^ \t\r\n] )
-""", re.VERBOSE)
+# A token is an identifier, a number with its unit letters, a punctuation
+# mark, a comment or one character that no other token takes.  Whitespace
+# matches nothing, so the scan steps over it.  There are no groups, so
+# findall gives the tokens as plain strings.
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TOKEN_RE = re.compile(rf"[A-Za-z_][A-Za-z0-9_]*|{_NUMBER}[A-Za-z]*|[;=,():.]|#[^\n]*|[^ \t\r\n]")
+#: a number token's value and unit ('' for none)
+_NUMBER_RE = re.compile(rf"({_NUMBER})([A-Za-z]*)")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# dimension -> (units, base unit) of each dimension that takes units other than dB
+_UNITS = {LENGTH: (LENGTH_UNITS, "m"), TIME: (TIME_UNITS, "s"), FREQ: (FREQ_UNITS, "Hz")}
+
+
+def _kind(tok: str) -> str:
+    """A token's kind, read off its first character: eof (the empty token),
+    ident, number, punct, or bad for a character that no token takes.
+    ``\\d`` and ``str.isdecimal`` both mean Unicode category Nd."""
+    if not tok:
+        return "eof"
+    if tok[0] in _IDENT_START:
+        return "ident"
+    if tok[0].isdecimal() or (tok[0] in "+-." and len(tok) > 1):
+        return "number"
+    return "punct" if tok in ";=,():." else "bad"  # tok is one character
+
+
+def _lex(text: str) -> list[tuple[int, str]]:
+    """The tokens that _Parser holds for ``text``, each with its offset:
+    comments dropped, then eof at a comment that ends the text, else at the
+    end.  The first character that no token takes raises ParseError."""
+    lexed, end = [], len(text)
+    for m in _TOKEN_RE.finditer(text):
+        tok = m[0]
+        if tok[0] == "#":
+            if m.end() == len(text):
+                end = m.start()
+        elif _kind(tok) == "bad":
+            raise ParseError(_diagnostic(text, m.start(), f"unexpected character {tok!r}"))
+        else:
+            lexed.append((m.start(), tok))
+    lexed.append((end, ""))
+    return lexed
+
+
+def _diagnostic(text: str, offset: int, message: str) -> ParseDiagnostic:
+    """``message`` at ``offset`` into ``text``.  Only '\\n' starts a line;
+    '\\r' and '\\t' are one column each.  The snippet is the offset's line
+    without one trailing '\\r'."""
+    start = text.rfind("\n", 0, offset) + 1
+    end = text.find("\n", offset)
+    snippet = text[start:end] if end >= 0 else text[start:]
+    return ParseDiagnostic(text.count("\n", 0, offset) + 1, offset - start + 1, message,
+                           snippet.removesuffix("\r"))
 
 
 class _Parser:
-    """Recursive descent over token matches: ``tok.lastgroup`` is the kind,
-    ``tok[0]`` the text and ``tok.start()`` the offset into the text."""
+    """Recursive descent over the text's tokens, held as plain strings with
+    eof as ''.  A token is referred to by its index; its position in the
+    text is worked out only for a diagnostic."""
 
     def __init__(self, text: str, overrides: Iterable[str] = ()):
         self.text = text
-        self.lines = text.splitlines() or [""]
-        self.tokens: list[re.Match] = []
-        for tok in _TOKEN_RE.finditer(text):
-            if tok.lastgroup == "bad":
-                raise self.error(f"unexpected character {tok[0]!r}", tok)
-            if tok.lastgroup:
-                self.tokens.append(tok)
-            if tok.lastgroup == "eof":
-                break
+        self.tokens = [tok for tok in _TOKEN_RE.findall(text) if tok[0] != "#"]
+        self.tokens.append("")
         self.pos = 0
         self.names: set[str] = set()
-        # statement name -> parameter -> (parameter token, value token)
-        self.overrides: dict[str, dict[str, tuple[re.Match, re.Match]]] = {}
-        for item in overrides:
-            name, key, value = _read_override(item)
+        # statement name -> parameter -> (override item, value token)
+        self.overrides: dict[str, dict[str, tuple[str, str]]] = {}
+        for item in overrides:  # NAME.PARAM=VALUE, read by a parser of its own
+            p = _Parser(item)
+            try:
+                name = p.expect_ident("statement name")
+                p.expect_punct(".")
+                key = p.expect_ident("parameter name")
+                p.expect_punct("=")
+                value = p.tokens[p.pos]
+                if _kind(value) != "number":
+                    raise p.found("a number")
+                p.pos += 1
+                p.expect_end("override")
+            except ParseError as exc:
+                raise self.error(exc.diagnostic.message, item) from None
             slot = self.overrides.setdefault(name, {})
-            slot.pop(_REPLACES.get(key[0]), None)
-            slot[key[0]] = (key, value)
+            slot.pop(_REPLACES.get(key), None)
+            slot[key] = (item, value)
 
     # -- token plumbing
 
-    def peek(self) -> re.Match:
-        return self.tokens[self.pos]
-
-    def advance(self) -> re.Match:
-        tok = self.tokens[self.pos]
-        if tok.lastgroup != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, text: str) -> bool:
-        """Whether the next token is ``text``: a punctuation mark or keyword
-        matches only a token of that kind."""
-        return self.peek()[0] == text
-
-    def error(self, message: str, tok: re.Match | None = None) -> ParseError | OverrideError:
-        tok = tok or self.peek()
-        if tok.string is not self.text:  # an override's token
-            return OverrideError(f"override {tok.string!r}: {message}")
-        # only '\n' starts a line; '\r' and '\t' are one column each
-        offset = tok.start()
-        line = self.text.count("\n", 0, offset) + 1
-        column = offset - self.text.rfind("\n", 0, offset)
-        snippet = self.lines[line - 1] if line - 1 < len(self.lines) else ""
-        return ParseError(ParseDiagnostic(line, column, message, snippet))
+    def error(self, message: str, ref: int | str | None = None) -> ParseError | OverrideError:
+        """The error for ``message`` at token index ``ref`` (default the next
+        token), or in the override item ``ref``.  The text is lexed again
+        here, with offsets: a character in it that no token takes is the
+        error raised, whatever ``message`` was."""
+        lexed = _lex(self.text)
+        if isinstance(ref, str):
+            return OverrideError(f"override {ref!r}: {message}")
+        offset = lexed[self.pos if ref is None else ref][0]
+        return ParseError(_diagnostic(self.text, offset, message))
 
     def found(self, what: str) -> ParseError:
-        tok = self.peek()
-        return self.error(f"expected {what}, found {tok[0]!r}" if tok.lastgroup != "eof"
+        tok = self.tokens[self.pos]
+        return self.error(f"expected {what}, found {tok!r}" if tok
                           else f"expected {what}, found end of input")
 
-    def expect_punct(self, ch: str) -> re.Match:
-        if not self.at(ch):
+    def expect_punct(self, ch: str):
+        if self.tokens[self.pos] != ch:
             raise self.found(repr(ch))
-        return self.advance()
+        self.pos += 1
 
-    def expect_ident(self, what: str = "identifier") -> re.Match:
-        if self.peek().lastgroup != "ident":
+    def expect_ident(self, what: str = "identifier") -> str:
+        tok = self.tokens[self.pos]
+        if tok[:1] not in _IDENT_START:
             raise self.found(what)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.advance()
+        """Take the next token if it is ``text``: a punctuation mark or
+        keyword matches only a token of that kind."""
+        if self.tokens[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
     def expect_end(self, what: str):
-        if self.peek().lastgroup != "eof":
+        if self.tokens[self.pos]:
             raise self.error(f"trailing input after {what}")
 
     # -- names, ports, quantities
 
     def fresh_name(self) -> str:
-        tok = self.expect_ident("name")
-        if tok[0] in KEYWORDS:
-            raise self.error(f"{tok[0]!r} is a reserved word", tok)
-        if tok[0].startswith(RESERVED_PREFIX):
-            raise self.error(f"names starting with {RESERVED_PREFIX!r} are reserved", tok)
-        if tok[0] in self.names:
-            raise self.error(f"duplicate name {tok[0]!r}", tok)
-        self.names.add(tok[0])
-        return tok[0]
+        name = self.expect_ident("name")
+        if name in KEYWORDS:
+            raise self.error(f"{name!r} is a reserved word", self.pos - 1)
+        if name.startswith(RESERVED_PREFIX):
+            raise self.error(f"names starting with {RESERVED_PREFIX!r} are reserved", self.pos - 1)
+        if name in self.names:
+            raise self.error(f"duplicate name {name!r}", self.pos - 1)
+        self.names.add(name)
+        return name
 
     def port(self) -> str:
-        tok = self.expect_ident("port")
-        if tok[0] in KEYWORDS:
-            raise self.error(f"{tok[0]!r} is a reserved word", tok)
-        name = tok[0]
+        name = self.expect_ident("port")
+        if name in KEYWORDS:
+            raise self.error(f"{name!r} is a reserved word", self.pos - 1)
         if self.accept("."):
             slot = self.expect_ident("output slot")
-            if slot[0] not in _SLOTS:
-                raise self.error(f"unknown output slot {slot[0]!r}", slot)
-            name += "." + slot[0]
+            if slot not in _SLOTS:
+                raise self.error(f"unknown output slot {slot!r}", self.pos - 1)
+            name += "." + slot
         return name
 
     def quantity(self, dim: str) -> float:
         """The next token, a number, in the base unit of ``dim``."""
-        if self.peek().lastgroup != "number":
+        tok = self.tokens[self.pos]
+        if _kind(tok) != "number":
             raise self.found("a number")
-        return self.value(self.advance(), dim)
+        self.pos += 1
+        return self.value(tok, dim, self.pos - 1)
 
-    def value(self, tok: re.Match, dim: str) -> float:
-        """The number token ``tok`` in the base unit of ``dim``; it must be finite."""
+    def value(self, tok: str, dim: str, ref: int | str) -> float:
+        """The number token ``tok`` in the base unit of ``dim``; it must be
+        finite.  An error is placed at ``ref``."""
+        num, unit = _NUMBER_RE.fullmatch(tok).groups()
         try:
-            value = self._scaled(tok, dim)
+            value = self._scaled(float(num), unit, dim, ref) if unit else float(num)
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
-            raise self.error(f"number out of range: {tok[0]!r}", tok)
+            raise self.error(f"number out of range: {tok!r}", ref)
         return value
 
-    def _scaled(self, tok: re.Match, dim: str) -> float:
-        unit, value = tok["unit"], float(tok["num"])
+    def _scaled(self, value: float, unit: str, dim: str, ref: int | str) -> float:
+        """``value``, given in ``unit``, in the base unit of ``dim``."""
         if dim == PLAIN:
-            if unit is not None:
-                raise self.error(f"unit mismatch: {unit!r} on a dimensionless value", tok)
-            return value
+            raise self.error(f"unit mismatch: {unit!r} on a dimensionless value", ref)
         if dim == VAR:
-            if unit is None:
-                return value
             if unit == "dB":
                 return 10.0 ** (value / 10.0)
-            raise self.error(f"unit mismatch: expected dB or none, got {unit!r}", tok)
-        table, base = {
-            LENGTH: (LENGTH_UNITS, "m"),
-            TIME: (TIME_UNITS, "s"),
-            FREQ: (FREQ_UNITS, "Hz"),
-        }[dim]
-        if unit is None:
-            return value
+            raise self.error(f"unit mismatch: expected dB or none, got {unit!r}", ref)
+        table, base = _UNITS[dim]
         if unit not in table:
-            raise self.error(f"unit mismatch: expected {base}, got {unit!r}", tok)
+            raise self.error(f"unit mismatch: expected {base}, got {unit!r}", ref)
         return value * table[unit]
 
     def params(self, schema: dict[str, str], subject: str,
-               name: str) -> dict[str, tuple[float, re.Match]]:
+               name: str) -> dict[str, tuple[float, int | str]]:
         """Collect trailing key=value pairs until ';' against a dimension
-        schema, then write in the overrides of statement ``name``."""
-        out: dict[str, tuple[float, re.Match]] = {}
-        while self.peek().lastgroup == "ident":
-            key_tok = self.advance()
-            key = key_tok[0]
+        schema, then write in the overrides of statement ``name``.  Each
+        value comes with the index of its token, or its override item."""
+        out: dict[str, tuple[float, int | str]] = {}
+        tokens = self.tokens
+        while tokens[self.pos][:1] in _IDENT_START:
+            key = tokens[self.pos]
             if key not in schema:
-                raise self.error(f"unknown parameter {key!r} for {subject}", key_tok)
+                raise self.error(f"unknown parameter {key!r} for {subject}")
             if key in out:
-                raise self.error(f"parameter {key!r} given twice", key_tok)
+                raise self.error(f"parameter {key!r} given twice")
+            self.pos += 1
             self.expect_punct("=")
-            val_tok = self.peek()
-            out[key] = (self.quantity(schema[key]), val_tok)
-        for key, (key_tok, val_tok) in self.overrides.pop(name, {}).items():
+            out[key] = (self.quantity(schema[key]), self.pos - 1)
+        for key, (item, tok) in self.overrides.pop(name, {}).items():
             if key not in schema:
-                raise self.error(f"unknown parameter {key!r} for {subject}", key_tok)
+                raise self.error(f"unknown parameter {key!r} for {subject}", item)
             out.pop(_REPLACES.get(key), None)
-            out[key] = (self.value(val_tok, schema[key]), val_tok)
+            out[key] = (self.value(tok, schema[key], item), item)
         return out
 
-    def blame(self, *toks: re.Match) -> re.Match:
-        """The first of ``toks`` that an override supplied, else the first."""
-        return next((t for t in toks if t.string is not self.text), toks[0])
+    def blame(self, *refs: int | str) -> int | str:
+        """The first of ``refs`` that an override supplied, else the first."""
+        return next((r for r in refs if isinstance(r, str)), refs[0])
 
-    def require(self, params, key: str, kw_tok: re.Match) -> tuple[float, re.Match]:
+    def require(self, params, key: str, kw: int) -> tuple[float, int | str]:
         if key not in params:
-            raise self.error(f"missing required parameter {key!r}", kw_tok)
+            raise self.error(f"missing required parameter {key!r}", kw)
         return params[key]
 
     # -- statements
@@ -285,23 +320,24 @@ class _Parser:
         elements: list[ElementDecl] = []
         detectors: list[DetectorDecl] = []
         measurements: list[Measurement] = []
-        while self.peek().lastgroup != "eof":
-            kw = self.expect_ident("statement keyword")
-            if kw[0] == "source":
+        while self.tokens[self.pos]:
+            kw = self.pos
+            keyword = self.expect_ident("statement keyword")
+            if keyword == "source":
                 sources.append(self.source_stmt(kw))
-            elif kw[0] in ELEMENT_KINDS:
+            elif keyword in ELEMENT_KINDS:
                 elements.append(self.element_stmt(kw))
-            elif kw[0] == "det":
+            elif keyword == "det":
                 detectors.append(self.det_stmt())
-            elif kw[0] == "measure":
+            elif keyword == "measure":
                 measurements.append(self.measure_stmt())
             else:
-                raise self.error(f"unknown statement keyword {kw[0]!r}", kw)
+                raise self.error(f"unknown statement keyword {keyword!r}", kw)
             self.expect_punct(";")
         for name, slot in self.overrides.items():  # no statement took them
-            key, (key_tok, _) = next(iter(slot.items()))
+            key, (item, _) = next(iter(slot.items()))
             raise self.error(f"{name!r} takes no parameter {key!r}" if name in self.names
-                             else f"no statement named {name!r}", key_tok)
+                             else f"no statement named {name!r}", item)
         return NetworkSpec(
             sources=tuple(sources),
             elements=tuple(elements),
@@ -309,8 +345,8 @@ class _Parser:
             measurements=tuple(measurements),
         )
 
-    def amplitude(self, params, kw_tok: re.Match) -> complex:
-        amp, _ = self.require(params, "amp", kw_tok)
+    def amplitude(self, params, kw: int) -> complex:
+        amp, _ = self.require(params, "amp", kw)
         if "phase" in params and "amp_im" in params:
             raise self.error("give either phase= or amp_im=, not both",
                              self.blame(params["phase"][1], params["amp_im"][1]))
@@ -319,34 +355,35 @@ class _Parser:
             return complex(amp * math.cos(phase), amp * math.sin(phase))
         return complex(amp, params.get("amp_im", (0.0, None))[0])
 
-    def source_stmt(self, kw: re.Match) -> SourceDecl:
+    def source_stmt(self, kw: int) -> SourceDecl:
         name = self.fresh_name()
         kind = self.expect_ident("source kind")
-        if kind[0] == "vacuum":
+        if kind == "vacuum":
             return SourceDecl(name)
-        if kind[0] == "coherent":
+        if kind == "coherent":
             params = self.params({"amp": PLAIN, "amp_im": PLAIN, "phase": PLAIN},
                                  "coherent", name)
             return SourceDecl(name, self.amplitude(params, kw))
-        if kind[0] == "squeezed":
+        if kind == "squeezed":
             params = self.params(
                 {"amp": PLAIN, "amp_im": PLAIN, "phase": PLAIN, "vx": VAR, "vy": VAR},
                 "squeezed", name)
-            vx, vx_tok = self.require(params, "vx", kw)
-            vy, vy_tok = self.require(params, "vy", kw)
+            vx, vx_ref = self.require(params, "vx", kw)
+            vy, vy_ref = self.require(params, "vy", kw)
             if vx <= 0:
-                raise self.error("vx out of range: must be > 0", vx_tok)
+                raise self.error("vx out of range: must be > 0", vx_ref)
             if vy <= 0:
-                raise self.error("vy out of range: must be > 0", vy_tok)
+                raise self.error("vy out of range: must be > 0", vy_ref)
             if vx * vy < 1.0:
                 raise self.error(f"Heisenberg bound violated: vx*vy = {vx * vy:.6g} < 1",
-                                 self.blame(vx_tok, vy_tok))
+                                 self.blame(vx_ref, vy_ref))
             return SourceDecl(name, self.amplitude(params, kw),
                               QuadSpectrum.constant(vx, vy))
-        raise self.error(f"unknown source kind {kind[0]!r}", kind)
+        raise self.error(f"unknown source kind {kind!r}", self.pos - 1)
 
-    def element_stmt(self, kw: re.Match) -> ElementDecl:
-        cls, schema, required = _ELEMENTS[kw[0]]
+    def element_stmt(self, kw: int) -> ElementDecl:
+        keyword = self.tokens[kw]
+        cls, schema, required = _ELEMENTS[keyword]
         name = self.fresh_name()
         inputs: list[str] = []
         if self.accept("from"):
@@ -354,15 +391,15 @@ class _Parser:
             while self.accept(","):
                 inputs.append(self.port())
         if len(inputs) > cls.n_inputs:
-            raise self.error(f"{kw[0]} takes at most {cls.n_inputs} input(s)", kw)
+            raise self.error(f"{keyword} takes at most {cls.n_inputs} input(s)", kw)
 
-        params = self.params(schema, kw[0], name)
+        params = self.params(schema, keyword, name)
         if cls is Delay:
             if ("tau" in params) == ("length" in params):
                 raise self.error("delay needs exactly one of tau= or length=", kw)
             if "length" in params:
-                length, tok = params.pop("length")
-                params["tau"] = (length / SPEED_OF_LIGHT, tok)
+                length, ref = params.pop("length")
+                params["tau"] = (length / SPEED_OF_LIGHT, ref)
         for key in required:
             self.require(params, key, kw)
         element = cls(**{key: value for key, (value, _) in params.items()})
@@ -379,19 +416,19 @@ class _Parser:
     def measure_stmt(self) -> Measurement:
         name = self.fresh_name()
         kind = self.expect_ident("combo kind (sum/diff/single/weights)")
-        if kind[0] not in SPELLINGS and kind[0] != "weights":
-            raise self.error(f"unknown combo kind {kind[0]!r}", kind)
+        if kind not in SPELLINGS and kind != "weights":
+            raise self.error(f"unknown combo kind {kind!r}", self.pos - 1)
         self.expect_punct("(")
         weights: list[tuple[str, float]] = []
-        if kind[0] == "weights":  # weights(D=W{,D=W})
+        if kind == "weights":  # weights(D=W{,D=W})
             while not weights or self.accept(","):
-                det = self.expect_ident("detector name")[0]
+                det = self.expect_ident("detector name")
                 self.expect_punct("=")
                 weights.append((det, self.quantity(PLAIN)))
-        for sign in SPELLINGS.get(kind[0], ()):  # single(D), sum(D,D), diff(D,D)
+        for sign in SPELLINGS.get(kind, ()):  # single(D), sum(D,D), diff(D,D)
             if weights:
                 self.expect_punct(",")
-            weights.append((self.expect_ident("detector name")[0], sign))
+            weights.append((self.expect_ident("detector name"), sign))
         self.expect_punct(")")
 
         if not self.accept("freqs"):
@@ -402,7 +439,7 @@ class _Parser:
     def freqs(self) -> FreqRange | FreqList:
         """A frequency axis: LO:HI:STEP with STEP > 0, or F{,F}."""
         first = self.quantity(FREQ)
-        nxt = self.peek()
+        nxt = self.pos
         if self.accept(":"):
             stop = self.quantity(FREQ)
             self.expect_punct(":")
@@ -431,23 +468,6 @@ def parse(text: str, overrides: Iterable[str] = ()) -> NetworkSpec:
     OverrideError.
     """
     return _Parser(text, overrides).parse_network()
-
-
-def _read_override(item: str) -> tuple[str, re.Match, re.Match]:
-    """The statement name, parameter token and value token of NAME.PARAM=VALUE."""
-    try:
-        p = _Parser(item)
-        name = p.expect_ident("statement name")[0]
-        p.expect_punct(".")
-        key = p.expect_ident("parameter name")
-        p.expect_punct("=")
-        if p.peek().lastgroup != "number":
-            raise p.found("a number")
-        value = p.advance()
-        p.expect_end("override")
-    except ParseError as exc:
-        raise OverrideError(f"override {item!r}: {exc.diagnostic.message}") from None
-    return name, key, value
 
 
 def parse_quantity(text: str, dim: str = FREQ) -> float:

@@ -30,15 +30,20 @@ _UNIT_RE = re.compile(r"[A-Za-z]+")
 _PUNCT = ";=,():."
 
 
+def _snippet(text: str, line: int) -> str:
+    """Line ``line`` of ``text``: only a newline ends a line, and one
+    trailing carriage return is not part of it."""
+    snippet = text.split("\n")[line - 1]
+    return snippet[:-1] if snippet.endswith("\r") else snippet
+
+
 def _lex(text: str) -> list[Token]:
     tokens: list[Token] = []
-    lines = text.splitlines() or [""]
     i, line, col = 0, 1, 1
     n = len(text)
 
     def diag(msg: str, ln: int, cl: int) -> ParseError:
-        snippet = lines[ln - 1] if ln - 1 < len(lines) else ""
-        return ParseError(ParseDiagnostic(ln, cl, msg, snippet))
+        return ParseError(ParseDiagnostic(ln, cl, msg, _snippet(text, ln)))
 
     while i < n:
         ch = text[i]
@@ -93,6 +98,4 @@ def _lex(text: str) -> list[Token]:
 
 def diagnostic(text: str, tok: Token, message: str) -> ParseDiagnostic:
     """The diagnostic that the parser built for an error at ``tok``."""
-    lines = text.splitlines() or [""]
-    snippet = lines[tok.line - 1] if tok.line - 1 < len(lines) else ""
-    return ParseDiagnostic(tok.line, tok.column, message, snippet)
+    return ParseDiagnostic(tok.line, tok.column, message, _snippet(text, tok.line))

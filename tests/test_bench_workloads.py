@@ -33,5 +33,6 @@ def test_every_workload_sets_up_and_a_scenario_op_passes(workloads, tmp_path):
         built[name] = workload(11, workdir)
         assert built[name].ops, name
     assert set(built) == {"sweep", "scenario", "large", "oracle"}
-    op = built["scenario"].ops[0]
-    assert op.check(op.run(0)) == []
+    # every generated network goes through `sideband simulate` and its check
+    for op in [built["scenario"].ops[0], *built["large"].ops]:
+        assert op.check(op.run(0)) == [], op.name

@@ -171,6 +171,29 @@ class TestParseDiagnostics:
         assert "unexpected character" in diag.message
         assert diag.column == len("source a coherent amp=1; det D from a; ") + 1
 
+    @pytest.mark.parametrize("text, line, column, snippet", [
+        ("# note\u2028 more\nsource a coherent amp=1;\ndet D from a @;", 3, 14,
+         "det D from a @;"),
+        ("# a\x0cb\nsource a coherent amp=1;\ndet D from a @;", 3, 14, "det D from a @;"),
+        ("# a\x0bb\r\nsource a coherent amp=1;\r\ndet D frm a;\r\n", 3, 7, "det D frm a;"),
+        ("source a coherent amp=1;\rdet D from a @;", 1, 39,
+         "source a coherent amp=1;\rdet D from a @;"),
+    ])
+    def test_snippet_is_the_line_that_only_newlines_delimit(self, text, line, column, snippet):
+        d = parse_error(text)
+        assert (d.line, d.column, d.snippet) == (line, column, snippet)
+
+    @pytest.mark.parametrize("text, overrides", [
+        ("det; @", []),
+        ("source a vacuum; @", ["nope.t=1"]),
+        ("source a vacuum; @", ["a.t=@"]),
+    ])
+    def test_a_character_no_token_takes_is_the_error_reported(self, text, overrides):
+        with pytest.raises(dsl.ParseError) as err:
+            dsl.parse(text, overrides)
+        assert err.value.diagnostic.message == "unexpected character '@'"
+        assert err.value.diagnostic.column == text.index("@") + 1
+
     def test_position_is_always_in_bounds(self):
         for text in ("", ";", "det", "source a vacuum; det D from", "measure M"):
             try:
@@ -358,21 +381,25 @@ class TestLexerAgainstReference:
         try:
             expected = reference_lex._lex(text)
         except dsl.ParseError as err:
-            with pytest.raises(dsl.ParseError) as ours:
-                dsl.parse(text)
-            assert str(ours.value) == str(err)
-            assert ours.value.diagnostic == err.diagnostic
+            for call in (dsl._lex, dsl.parse):
+                with pytest.raises(dsl.ParseError) as ours:
+                    call(text)
+                assert str(ours.value) == str(err)
+                assert ours.value.diagnostic == err.diagnostic
             return
-        p = dsl._Parser(text)
+        lexed = dsl._lex(text)  # offsets worked out once per text
+        assert [tok for _, tok in lexed] == dsl._Parser(text).tokens
         got = []
-        for m in p.tokens:
-            d = p.error("", m).diagnostic
-            value = float(m["num"]) if m.lastgroup == "number" else None
-            got.append(reference_lex.Token(m.lastgroup, m[0], d.line, d.column,
-                                           value, m["unit"]))
+        for offset, tok in lexed:
+            d = dsl._diagnostic(text, offset, "")
+            kind, value, unit = dsl._kind(tok), None, None
+            if kind == "number":
+                num, unit = dsl._NUMBER_RE.fullmatch(tok).groups()
+                value, unit = float(num), unit or None
+            got.append(reference_lex.Token(kind, tok, d.line, d.column, value, unit))
         assert got == expected
-        for m, tok in zip(p.tokens, expected):
-            ours = p.error(f"at {tok.text!r}", m).diagnostic
+        for (offset, _), tok in zip(lexed, expected):
+            ours = dsl._diagnostic(text, offset, f"at {tok.text!r}")
             theirs = reference_lex.diagnostic(text, tok, f"at {tok.text!r}")
             assert ours == theirs and str(ours) == str(theirs)
 
