@@ -78,7 +78,9 @@ class ParseDiagnostic:
     snippet: str
 
     def __str__(self) -> str:
-        caret = " " * (self.column - 1) + "^"
+        # the snippet's own tabs, so that a terminal sets the caret under the token
+        pad = "".join(ch if ch == "\t" else " " for ch in self.snippet[:self.column - 1])
+        caret = pad.ljust(self.column - 1) + "^"
         return f"line {self.line}, col {self.column}: {self.message}\n  {self.snippet}\n  {caret}"
 
 

@@ -13,17 +13,17 @@ delay a whole number of samples, on circular streams of T = K L samples.
 Spectra come from a Welch periodogram read at one FFT bin: the mean of the
 segments' bin powers, at a resolution of one bin width f_s / L.  A segment's
 bin is its projection onto one kernel of L samples, and projection is
-linear, so no photocurrent stream is built: each white stream is projected
-onto the kernel as it is drawn, and a row's segment projections are a sum
-of those projections, shifted by the tap delays and weighted by real
-coefficients; a tabulated input's FIR is folded into the kernel too.  The
-constant-spectrum inputs are not drawn one by one: a row reads them only
-through a few features, their sums at each distinct tap delay, so the
-fewest white streams with those features' covariance are drawn in their
-place (:func:`_factor`), with the same joint law.  The shot-noise reference
-is a second row accumulated from the same draws with every input at vacuum
-variance, so the signal and vacuum bin powers share their randomness and
-their ratio is a low-variance estimate.
+linear, so no photocurrent stream is built: a row reads a stream of draws
+through a FIR (a unit impulse, or a tabulated input's colouring filter) at
+real coefficients per tap delay, which fold with the kernel into sub-kernels
+of L samples, one per whole-segment offset, and each stream is projected
+onto them as it is drawn.  The constant-spectrum inputs are not drawn one
+by one: a row reads them only through a few features, their sums at each
+distinct tap delay, so the fewest white streams with those features'
+covariance are drawn in their place (:func:`_factor`), with the same joint
+law.  The shot-noise reference is a second row accumulated from the same
+draws with every input at vacuum variance, so the signal and vacuum bin
+powers share their randomness and their ratio is a low-variance estimate.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ DELAY_TOLERANCE = 1e-6  # max |tau*f_s - round(tau*f_s)|
 MAX_TOTAL_SAMPLES = 2 ** 24
 
 #: samples per block of a stream's draws, rounded down to whole segments:
-#: a block stays in cache while it is projected at every lag its taps need
+#: a block stays in cache while it is projected onto every sub-kernel
 CHUNK = 2 ** 14
 
 
@@ -189,38 +189,6 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _project(fill, lags, basis: np.ndarray, count: int) -> np.ndarray:
-    """Project a circular stream of ``count`` segments onto ``basis``, (L, C)
-    columns of L-sample kernels, at every lag in ``lags`` (each in [0, L)):
-    [i, k] is the C projections of the L samples that start lags[i] samples
-    before segment k.
-
-    ``fill(block, start)`` writes the stream's samples from ``start`` on
-    into ``block``.  It is called in stream order, CHUNK samples rounded
-    down to whole segments (at least one) at a time, and a block stays in
-    cache while it is projected at every lag.  Segment 0's windows wrap
-    round, so they are joined at the end from the stream's last and first
-    samples.
-    """
-    length = basis.shape[0]
-    step = max(1, CHUNK // length)  # segments per block
-    buf = np.zeros((step + 1) * length)  # the previous block's last segment, then a block
-    out = np.empty((len(lags), count, basis.shape[1]))
-    for k0 in range(0, count, step):
-        size = (min(k0 + step, count) - k0) * length
-        fill(buf[length:length + size], k0 * length)
-        if k0 == 0:
-            head = buf[length:2 * length].copy()
-        for i, r in enumerate(lags):
-            out[i, k0:k0 + size // length] = (
-                buf[length - r:length - r + size].reshape(-1, length) @ basis)
-        buf[:length] = buf[size:size + length]
-    buf[length:2 * length] = head
-    for i, r in enumerate(lags):
-        out[i, 0] = buf[length - r:2 * length - r] @ basis
-    return out
-
-
 def _fir(variance_fn, sample_rate: float, span: int) -> np.ndarray:
     """A FIR of 2 ``span`` taps whose response is the square root of
     ``variance_fn`` on the grid of 2 ``span`` frequencies (frequency
@@ -229,29 +197,36 @@ def _fir(variance_fn, sample_rate: float, span: int) -> np.ndarray:
     return np.roll(np.fft.irfft(np.sqrt(variance_fn(omegas)), 2 * span), span)
 
 
-def _filtered(fill, lags, basis: np.ndarray, h: np.ndarray, count: int):
-    """:func:`_project` of a stream s onto the (L, 2) ``basis``, and of s
-    through the FIR ``h``, c[t] = sum_m h[m] s[(t + m - span) mod T] with
-    span = len(h) // 2, in one pass over s: (len(lags), K, 2) each.
+def _sub_kernels(h: np.ndarray, terms, kernel: np.ndarray, count: int) -> dict[int, np.ndarray]:
+    """A row's L-sample sub-kernels, keyed by whole-segment offset e in
+    [0, K): segment k of the row reads segment (k + e) mod K of the draws s
+    through sub-kernel e.
 
-    Filtering and projection are linear: c's window is s's window onto
-    g = basis * h, from span samples before it.  g, padded to whole segments,
-    is cut into J sub-kernels set as columns beside ``basis``, whose rolled
-    projections sum to c's.  Cost: one draw of s, and a matmul of 2 (J + 1)
-    columns, J about 3 + 2 D / L for 2 (L + D) taps (5 at L = 512, D = 4).
+    The row is sum_(d, b) b c[t - d] over ``terms`` (distinct d), with
+    c[t] = sum_m h[m] s[(t + m - span) mod T], span = len(h) // 2.  So a
+    term's window is s's window onto b (kernel * h), a convolution, from
+    d + span samples before it.  The terms starting in one segment fold into
+    one FIR over their offsets there, convolved with kernel * h and cut at
+    segment boundaries; all-zero pieces are dropped.
     """
-    length = basis.shape[0]
-    pad = -(h.size // 2) % length  # zeros that start g on a segment boundary
-    parts = np.convolve(np.pad(basis @ [1, 1j], (pad, -(pad + h.size - 1) % length)),
-                        h).reshape(-1, length)
-    wide = _project(fill, lags, np.hstack([basis, parts.real.T, parts.imag.T]), count)
-    before = (h.size // 2 + pad) // length  # segments g starts before the window
-    signal = np.zeros((len(lags), count, 2))
-    for j in range(len(parts)):  # rolled by slices: np.roll's copies raise the peak RSS
-        shift = (before - j) % count
-        signal[:, shift:] += wide[:, :count - shift, 2 + j::len(parts)]
-        signal[:, :shift] += wide[:, count - shift:, 2 + j::len(parts)]
-    return wide[..., :2].copy(), signal  # a copy, so that the wide array is freed
+    length = kernel.size
+    g = np.convolve(kernel, h)
+    groups: dict[int, dict[int, float]] = {}
+    for d, b in terms:
+        first, pad = divmod(-(d + h.size // 2), length)
+        groups.setdefault(first, {})[pad] = b
+    parts: dict[int, np.ndarray] = {}
+    for first, taps in groups.items():
+        lo = min(taps)  # the FIR spans its taps' offsets only
+        fir = np.zeros(max(taps) + 1 - lo)
+        fir[[pad - lo for pad in taps]] = list(taps.values())
+        pieces = np.convolve(fir, g)
+        pieces = np.pad(pieces, (lo, -(lo + pieces.size) % length)).reshape(-1, length)
+        for j, piece in enumerate(pieces):
+            if piece.any():
+                e = (first + j) % count
+                parts[e] = parts[e] + piece if e in parts else piece
+    return parts
 
 
 def _factor(a: np.ndarray) -> np.ndarray:
@@ -263,13 +238,19 @@ def _factor(a: np.ndarray) -> np.ndarray:
     Gram matrix is factored by Cholesky with diagonal pivoting: each column
     pivots on the largest remaining diagonal entry (the first on a tie), and
     the factor stops at a pivot <= max(diag) size eps or at C columns.
+
+    The Gram matrix is formed only where it is no larger than ``a``
+    (F <= C): symmetric networks tie rows' residuals, so the pivot order,
+    and the draws, rest on its rounding.  Otherwise the diagonal is the rows'
+    sums of squares and a pivot's column the rows' products with its row.
     """
     unique: dict[tuple, int] = {}
     index = [unique.setdefault(row, len(unique)) for row in map(tuple, a.tolist())]
     rows = np.array(list(unique), dtype=float).reshape(len(unique), a.shape[1])
-    gram = rows @ rows.T
-    size = len(gram)
-    residual = gram.diagonal().copy()
+    size = len(rows)
+    gram = rows @ rows.T if size <= a.shape[1] else None
+    residual = (np.einsum("ij,ij->i", rows, rows) if gram is None
+                else gram.diagonal().copy())
     floor = residual.max(initial=0.0) * size * np.finfo(float).eps
     factor = np.zeros((size, min(size, a.shape[1])))
     pivots: list[int] = []
@@ -278,7 +259,8 @@ def _factor(a: np.ndarray) -> np.ndarray:
         if residual[p] <= floor:
             factor = factor[:, :k]
             break
-        column = (gram[:, p] - factor[:, :k] @ factor[p, :k]) / math.sqrt(residual[p])
+        column = ((rows @ rows[p] if gram is None else gram[:, p])
+                  - factor[:, :k] @ factor[p, :k]) / math.sqrt(residual[p])
         column[pivots] = 0.0
         column[p] = math.sqrt(residual[p])
         factor[:, k] = column
@@ -289,25 +271,27 @@ def _factor(a: np.ndarray) -> np.ndarray:
 
 
 def _plan(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray, span: int):
-    """The pool jobs that draw the combo's two rows, as (fir, lags, terms):
-    the constant-spectrum inputs' factor streams, then each tabulated
-    input's X and Y in roster order.  A job draws one quadrature of T unit
-    normals and projects it at ``lags`` (each d mod L), for a ``fir`` h also
-    through h; a term (r, d, b) adds b times those projections at lag
-    d mod L, rolled by d // L segments, to row r (0 signal, 1 vacuum).
+    """The pool jobs that draw the combo's two rows: the constant-spectrum
+    inputs' factor streams, then each tabulated input's X and Y in roster
+    order.  A job draws one quadrature of T unit normals, and is one
+    (h, terms) pair per row, signal then vacuum: the row reads the draws
+    through the FIR h, and a term (d, b) adds b times them delayed by d
+    samples (see :func:`_sub_kernels`).
 
     An input's taps fold into one complex coefficient c per distinct delay
     d (mod T): weights, conj(alpha_k) and the tap gains.  A tabulated
     quadrature is read at Re(c) (X) or -Im(c) (Y), by the signal row through
-    h.  The constant inputs reach row r at delay d only through the feature
+    its :func:`_fir` and by the vacuum row through h = [1].  The constant
+    inputs reach row r at delay d only through the feature
     F_(r,d) = sum_s A[(r,d), s] W_s of their white quadratures W_s (roster
     order, X then Y; signal-row features first, delays ascending), with
     entries Re(c) sqrt(V_X) and -Im(c) sqrt(V_Y) in the signal row and
     Re(c) and -Im(c) in the vacuum row.  The features are white with
     covariance A A^T, so the streams of B = :func:`_factor` of A, one per
-    column, draw them with the same law.
+    column, draw them with the same law; both rows read them through
+    h = [1].
     """
-    n, length = cfg.total_samples, cfg.segment_length
+    n = cfg.total_samples
     conj_alphas = np.conj(np.array(net.carriers, dtype=complex))
     folded: list[dict[int, complex]] = [{} for _ in range(net.n_inputs)]
     for k, det in enumerate(taps):
@@ -318,41 +302,57 @@ def _plan(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray,
 
     constant = [j for j, e in enumerate(net.roster) if e.noise.is_constant]
     delays = sorted({d for j in constant for d, _ in terms[j]})
+    feature = {d: f for f, d in enumerate(delays)}
     a = np.zeros((2 * len(delays), 2 * len(constant)))
     for s, j in enumerate(constant):
         scales = ((math.sqrt(net.roster[j].noise.vx), math.sqrt(net.roster[j].noise.vy)),
                   (1.0, 1.0))
         for d, c in terms[j]:
-            f = delays.index(d)
             for r, (sx, sy) in enumerate(scales):
-                a[r * len(delays) + f, 2 * s:2 * s + 2] = c.real * sx, -c.imag * sy
-    lags = sorted({d % length for d in delays})
-    features = [(r, d) for r in (0, 1) for d in delays]
-    jobs = [(None, lags, [(r, d, b) for (r, d), b in zip(features, column) if b])
+                a[r * len(delays) + feature[d], 2 * s:2 * s + 2] = c.real * sx, -c.imag * sy
+    white = np.ones(1)
+    jobs = [tuple((white, [(d, b) for d, b in zip(delays, row) if b])
+                  for row in column.reshape(2, -1))
             for column in _factor(a).T]
     for j, entry in enumerate(net.roster):
         if entry.noise.is_constant or not terms[j]:
             continue
-        lags = sorted({d % length for d, _ in terms[j]})
         for variance_fn, part in ((entry.noise.vx_at, lambda c: c.real),
                                   (entry.noise.vy_at, lambda c: -c.imag)):
-            jobs.append((_fir(variance_fn, cfg.sample_rate, span), lags,
-                         [(r, d, part(c)) for r in (0, 1) for d, c in terms[j]]))
+            row = [(d, part(c)) for d, c in terms[j]]
+            jobs.append(((_fir(variance_fn, cfg.sample_rate, span), row), (white, row)))
     return jobs
 
 
-def _run(seed: np.random.SeedSequence, fir, lags, basis: np.ndarray, count: int):
-    """One job of :func:`_plan`: T unit normals, drawn on ``seed`` a block at
-    a time and projected as drawn, as the (signal row, vacuum row) pair of
-    (len(lags), K, 2) projections the rows read: the white projections for
-    both, or the filtered ones for the signal row of a ``fir``."""
+def _run(seed: np.random.SeedSequence, rows, kernel: np.ndarray, count: int) -> np.ndarray:
+    """One job of :func:`_plan`: its rows' (2, K, 2) segment projections onto
+    the real and imaginary parts of ``kernel``.
+
+    T unit normals are drawn on ``seed`` CHUNK samples, rounded down to
+    whole segments (at least one), at a time, and each block is projected
+    as drawn by one matmul onto every row's :func:`_sub_kernels`, two
+    columns each.  A row's projections are then the sum of its sub-kernels'
+    projections, each rolled back by its segment offset.
+    """
+    length = kernel.size
+    parts = [(r, e, piece) for r, (h, terms) in enumerate(rows)
+             for e, piece in _sub_kernels(h, terms, kernel, count).items()]
+    pieces = np.array([piece for *_, piece in parts]).reshape(-1, length).T
+    columns = np.stack([pieces.real, pieces.imag], axis=2).reshape(length, -1)
     rng = np.random.default_rng(seed)
-    fill = lambda block, _: rng.standard_normal(out=block)  # noqa: E731
-    if fir is None:
-        white = _project(fill, lags, basis, count)
-        return white, white
-    white, signal = _filtered(fill, lags, basis, fir, count)
-    return signal, white
+    step = max(1, CHUNK // length)  # segments per block
+    block = np.empty((step, length))
+    wide = np.empty((count, columns.shape[1]))
+    for k0 in range(0, count, step):
+        segments = block[:min(step, count - k0)]
+        rng.standard_normal(out=segments)
+        wide[k0:k0 + len(segments)] = segments @ columns
+    out = np.zeros((2, count, 2))
+    for i, (r, e, _) in enumerate(parts):  # rolled by slices: np.roll's copies raise the peak RSS
+        shift = -e % count
+        out[r, shift:] += wide[:count - shift, 2 * i:2 * i + 2]
+        out[r, :shift] += wide[count - shift:, 2 * i:2 * i + 2]
+    return out
 
 
 def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray,
@@ -366,13 +366,13 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
     ``taps`` are :func:`expand_taps` of ``net``.  The rows are drawn by the
     jobs of :func:`_plan`: the fewest white factor streams with the joint
     law of the constant-spectrum inputs' features, then one job per
-    quadrature of each tabulated input, read through its FIR of 2 span taps
-    (span = L + D, D the longest tap delay).  Job s draws on the s-th of
-    len(jobs) children of ``root``.  Projection is linear, so both rows add
-    each job's terms by one rule: coefficient times the projections at lag
-    d mod L, rolled by d // L segments.  A plan with T < 3 span and a
-    tabulated input is refused: the stream's wrap would alias the FIR's
-    autocorrelation onto the lags a kernel of span samples meets.
+    quadrature of each tabulated input, read by the signal row through its
+    FIR of 2 span taps (span = L + D, D the longest tap delay).  Job s
+    draws on the s-th of len(jobs) children of ``root``.  Every row of
+    every job is read by one rule, :func:`_sub_kernels`, and each job gives
+    its (2, K, 2) projections.  A plan with T < 3 span and a tabulated input
+    is refused: the stream's wrap would alias the FIR's autocorrelation
+    onto the lags a kernel of span samples meets.
 
     Every job is drawn and projected on a thread pool, a block at a time,
     at most workers + 1 in flight, and added in job order on the calling
@@ -385,7 +385,6 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
     if n < 3 * span and not all(e.noise.is_constant for e in net.roster):
         raise MCError(f"a tabulated spectrum needs T >= 3 (L + D) = {3 * span} samples, got {n}")
     kernel = _kernel(omega, cfg)
-    basis = np.stack([kernel.real, kernel.imag], axis=1)
     jobs = _plan(net, cfg, taps, weights, span)
 
     out = np.zeros((2, count, 2))
@@ -395,16 +394,13 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
         pending = deque()
 
         def top_up():
-            for seed, (fir, lags, _) in itertools.islice(queue, workers + 1 - len(pending)):
-                pending.append(pool.submit(_run, seed, fir, lags, basis, count))
+            for seed, rows in itertools.islice(queue, workers + 1 - len(pending)):
+                pending.append(pool.submit(_run, seed, rows, kernel, count))
 
         top_up()
-        for _, lags, terms in jobs:
-            rows = pending.popleft().result()
+        for _ in jobs:
+            out += pending.popleft().result()
             top_up()
-            position = {lag: i for i, lag in enumerate(lags)}
-            for r, d, coef in terms:
-                out[r] += coef * np.roll(rows[r][position[d % length]], d // length, axis=0)
     return out
 
 

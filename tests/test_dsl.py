@@ -183,6 +183,19 @@ class TestParseDiagnostics:
         d = parse_error(text)
         assert (d.line, d.column, d.snippet) == (line, column, snippet)
 
+    @pytest.mark.parametrize("text, column, caret", [
+        ("\tbeamsplitter ZZ t=oops;", 2, "\t^"),
+        ("source a coherent amp=1;\n\tdet\tD frm a;", 8, "\t   \t  ^"),
+        ("source a coherent amp=1;\ndet D from a\t", 14, " " * 12 + "\t^"),
+    ])
+    def test_caret_sits_under_the_token_after_a_tab(self, text, column, caret):
+        # the caret line pads with the snippet's own tabs, so a terminal
+        # expands both lines alike; the column still counts a tab as one
+        d = parse_error(text)
+        *_, snippet, shown = str(d).split("\n")
+        assert d.column == column and shown == "  " + caret
+        assert shown.expandtabs().index("^") == len(snippet[:2 + column - 1].expandtabs())
+
     @pytest.mark.parametrize("text, overrides", [
         ("det; @", []),
         ("source a vacuum; @", ["nope.t=1"]),

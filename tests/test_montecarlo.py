@@ -457,11 +457,13 @@ def job_rows(net, c, weights, root):
     span = c.segment_length + max(d for det in taps for _, d, _ in det)
     jobs = montecarlo._plan(net, c, taps, weights, span)
     features, a = draw_matrix(net, c, weights)
-    factor = [terms for h, _, terms in jobs if h is None]
+    factor = [rows for rows in jobs if rows[0][0].size == 1]
     b = np.zeros((len(features), len(factor)))
-    for k, terms in enumerate(factor):
-        for r, d, coef in terms:
-            b[features.index((r, d)), k] = coef
+    for k, rows in enumerate(factor):
+        for r, (h, terms) in enumerate(rows):
+            assert np.array_equal(h, [1.0])  # both rows read the white draws
+            for d, coef in terms:
+                b[features.index((r, d)), k] = coef
     gram = a @ a.T
     assert np.max(np.abs(b @ b.T - gram), initial=0.0) <= 1e-12 * np.max(gram, initial=0.0)
     assert len(factor) <= a.shape[1]
@@ -653,7 +655,8 @@ class TestFactor:
 
 class TestMemory:
     """No stream-length array is built: every stream is drawn and projected a
-    block at a time, a tabulated one onto its FIR's sub-kernels too."""
+    block at a time, onto its rows' sub-kernels.  No Gram matrix of more
+    features than quadratures is built either."""
 
     @pytest.mark.parametrize("noise, streams", [(QuadSpectrum.constant(0.617, 63.0), 1),
                                                 (TABULATED, 1)])
@@ -668,6 +671,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < streams * 8 * c.total_samples, peak / 2 ** 20
+
+    def test_factor_never_forms_the_gram_matrix(self):
+        # 2000 distinct features of 3 quadratures: their F x F Gram matrix
+        # would take 32 MB, while the factor needs a few F x 3 arrays
+        a = np.random.default_rng(8).standard_normal((2000, 3))
+        tracemalloc.start()
+        try:
+            b = montecarlo._factor(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(a) ** 2 / 16, peak / 2 ** 20
+        gram = a @ a.T
+        assert b.shape == a.shape
+        assert np.max(np.abs(b @ b.T - gram)) <= 1e-12 * np.max(gram)
 
 
 class TestTaps:
@@ -750,25 +768,25 @@ class TestTabulatedInputs:
             montecarlo.cross_validate(net, SUM, OMEGA, cfg(segments=16, length=64))
 
     def test_filtered_projection_is_the_circular_filter(self):
-        # the sub-kernel projections of the white draws against a direct
-        # circular filter of the same draws, centred by span: three blocks,
-        # the last one short, and the filter's wrap round the end of the
-        # stream, at lags that cross segment boundaries
+        # one job's sub-kernel projections against its rows built from the
+        # same draws: a direct circular filter, centred by span, for the
+        # signal row, the draws themselves (h = [1]) for the vacuum row, and
+        # a rolled copy per term; three blocks, the last one short, and
+        # delays that cross segment, block and stream ends
         c = cfg(segments=600, length=64)
-        n = c.total_samples
+        n, length = c.total_samples, c.segment_length
         assert 2 * montecarlo.CHUNK < n < 3 * montecarlo.CHUNK
         h = np.random.default_rng(1).standard_normal(150)
         draws = np.random.default_rng(2).standard_normal(n)
+        delays = [0, 1, 40, length - 1, length, 2 * length + 2, n - 1]
+        coefs = np.random.default_rng(3).uniform(-2.0, 2.0, (2, len(delays)))
+        rows = [(h, list(zip(delays, coefs[0]))), (np.ones(1), list(zip(delays, coefs[1])))]
+        got = montecarlo._run(np.random.SeedSequence(2), rows, segment_kernel(OMEGA, c),
+                              c.segment_count)
         direct = np.roll(sum(h[m] * np.roll(draws, -m) for m in range(h.size)), h.size // 2)
-        kernel = segment_kernel(OMEGA, c)
-        lags = [0, 1, 40, 63]
-        rng = np.random.default_rng(2)
-        got = montecarlo._filtered(lambda block, _: rng.standard_normal(out=block), lags,
-                                   np.stack([kernel.real, kernel.imag], axis=1), h,
-                                   c.segment_count)
-        for projections, stream in zip(got, (draws, direct)):
-            ref = np.stack([project(np.roll(stream, r), OMEGA, c) for r in lags])
-            assert max_relative_gap(projections, ref) <= 1e-12
+        for projections, stream, row_coefs in zip(got, (direct, draws), coefs):
+            row = sum(b * np.roll(stream, d) for d, b in zip(delays, row_coefs))
+            assert max_relative_gap(projections, project(row, OMEGA, c)) <= 1e-12
 
     def test_tabulated_input_draws_its_normals_once(self, monkeypatch):
         # every job's generator draws T normals, one quadrature: the
