@@ -44,7 +44,6 @@ from .network import (
     SourceDecl,
     SPEED_OF_LIGHT,
     VACUUM_SPECTRUM,
-    element_problems,
 )
 
 KEYWORDS = frozenset({"source", "det", "measure", "weights", "from", "vacuum", "coherent",
@@ -405,7 +404,7 @@ class _Parser:
         for key in required:
             self.require(params, key, kw)
         element = cls(**{key: value for key, (value, _) in params.items()})
-        for param, problem in element_problems(element)[:1]:
+        for param, problem in element.problems[:1]:
             raise self.error(f"{param} {problem}", params[param][1])
         return ElementDecl(name, element, tuple(inputs))
 

@@ -13,17 +13,17 @@ delay a whole number of samples, on circular streams of T = K L samples.
 Spectra come from a Welch periodogram read at one FFT bin: the mean of the
 segments' bin powers, at a resolution of one bin width f_s / L.  A segment's
 bin is its projection onto one kernel of L samples, and projection is
-linear, so no photocurrent stream is built: a row reads a stream of draws
-through a FIR (a unit impulse, or a tabulated input's colouring filter) at
-real coefficients per tap delay, which fold with the kernel into sub-kernels
-of L samples, one per whole-segment offset, and each stream is projected
-onto them as it is drawn.  The constant-spectrum inputs are not drawn one
-by one: a row reads them only through a few features, their sums at each
-distinct tap delay, so the fewest white streams with those features'
-covariance are drawn in their place (:func:`_factor`), with the same joint
-law.  The shot-noise reference is a second row accumulated from the same
-draws with every input at vacuum variance, so the signal and vacuum bin
-powers share their randomness and their ratio is a low-variance estimate.
+linear, so no photocurrent stream is built.  The inputs are not drawn one
+by one either: a row reads them only through a few features, their sums at
+each distinct delay (a tabulated input's spread over its colouring FIR's
+taps), so the fewest white streams with those features' covariance are
+drawn in their place (:func:`_factor`), with the same joint law.  A row
+reads each white stream at real coefficients per delay, which fold with the
+kernel into sub-kernels of L samples, one per whole-segment offset, and
+each stream is projected onto them as it is drawn.  The shot-noise
+reference is a second row accumulated from the same draws with every input
+at vacuum variance, so the signal and vacuum bin powers share their
+randomness and their ratio is a low-variance estimate.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -197,30 +196,28 @@ def _fir(variance_fn, sample_rate: float, span: int) -> np.ndarray:
     return np.roll(np.fft.irfft(np.sqrt(variance_fn(omegas)), 2 * span), span)
 
 
-def _sub_kernels(h: np.ndarray, terms, kernel: np.ndarray, count: int) -> dict[int, np.ndarray]:
+def _sub_kernels(terms, kernel: np.ndarray, count: int) -> dict[int, np.ndarray]:
     """A row's L-sample sub-kernels, keyed by whole-segment offset e in
     [0, K): segment k of the row reads segment (k + e) mod K of the draws s
     through sub-kernel e.
 
-    The row is sum_(d, b) b c[t - d] over ``terms`` (distinct d), with
-    c[t] = sum_m h[m] s[(t + m - span) mod T], span = len(h) // 2.  So a
-    term's window is s's window onto b (kernel * h), a convolution, from
-    d + span samples before it.  The terms starting in one segment fold into
-    one FIR over their offsets there, convolved with kernel * h and cut at
-    segment boundaries; all-zero pieces are dropped.
+    The row is sum_(d, b) b s[t - d] over ``terms`` (distinct d), so a
+    term's window onto s is b kernel, from d samples before the segment.
+    The terms starting in one segment fold into one FIR over their offsets
+    there, convolved with the kernel and cut at segment boundaries; all-zero
+    pieces are dropped.
     """
     length = kernel.size
-    g = np.convolve(kernel, h)
     groups: dict[int, dict[int, float]] = {}
     for d, b in terms:
-        first, pad = divmod(-(d + h.size // 2), length)
+        first, pad = divmod(-d, length)
         groups.setdefault(first, {})[pad] = b
     parts: dict[int, np.ndarray] = {}
     for first, taps in groups.items():
         lo = min(taps)  # the FIR spans its taps' offsets only
         fir = np.zeros(max(taps) + 1 - lo)
         fir[[pad - lo for pad in taps]] = list(taps.values())
-        pieces = np.convolve(fir, g)
+        pieces = np.convolve(fir, kernel)
         pieces = np.pad(pieces, (lo, -(lo + pieces.size) % length)).reshape(-1, length)
         for j, piece in enumerate(pieces):
             if piece.any():
@@ -230,66 +227,68 @@ def _sub_kernels(h: np.ndarray, terms, kernel: np.ndarray, count: int) -> dict[i
 
 
 def _factor(a: np.ndarray) -> np.ndarray:
-    """A factor B of ``a``'s Gram matrix, B B^T = A A^T, with as few columns
+    """A factor B of ``a``'s Gram matrix, B B^T ~ A A^T, with as few columns
     as its numerical rank: the rows of (F, C) ``a`` as (F, m) rows, m <= C.
 
-    Duplicate rows of ``a`` are dropped first (a dict of row tuples, in
-    first-seen order) and get bitwise-equal rows of B.  The unique rows'
-    Gram matrix is factored by Cholesky with diagonal pivoting: each column
-    pivots on the largest remaining diagonal entry (the first on a tie), and
-    the factor stops at a pivot <= max(diag) size eps or at C columns.
+    Duplicate rows of ``a`` (-0.0 equal to 0.0) are dropped first, in
+    first-seen order, and get bitwise-equal rows of B.  The unique rows are
+    then taken in that order, a Cholesky factor of their Gram matrix built
+    a column at a time from the rows themselves: a row becomes the next
+    column only if its residual, its squared distance from the span of the
+    earlier columns' rows, exceeds the floor, sqrt(eps) times the largest
+    squared row norm, and the factor stops at C columns.
 
-    The Gram matrix is formed only where it is no larger than ``a``
-    (F <= C): symmetric networks tie rows' residuals, so the pivot order,
-    and the draws, rest on its rounding.  Otherwise the diagonal is the rows'
-    sums of squares and a pivot's column the rows' products with its row.
+    A A^T - B B^T is the Gram matrix of what the taken rows leave of every
+    row, so it is semidefinite with no entry above the floor: B B^T is
+    A A^T to within 1.5e-8 of the largest feature variance, and to rounding
+    where every skipped row lies in the taken rows' span.  Rounding leaves a
+    residual an error of about eps times the largest squared row norm,
+    times that norm over the smallest residual taken before it.  Which rows
+    become columns rests on the last bits of ``a`` only where a residual
+    lies within that error of the floor.
     """
-    unique: dict[tuple, int] = {}
-    index = [unique.setdefault(row, len(unique)) for row in map(tuple, a.tolist())]
-    rows = np.array(list(unique), dtype=float).reshape(len(unique), a.shape[1])
-    size = len(rows)
-    gram = rows @ rows.T if size <= a.shape[1] else None
-    residual = (np.einsum("ij,ij->i", rows, rows) if gram is None
-                else gram.diagonal().copy())
-    floor = residual.max(initial=0.0) * size * np.finfo(float).eps
-    factor = np.zeros((size, min(size, a.shape[1])))
+    # np.unique sorts the rows; order puts them back in first-seen order
+    _, first, inverse = np.unique(a, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rows = a[first[order]]
+    residual = np.einsum("ij,ij->i", rows, rows)
+    floor = residual.max(initial=0.0) * math.sqrt(np.finfo(float).eps)
+    factor = np.zeros((len(rows), min(len(rows), a.shape[1])))
     pivots: list[int] = []
-    for k in range(factor.shape[1]):
-        p = int(np.argmax(residual))
-        if residual[p] <= floor:
-            factor = factor[:, :k]
+    for p in range(len(rows)):
+        k = len(pivots)
+        if k == factor.shape[1]:
             break
-        column = ((rows @ rows[p] if gram is None else gram[:, p])
-                  - factor[:, :k] @ factor[p, :k]) / math.sqrt(residual[p])
+        if residual[p] <= floor:
+            continue
+        column = (rows @ rows[p] - factor[:, :k] @ factor[p, :k]) / math.sqrt(residual[p])
         column[pivots] = 0.0
         column[p] = math.sqrt(residual[p])
         factor[:, k] = column
         residual -= column ** 2
-        residual[p] = 0.0
         pivots.append(p)
-    return factor[index]
+    # NumPy 2.0.0 alone returns a 2-D inverse for axis=0; reshape is its fix
+    return factor[np.argsort(order)[inverse.reshape(-1)], :len(pivots)]
 
 
 def _plan(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray, span: int):
-    """The pool jobs that draw the combo's two rows: the constant-spectrum
-    inputs' factor streams, then each tabulated input's X and Y in roster
-    order.  A job draws one quadrature of T unit normals, and is one
-    (h, terms) pair per row, signal then vacuum: the row reads the draws
-    through the FIR h, and a term (d, b) adds b times them delayed by d
-    samples (see :func:`_sub_kernels`).
+    """The pool jobs that draw the combo's two rows.  A job draws one white
+    stream of T unit normals and is one term list per row, signal then
+    vacuum: a term (d, b) adds b times the draws delayed by d samples (see
+    :func:`_sub_kernels`).
 
     An input's taps fold into one complex coefficient c per distinct delay
-    d (mod T): weights, conj(alpha_k) and the tap gains.  A tabulated
-    quadrature is read at Re(c) (X) or -Im(c) (Y), by the signal row through
-    its :func:`_fir` and by the vacuum row through h = [1].  The constant
-    inputs reach row r at delay d only through the feature
-    F_(r,d) = sum_s A[(r,d), s] W_s of their white quadratures W_s (roster
-    order, X then Y; signal-row features first, delays ascending), with
-    entries Re(c) sqrt(V_X) and -Im(c) sqrt(V_Y) in the signal row and
-    Re(c) and -Im(c) in the vacuum row.  The features are white with
+    d (mod T): weights, conj(alpha_k) and the tap gains.  Each input
+    quadrature with taps is one white draw W_s, column s of A (roster order,
+    X then Y), read at b = Re(c) (X) or -Im(c) (Y).  Row r reaches the
+    draws at delay d only through the feature F_(r,d) = sum_s A[(r,d), s] W_s
+    (signal-row features first, delays ascending).  The vacuum row's entry
+    is b at d.  The signal row's is b sqrt(V_X) or b sqrt(V_Y) at d for a
+    constant spectrum; a tabulated quadrature is coloured by its
+    :func:`_fir` h, u[t] = sum_m h[m] W_s[t + m - span], so its entry at
+    delay (d + span - m) mod T is sum b h[m].  The features are white with
     covariance A A^T, so the streams of B = :func:`_factor` of A, one per
-    column, draw them with the same law; both rows read them through
-    h = [1].
+    column, draw them with the same law, to within the factor's floor.
     """
     n = cfg.total_samples
     conj_alphas = np.conj(np.array(net.carriers, dtype=complex))
@@ -298,30 +297,41 @@ def _plan(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray,
         for j, d, g in det:
             d %= n  # circular shift, like a roll by d
             folded[j][d] = folded[j].get(d, 0j) + weights[k] * (conj_alphas[k] * g)
-    terms = [[(d, c) for d, c in sorted(taps_j.items()) if c] for taps_j in folded]
 
-    constant = [j for j, e in enumerate(net.roster) if e.noise.is_constant]
-    delays = sorted({d for j in constant for d, _ in terms[j]})
-    feature = {d: f for f, d in enumerate(delays)}
-    a = np.zeros((2 * len(delays), 2 * len(constant)))
-    for s, j in enumerate(constant):
-        scales = ((math.sqrt(net.roster[j].noise.vx), math.sqrt(net.roster[j].noise.vy)),
-                  (1.0, 1.0))
-        for d, c in terms[j]:
-            for r, (sx, sy) in enumerate(scales):
-                a[r * len(delays) + feature[d], 2 * s:2 * s + 2] = c.real * sx, -c.imag * sy
-    white = np.ones(1)
-    jobs = [tuple((white, [(d, b) for d, b in zip(delays, row) if b])
-                  for row in column.reshape(2, -1))
-            for column in _factor(a).T]
+    # per column of A, the keys r T + d of its features (r, d) and its entries
+    entries: list[tuple[np.ndarray, np.ndarray]] = []
     for j, entry in enumerate(net.roster):
-        if entry.noise.is_constant or not terms[j]:
+        delays = np.array([d for d, c in sorted(folded[j].items()) if c], dtype=np.int64)
+        if not delays.size:
             continue
-        for variance_fn, part in ((entry.noise.vx_at, lambda c: c.real),
-                                  (entry.noise.vy_at, lambda c: -c.imag)):
-            row = [(d, part(c)) for d, c in terms[j]]
-            jobs.append(((_fir(variance_fn, cfg.sample_rate, span), row), (white, row)))
-    return jobs
+        c = np.array([folded[j][d] for d in delays])
+        noise = entry.noise
+        for b, variance, variance_fn in ((c.real, noise.vx, noise.vx_at),
+                                         (-c.imag, noise.vy, noise.vy_at)):
+            if noise.is_constant:
+                signal, scaled = delays, b * math.sqrt(variance)
+            else:
+                h = _fir(variance_fn, cfg.sample_rate, span)
+                # summed in delay order over the delays it reaches, from
+                # base, wrapped mod T only where they span T (T >= 3 span)
+                base = delays[0] + span + 1 - h.size
+                offsets = span - base - np.arange(h.size)
+                spread = np.zeros(min(n, delays[-1] + h.size - delays[0]))
+                for d, coef in zip(delays, b):
+                    spread[(d + offsets) % spread.size] += coef * h
+                reached = np.flatnonzero(spread)
+                signal, scaled = (reached + base) % n, spread[reached]
+            entries.append((np.concatenate([signal, n + delays]), np.concatenate([scaled, b])))
+    if not entries:
+        return []
+    keys, feature = np.unique(np.concatenate([key for key, _ in entries]), return_inverse=True)
+    column = np.repeat(np.arange(len(entries)), [key.size for key, _ in entries])
+    a = np.zeros((keys.size, len(entries)))
+    np.add.at(a, (feature, column), np.concatenate([value for _, value in entries]))
+    row, delay = np.divmod(keys, n)
+    return [tuple([(d, coef) for d, coef in zip(delay[row == r].tolist(), b[row == r]) if coef]
+                  for r in (0, 1))
+            for b in _factor(a).T]
 
 
 def _run(seed: np.random.SeedSequence, rows, kernel: np.ndarray, count: int) -> np.ndarray:
@@ -335,8 +345,8 @@ def _run(seed: np.random.SeedSequence, rows, kernel: np.ndarray, count: int) -> 
     projections, each rolled back by its segment offset.
     """
     length = kernel.size
-    parts = [(r, e, piece) for r, (h, terms) in enumerate(rows)
-             for e, piece in _sub_kernels(h, terms, kernel, count).items()]
+    parts = [(r, e, piece) for r, terms in enumerate(rows)
+             for e, piece in _sub_kernels(terms, kernel, count).items()]
     pieces = np.array([piece for *_, piece in parts]).reshape(-1, length).T
     columns = np.stack([pieces.real, pieces.imag], axis=2).reshape(length, -1)
     rng = np.random.default_rng(seed)
@@ -364,19 +374,18 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
     the kernel.  No stream of a row is built.
 
     ``taps`` are :func:`expand_taps` of ``net``.  The rows are drawn by the
-    jobs of :func:`_plan`: the fewest white factor streams with the joint
-    law of the constant-spectrum inputs' features, then one job per
-    quadrature of each tabulated input, read by the signal row through its
-    FIR of 2 span taps (span = L + D, D the longest tap delay).  Job s
-    draws on the s-th of len(jobs) children of ``root``.  Every row of
-    every job is read by one rule, :func:`_sub_kernels`, and each job gives
-    its (2, K, 2) projections.  A plan with T < 3 span and a tabulated input
-    is refused: the stream's wrap would alias the FIR's autocorrelation
-    onto the lags a kernel of span samples meets.
+    jobs of :func:`_plan`, the fewest white streams with the joint law of
+    every input quadrature's features: a tabulated quadrature's signal-row
+    features come from its FIR of 2 span taps (span = L + D, D the longest
+    tap delay).  Job s draws on the s-th of len(jobs) children of ``root``,
+    every row of every job is read by one rule, :func:`_sub_kernels`, and
+    each job gives its (2, K, 2) projections.  A plan with T < 3 span and a
+    tabulated input is refused: the stream's wrap would alias the FIR's
+    autocorrelation onto the lags a kernel of span samples meets.
 
-    Every job is drawn and projected on a thread pool, a block at a time,
-    at most workers + 1 in flight, and added in job order on the calling
-    thread, so the result is bit-identical for any worker count.
+    The jobs are drawn and projected on a thread pool (``pool.map``), a
+    block at a time, and added in job order on the calling thread, so the
+    result is bit-identical for any worker count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -388,19 +397,10 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
     jobs = _plan(net, cfg, taps, weights, span)
 
     out = np.zeros((2, count, 2))
-    workers = _workers()
-    queue = zip(root.spawn(len(jobs)), jobs)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-
-        def top_up():
-            for seed, rows in itertools.islice(queue, workers + 1 - len(pending)):
-                pending.append(pool.submit(_run, seed, rows, kernel, count))
-
-        top_up()
-        for _ in jobs:
-            out += pending.popleft().result()
-            top_up()
+    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+        for projections in pool.map(_run, root.spawn(len(jobs)), jobs,
+                                    itertools.repeat(kernel), itertools.repeat(count)):
+            out += projections
     return out
 
 

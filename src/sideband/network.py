@@ -145,6 +145,12 @@ class Element:
     n_driven: ClassVar[int] = 1  # the inputs that must be driven
     ports: ClassVar[tuple[str, ...]] = ("out",)  # its output port names
 
+    @functools.cached_property
+    def problems(self) -> tuple[tuple[str, str], ...]:
+        """:func:`element_problems` of this element, run once: parsing it
+        from `.net` text and validating its spec both read this one pass."""
+        return tuple(element_problems(self))
+
 
 @dataclass(frozen=True)
 class BeamSplitter(Element):
@@ -427,7 +433,7 @@ def validate(spec: NetworkSpec) -> list[Violation]:
             out.append(Violation("unbound-input", e.name, "input port not driven"))
         for p in e.inputs:
             check_port(p, e.name)
-        for param, problem in element_problems(e.element):
+        for param, problem in e.element.problems:
             out.append(Violation("range", e.name, f"{param} {problem}"))
 
     for d in spec.detectors:

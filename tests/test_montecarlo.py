@@ -420,77 +420,92 @@ def circular_filter(draws, h):
 
 
 def draw_matrix(net, c, weights):
-    """The constant-spectrum inputs' features at one instant, rebuilt from the
-    taps: (features, A), one feature (row r, delay d mod T) per row of A,
-    the signal row's first, delays ascending, over every delay a constant
-    input's taps reach; one column per quadrature of a constant input,
-    roster order, X then Y.  Feature (r, d) is sum_s A[(r, d), s] W_s."""
+    """The inputs' features at one instant, rebuilt from the taps:
+    (features, A), one feature (row r, delay d mod T) per row of A, the
+    signal row's first, delays ascending; one column per quadrature of an
+    input with taps, roster order, X then Y.  Taps of zero weight keep
+    their (zero) entries, so every weight row gives A the same shape.
+    Feature (r, d) is sum_s A[(r, d), s] W_s.  A quadrature's vacuum-row
+    entries are its taps' coefficients.  A constant quadrature's signal-row
+    entries are those times sqrt(V); a tabulated one's are the impulse
+    response of its signal row: the coefficients on the circular filter of
+    a unit impulse through its :func:`fir`, centred by span, read at the
+    delays the FIR's 2 span taps reach."""
     n = c.total_samples
-    constant = [j for j, e in enumerate(net.roster) if e.noise.is_constant]
-    coefs = {}
-    for k, det in enumerate(montecarlo.expand_taps(net, c)):
+    taps = montecarlo.expand_taps(net, c)
+    span = c.segment_length + max(d for det in taps for _, d, _ in det)
+    impulse = np.eye(1, n)[0]
+    coefs = [{} for _ in net.roster]
+    for k, det in enumerate(taps):
         for j, d, g in det:
-            if j in constant:
-                coefs[j, d % n] = (coefs.get((j, d % n), 0j)
-                                   + weights[k] * np.conj(net.carriers[k]) * g)
-    delays = sorted({d for _, d in coefs})
-    a = np.zeros((2, len(delays), len(constant), 2))
-    for (j, d), z in coefs.items():
-        q = net.roster[j].noise
-        cell = (delays.index(d), constant.index(j))
-        a[(0, *cell)] = z.real * math.sqrt(q.vx), -z.imag * math.sqrt(q.vy)
-        a[(1, *cell)] = z.real, -z.imag
-    return [(r, d) for r in (0, 1) for d in delays], a.reshape(2 * len(delays), 2 * len(constant))
+            coefs[j][d % n] = coefs[j].get(d % n, 0j) + weights[k] * np.conj(net.carriers[k]) * g
+    columns = []  # one {(r, d): entry} per input quadrature
+    for z, q in zip(coefs, (e.noise for e in net.roster)):
+        if not z:
+            continue
+        for variance, variance_fn, part in ((q.vx, q.vx_at, np.real),
+                                            (q.vy, q.vy_at, lambda v: -np.imag(v))):
+            column = {(1, d): part(v) for d, v in z.items()}
+            if q.is_constant:
+                column.update({(0, d): part(v) * math.sqrt(variance) for d, v in z.items()})
+            else:
+                spread = np.roll(circular_filter(impulse, fir(variance_fn, c.sample_rate, span)),
+                                 span)
+                signal = sum(part(v) * np.roll(spread, d) for d, v in z.items())
+                column.update({(0, (d + t) % n): signal[(d + t) % n]
+                               for d in z for t in range(1 - span, span + 1)})
+            columns.append(column)
+    features = sorted({f for column in columns for f in column})
+    a = np.array([[column.get(f, 0.0) for column in columns] for f in features])
+    return features, a.reshape(len(features), len(columns))
 
 
 def job_rows(net, c, weights, root):
     """The (2, T) signal and vacuum rows that ``montecarlo._streams`` projects,
     from whole streams: each job of ``montecarlo._plan`` redrawn on its
-    seed, the s-th of len(jobs) children of ``root``, and each term a rolled
-    copy.  The factor streams' coefficients B must have B B^T = A A^T, A
-    from :func:`draw_matrix`; a tabulated input's X and Y jobs, in roster
-    order, are read at its taps' coefficients, in the signal row through
-    its :func:`fir`, which leads the draws by span samples, so they are
-    rolled back by span."""
+    seed, the s-th of len(jobs) children of ``root``, and each term (d, b)
+    adding b times the draws rolled by d, summed as one circular
+    convolution.  The jobs' coefficients B must be ``montecarlo._factor``
+    of A, from :func:`draw_matrix`, and must draw A's law, B B^T = A A^T:
+    in full where there are few features, and through B (B^T x) against
+    A (A^T x) on seeded probes x, which needs no F x F matrix, on all.  The
+    factor leaves out the residuals under its floor: no entry of A A^T -
+    B B^T is above sqrt(eps) of the largest feature variance.  On these
+    constant-spectrum plans every skipped row lies in the taken rows' span
+    and the law holds to 1e-12; a tabulated input's FIR tails can leave an
+    independent row under the floor, so its plans are held to sqrt(eps)."""
     n = c.total_samples
     taps = montecarlo.expand_taps(net, c)
     span = c.segment_length + max(d for det in taps for _, d, _ in det)
     jobs = montecarlo._plan(net, c, taps, weights, span)
     features, a = draw_matrix(net, c, weights)
-    factor = [rows for rows in jobs if rows[0][0].size == 1]
-    b = np.zeros((len(features), len(factor)))
-    for k, rows in enumerate(factor):
-        for r, (h, terms) in enumerate(rows):
-            assert np.array_equal(h, [1.0])  # both rows read the white draws
+    index = {f: i for i, f in enumerate(features)}
+    b = np.zeros((len(features), len(jobs)))
+    for k, rows in enumerate(jobs):
+        for r, terms in enumerate(rows):
             for d, coef in terms:
-                b[features.index((r, d)), k] = coef
-    gram = a @ a.T
-    assert np.max(np.abs(b @ b.T - gram), initial=0.0) <= 1e-12 * np.max(gram, initial=0.0)
-    assert len(factor) <= a.shape[1]
+                b[index[r, d], k] = coef
+    factor = montecarlo._factor(a)
+    assert b.shape == factor.shape and len(jobs) <= a.shape[1]
+    assert np.max(np.abs(b - factor), initial=0.0) <= 1e-12 * np.max(np.abs(factor), initial=0.0)
+    constant = all(e.noise.is_constant for e in net.roster)
+    bound = 1e-12 if constant else math.sqrt(np.finfo(float).eps)
+    if len(features) <= 1024:
+        gram = a @ a.T
+        assert np.max(np.abs(b @ b.T - gram), initial=0.0) <= bound * np.max(gram, initial=0.0)
+    for x in np.random.default_rng(0).standard_normal((4, len(features))):
+        law = a @ (a.T @ x)
+        assert np.max(np.abs(b @ (b.T @ x) - law), initial=0.0) <= bound * np.max(np.abs(law),
+                                                                                 initial=0.0)
 
-    draws = (np.random.default_rng(seed).standard_normal(n) for seed in root.spawn(len(jobs)))
     rows = np.zeros((2, n))
-    streams = [next(draws) for _ in factor]
-    for (r, d), coefs in zip(features, b):
-        for coef, z in zip(coefs, streams):
-            rows[r] += coef * np.roll(z, d)
-    for j, q in enumerate(e.noise for e in net.roster):
-        if q.is_constant:
-            continue
-        coefs = {}
-        for k, det in enumerate(taps):
-            for jj, d, g in det:
-                if jj == j:
-                    coefs[d % n] = coefs.get(d % n, 0j) + weights[k] * np.conj(net.carriers[k]) * g
-        if not any(coefs.values()):
-            continue
-        for v, part in ((q.vx_at, np.real), (q.vy_at, lambda z: -np.imag(z))):
-            white = next(draws)
-            signal = np.roll(circular_filter(white, fir(v, c.sample_rate, span)), span)
-            for d, z in coefs.items():
-                rows[0] += part(z) * np.roll(signal, d)
-                rows[1] += part(z) * np.roll(white, d)
-    assert next(draws, None) is None  # every job is read
+    for seed, job in zip(root.spawn(len(jobs)), jobs):
+        z = np.fft.rfft(np.random.default_rng(seed).standard_normal(n))
+        for r, terms in enumerate(job):
+            g = np.zeros(n)  # the rolled copies' sum is the circular convolution with g
+            for d, coef in terms:
+                g[d] = coef
+            rows[r] += np.fft.irfft(z * np.fft.rfft(g), n)
     return rows
 
 
@@ -617,8 +632,8 @@ class TestComboStreams:
 
 
 class TestFactor:
-    """``montecarlo._factor`` draws the constant-spectrum inputs' features as
-    the fewest white streams with their covariance: B B^T = A A^T."""
+    """``montecarlo._factor`` draws the inputs' features as the fewest white
+    streams with their covariance: B B^T = A A^T."""
 
     @staticmethod
     def check(a, rank):
@@ -643,6 +658,12 @@ class TestFactor:
         for i, j in itertools.combinations(range(len(order)), 2):
             assert np.array_equal(b[i], b[j]) == (order[i] == order[j])
 
+    def test_signed_zeros_are_one_feature(self):
+        # -Im(c) of a real coefficient is -0.0: the row is the same feature
+        a = np.array([[1.0, -0.0], [2.0, 3.0], [1.0, 0.0]])
+        b = self.check(a, 2)
+        assert b[0].tobytes() == b[2].tobytes()
+
     def test_zero_gram_gives_no_columns(self):
         self.check(np.zeros((4, 6)), 0)
         self.check(np.zeros((0, 0)), 0)
@@ -652,11 +673,37 @@ class TestFactor:
         for rows, cols in ((2, 1), (9, 2), (40, 3), (3, 8)):
             self.check(rng.standard_normal((rows, cols)), min(rows, cols))
 
+    @pytest.mark.parametrize("setup", ["mz_diff", "twin_amplitude_sum", "twin_phase_diff",
+                                       "mz_tabulated"])
+    def test_rounding_never_moves_the_columns(self, setup):
+        # the bench's oracle setups at its plan; twin_phase_diff's features
+        # tie in exact arithmetic, so a pivot search would rest on the last
+        # bits of A.  Up to 8 ulps on every entry must leave B's columns and
+        # its zero pattern as they are
+        config = scenario.ExperimentConfig()
+        net, combo = {
+            "mz_diff": (mz_net(), DIFF),
+            "twin_amplitude_sum": (engine.compile(scenario.experiment_network(config, "amplitude")),
+                                   scenario.correlation_weights("amplitude")),
+            "twin_phase_diff": (engine.compile(scenario.experiment_network(config, "phase")),
+                                scenario.correlation_weights("phase")),
+            "mz_tabulated": (engine.compile(scenario.mz_network(
+                tau=TAU_PI, carrier_phase=math.pi / 2, amp=100.0, noise=TABULATED)), DIFF),
+        }[setup]
+        weights = engine.combo_weights(net, combo)
+        a = draw_matrix(net, cfg(segments=4096, length=512), weights)[1]
+        b = montecarlo._factor(a)
+        rng = np.random.default_rng(9)
+        for _ in range(64):
+            k = rng.integers(-8, 9, a.shape)
+            again = montecarlo._factor(a * (1 + k * np.finfo(float).eps))
+            assert again.shape == b.shape and np.array_equal(again == 0, b == 0)
+
 
 class TestMemory:
     """No stream-length array is built: every stream is drawn and projected a
-    block at a time, onto its rows' sub-kernels.  No Gram matrix of more
-    features than quadratures is built either."""
+    block at a time, onto its rows' sub-kernels.  No Gram matrix of the
+    features is built either, and A's rows are deduped as arrays."""
 
     @pytest.mark.parametrize("noise, streams", [(QuadSpectrum.constant(0.617, 63.0), 1),
                                                 (TABULATED, 1)])
@@ -686,6 +733,20 @@ class TestMemory:
         gram = a @ a.T
         assert b.shape == a.shape
         assert np.max(np.abs(b @ b.T - gram)) <= 1e-12 * np.max(gram)
+
+    def test_factor_dedups_rows_without_python_floats(self):
+        # 4000 features over 50 distinct rows: a Python float per entry, or
+        # a tuple per row, would take several times A
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((50, 100))[rng.integers(0, 50, 4000)]
+        tracemalloc.start()
+        try:
+            b = montecarlo._factor(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * a.nbytes, peak / a.nbytes
+        assert b.shape == (4000, 50)
 
 
 class TestTaps:
@@ -769,30 +830,40 @@ class TestTabulatedInputs:
 
     def test_filtered_projection_is_the_circular_filter(self):
         # one job's sub-kernel projections against its rows built from the
-        # same draws: a direct circular filter, centred by span, for the
-        # signal row, the draws themselves (h = [1]) for the vacuum row, and
-        # a rolled copy per term; three blocks, the last one short, and
-        # delays that cross segment, block and stream ends
+        # same draws.  The signal row is a term list spread through a FIR h
+        # as _plan spreads a tabulated quadrature, (d, b) to b h[m] at
+        # d + span - m, and must read the direct circular filter of the
+        # draws, centred by span; the vacuum row reads the draws themselves.
+        # Three blocks, the last one short, and delays that cross segment,
+        # block and stream ends
         c = cfg(segments=600, length=64)
         n, length = c.total_samples, c.segment_length
         assert 2 * montecarlo.CHUNK < n < 3 * montecarlo.CHUNK
         h = np.random.default_rng(1).standard_normal(150)
+        span = h.size // 2
         draws = np.random.default_rng(2).standard_normal(n)
         delays = [0, 1, 40, length - 1, length, 2 * length + 2, n - 1]
         coefs = np.random.default_rng(3).uniform(-2.0, 2.0, (2, len(delays)))
-        rows = [(h, list(zip(delays, coefs[0]))), (np.ones(1), list(zip(delays, coefs[1])))]
+        spread = {}
+        for d, b in zip(delays, coefs[0]):
+            for m, hm in enumerate(h):
+                key = (d + span - m) % n
+                spread[key] = spread.get(key, 0.0) + b * hm
+        rows = [sorted(spread.items()), list(zip(delays, coefs[1]))]
         got = montecarlo._run(np.random.SeedSequence(2), rows, segment_kernel(OMEGA, c),
                               c.segment_count)
-        direct = np.roll(sum(h[m] * np.roll(draws, -m) for m in range(h.size)), h.size // 2)
+        direct = np.roll(circular_filter(draws, h), span)
         for projections, stream, row_coefs in zip(got, (direct, draws), coefs):
             row = sum(b * np.roll(stream, d) for d, b in zip(delays, row_coefs))
             assert max_relative_gap(projections, project(row, OMEGA, c)) <= 1e-12
 
     def test_tabulated_input_draws_its_normals_once(self, monkeypatch):
-        # every job's generator draws T normals, one quadrature: the
-        # constant-spectrum inputs' factor streams, then a tabulated input's
-        # X and Y, whose filtered row comes from those same draws.  The
-        # bench's oracle cases, with 2, 6, 8 and 2 inputs, make 2, 2, 3 and 3
+        # every job's generator draws T normals once: one white factor
+        # stream per job, read by both rows, a tabulated input's signal row
+        # through its FIR.  The bench's oracle cases, with 2, 6, 8 and 2
+        # inputs, make 2, 2, 3 and 2: in the tabulated readout both inputs'
+        # X quadratures reach the difference at about 1e-14, under the
+        # factor's floor, so the tabulated X draws no stream of its own
         c = cfg(seed=3, segments=16, length=64)
         config = scenario.ExperimentConfig()
         cases = [
@@ -802,7 +873,7 @@ class TestTabulatedInputs:
             (engine.compile(scenario.experiment_network(config, "phase")),
              scenario.correlation_weights("phase"), 3),
             (engine.compile(scenario.mz_network(tau=TAU_PI, carrier_phase=math.pi / 2,
-                                                amp=100.0, noise=TABULATED)), DIFF, 3),
+                                                amp=100.0, noise=TABULATED)), DIFF, 2),
         ]
         default_rng = np.random.default_rng
         drawn = []

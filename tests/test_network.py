@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -321,6 +322,26 @@ def test_parse_refuses_exactly_what_validate_reports(case):
         assert d.snippet[d.column - 1:].startswith(repr(value))  # at the value
     else:
         assert ranges == [] and parsed == spec
+
+
+def test_parse_then_compile_checks_each_elements_ranges_once():
+    # the parser refuses a range fault at its value, and compiling validates
+    # the spec again: both read one check per element
+    calls = []
+    code = network.element_problems.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_locals["el"])
+
+    sys.setprofile(profile)
+    try:
+        net = engine.compile(dsl.parse(presets.load("entangled_phase")))
+    finally:
+        sys.setprofile(None)
+    elements = [e.element for e in net.spec.elements]
+    assert len(elements) >= 6
+    assert sorted(map(id, calls)) == sorted(map(id, elements))
 
 
 def test_quad_spectrum_rejects_nonpositive():
