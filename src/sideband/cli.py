@@ -11,7 +11,8 @@ Network overrides (--override, --mc-override) go to dsl.parse, which reads
 each NAME.PARAM=VALUE as if it were written in the statement NAME.
 
 Exit codes: 0 success, 2 I/O or usage (a refused override among them),
-3 parse error, 4 validation error, 5 numerical/statistical failure.
+3 parse error, 4 validation error, 5 numerical/statistical failure (a
+plan that runs out of memory among them).
 """
 
 from __future__ import annotations
@@ -391,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--combo", help=COMBO_HELP)
     p.add_argument("--freq", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--segments", type=int, default=4096)
+    p.add_argument("--segments", type=int, default=4096,
+                   help="K Welch segments of --segment-length L samples, overlapping "
+                        "by half: K ceil(L/2) samples are drawn per stream")
     p.add_argument("--segment-length", type=int, default=512)
     p.add_argument("--sample-rate", type=float,
                    help="Hz; default 8x the measurement frequency")
@@ -421,6 +424,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -8,22 +8,23 @@ per detector by applying each step's linear map -- its gains, and a shift
 by its delay tau in samples -- the same maps the frequency-domain engine
 walks.  Photocurrent fluctuations are
 dn_k(t) = 2 Re(conj(alpha_k) sum taps), sampled at a rate that makes every
-delay a whole number of samples, on circular streams of T = K L samples.
+delay a whole number of samples, on circular streams of T = K H samples.
 
 Spectra come from a Welch periodogram read at one FFT bin: the mean of the
-segments' bin powers, at a resolution of one bin width f_s / L.  A segment's
-bin is its projection onto one kernel of L samples, and projection is
-linear, so no photocurrent stream is built.  The inputs are not drawn one
-by one either: a row reads them only through a few features, their sums at
-each distinct delay (a tabulated input's spread over its colouring FIR's
-taps), so the fewest white streams with those features' covariance are
-drawn in their place (:func:`_factor`), with the same joint law.  A row
-reads each white stream at real coefficients per delay, which fold with the
-kernel into sub-kernels of L samples, one per whole-segment offset, and
-each stream is projected onto them as it is drawn.  The shot-noise
-reference is a second row accumulated from the same draws with every input
-at vacuum variance, so the signal and vacuum bin powers share their
-randomness and their ratio is a low-variance estimate.
+bin powers of K segments of L samples that overlap by half, segment k
+starting at sample k H with hop H = ceil(L/2), at a resolution of one bin
+width f_s / L.  A segment's bin is its projection onto one kernel of L
+samples, and projection is linear, so no photocurrent stream is built.
+The inputs are not drawn one by one either: a row reads them only through
+a few features, their sums at each distinct delay (a tabulated input's
+spread over its colouring FIR's taps), so the fewest white streams with
+those features' covariance are drawn in their place (:func:`_factor`), with
+the same joint law.  A row reads each white stream at real coefficients per
+delay, which fold with the kernel into sub-kernels of H samples, one per
+whole-hop offset, and each stream is projected onto them as it is drawn.
+The shot-noise reference is a second row accumulated from the same draws
+with every input at vacuum variance, so the signal and vacuum bin powers
+share their randomness and their ratio is a low-variance estimate.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ from .network import QuadSpectrum
 
 DELAY_TOLERANCE = 1e-6  # max |tau*f_s - round(tau*f_s)|
 
-#: the most samples a sampling plan may hold, 8x the acceptance plan's
+#: the largest K L a sampling plan may have, 8x the acceptance plan's
 #: 512 x 4096: every stream is drawn a block at a time, and a row is K x 2
 #: projections
 MAX_TOTAL_SAMPLES = 2 ** 24
 
-#: samples per block of a stream's draws, rounded down to whole segments:
-#: a block stays in cache while it is projected onto every sub-kernel
+#: samples per block of a stream's draws, rounded down to whole hops: a
+#: block stays in cache while it is projected onto every sub-kernel
 CHUNK = 2 ** 14
 
 
@@ -56,7 +57,9 @@ class MCError(ValueError):
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Sampling plan for the time-domain oracle."""
+    """Sampling plan for the time-domain oracle: K = ``segment_count``
+    segments of L = ``segment_length`` samples, each starting ``hop``
+    samples after the last, on circular streams of ``total_samples``."""
 
     sample_rate: float
     seed: int
@@ -69,15 +72,22 @@ class MCConfig:
             raise MCError("sample rate must be finite and positive")
         if self.segment_length < 8 or self.segment_count < 2:
             raise MCError("need segment_length >= 8 and segment_count >= 2")
-        if self.total_samples > MAX_TOTAL_SAMPLES:
-            raise MCError(f"sampling plan of {self.total_samples} samples exceeds "
-                          f"{MAX_TOTAL_SAMPLES}")
+        if self.segment_length * self.segment_count > MAX_TOTAL_SAMPLES:
+            raise MCError(f"sampling plan of {self.segment_length * self.segment_count} "
+                          f"samples exceeds {MAX_TOTAL_SAMPLES}")
         if self.window not in ("hann", "rect"):
             raise MCError("window must be 'hann' or 'rect'")
 
     @property
+    def hop(self) -> int:
+        """H = ceil(L/2): adjacent segments share L - H samples (Welch's half
+        overlap), and segments two hops apart share none."""
+        return -(-self.segment_length // 2)
+
+    @property
     def total_samples(self) -> int:
-        return self.segment_length * self.segment_count
+        """T = K H, the period of the circular streams: the draws per job."""
+        return self.hop * self.segment_count
 
     def check_frequency(self, omega: float):
         if not 0.0 <= omega:
@@ -196,21 +206,21 @@ def _fir(variance_fn, sample_rate: float, span: int) -> np.ndarray:
     return np.roll(np.fft.irfft(np.sqrt(variance_fn(omegas)), 2 * span), span)
 
 
-def _sub_kernels(terms, kernel: np.ndarray, count: int) -> dict[int, np.ndarray]:
-    """A row's L-sample sub-kernels, keyed by whole-segment offset e in
-    [0, K): segment k of the row reads segment (k + e) mod K of the draws s
+def _sub_kernels(terms, kernel: np.ndarray, hop: int, count: int) -> dict[int, np.ndarray]:
+    """A row's ``hop``-sample sub-kernels, keyed by whole-hop offset e in
+    [0, K): segment k of the row, which starts at sample k H, reads hop
+    (k + e) mod K of the draws s, samples [(k + e) H, (k + e + 1) H) mod T,
     through sub-kernel e.
 
     The row is sum_(d, b) b s[t - d] over ``terms`` (distinct d), so a
     term's window onto s is b kernel, from d samples before the segment.
-    The terms starting in one segment fold into one FIR over their offsets
-    there, convolved with the kernel and cut at segment boundaries; all-zero
+    The terms starting in one hop fold into one FIR over their offsets
+    there, convolved with the kernel and cut at hop boundaries; all-zero
     pieces are dropped.
     """
-    length = kernel.size
     groups: dict[int, dict[int, float]] = {}
     for d, b in terms:
-        first, pad = divmod(-d, length)
+        first, pad = divmod(-d, hop)
         groups.setdefault(first, {})[pad] = b
     parts: dict[int, np.ndarray] = {}
     for first, taps in groups.items():
@@ -218,7 +228,7 @@ def _sub_kernels(terms, kernel: np.ndarray, count: int) -> dict[int, np.ndarray]
         fir = np.zeros(max(taps) + 1 - lo)
         fir[[pad - lo for pad in taps]] = list(taps.values())
         pieces = np.convolve(fir, kernel)
-        pieces = np.pad(pieces, (lo, -(lo + pieces.size) % length)).reshape(-1, length)
+        pieces = np.pad(pieces, (lo, -(lo + pieces.size) % hop)).reshape(-1, hop)
         for j, piece in enumerate(pieces):
             if piece.any():
                 e = (first + j) % count
@@ -334,29 +344,30 @@ def _plan(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarray,
             for b in _factor(a).T]
 
 
-def _run(seed: np.random.SeedSequence, rows, kernel: np.ndarray, count: int) -> np.ndarray:
+def _run(seed: np.random.SeedSequence, rows, kernel: np.ndarray, hop: int,
+         count: int) -> np.ndarray:
     """One job of :func:`_plan`: its rows' (2, K, 2) segment projections onto
-    the real and imaginary parts of ``kernel``.
+    the real and imaginary parts of ``kernel``, segment k starting at sample
+    k ``hop``.
 
-    T unit normals are drawn on ``seed`` CHUNK samples, rounded down to
-    whole segments (at least one), at a time, and each block is projected
-    as drawn by one matmul onto every row's :func:`_sub_kernels`, two
-    columns each.  A row's projections are then the sum of its sub-kernels'
-    projections, each rolled back by its segment offset.
+    T = K H unit normals are drawn on ``seed`` CHUNK samples, rounded down
+    to whole hops (at least one), at a time, and each block is projected as
+    drawn by one matmul onto every row's :func:`_sub_kernels`, two columns
+    each.  A row's projections are then the sum of its sub-kernels'
+    projections, each rolled back by its hop offset.
     """
-    length = kernel.size
     parts = [(r, e, piece) for r, terms in enumerate(rows)
-             for e, piece in _sub_kernels(terms, kernel, count).items()]
-    pieces = np.array([piece for *_, piece in parts]).reshape(-1, length).T
-    columns = np.stack([pieces.real, pieces.imag], axis=2).reshape(length, -1)
+             for e, piece in _sub_kernels(terms, kernel, hop, count).items()]
+    pieces = np.array([piece for *_, piece in parts]).reshape(-1, hop).T
+    columns = np.stack([pieces.real, pieces.imag], axis=2).reshape(hop, -1)
     rng = np.random.default_rng(seed)
-    step = max(1, CHUNK // length)  # segments per block
-    block = np.empty((step, length))
+    step = max(1, CHUNK // hop)  # hops per block
+    block = np.empty((step, hop))
     wide = np.empty((count, columns.shape[1]))
     for k0 in range(0, count, step):
-        segments = block[:min(step, count - k0)]
-        rng.standard_normal(out=segments)
-        wide[k0:k0 + len(segments)] = segments @ columns
+        hops = block[:min(step, count - k0)]
+        rng.standard_normal(out=hops)
+        wide[k0:k0 + len(hops)] = hops @ columns
     out = np.zeros((2, count, 2))
     for i, (r, e, _) in enumerate(parts):  # rolled by slices: np.roll's copies raise the peak RSS
         shift = -e % count
@@ -377,11 +388,12 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
     jobs of :func:`_plan`, the fewest white streams with the joint law of
     every input quadrature's features: a tabulated quadrature's signal-row
     features come from its FIR of 2 span taps (span = L + D, D the longest
-    tap delay).  Job s draws on the s-th of len(jobs) children of ``root``,
-    every row of every job is read by one rule, :func:`_sub_kernels`, and
-    each job gives its (2, K, 2) projections.  A plan with T < 3 span and a
-    tabulated input is refused: the stream's wrap would alias the FIR's
-    autocorrelation onto the lags a kernel of span samples meets.
+    tap delay).  Job s draws T = K H normals on the s-th of len(jobs)
+    children of ``root``, every row of every job is read by one rule,
+    :func:`_sub_kernels`, and each job gives its (2, K, 2) projections.  A
+    plan with T < 3 span and a tabulated input is refused: the stream's wrap
+    would alias the FIR's autocorrelation onto the lags a kernel of span
+    samples meets.
 
     The jobs are drawn and projected on a thread pool (``pool.map``), a
     block at a time, and added in job order on the calling thread, so the
@@ -399,7 +411,8 @@ def _streams(net: engine.CompiledNetwork, cfg: MCConfig, taps, weights: np.ndarr
     out = np.zeros((2, count, 2))
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
         for projections in pool.map(_run, root.spawn(len(jobs)), jobs,
-                                    itertools.repeat(kernel), itertools.repeat(count)):
+                                    itertools.repeat(kernel), itertools.repeat(cfg.hop),
+                                    itertools.repeat(count)):
             out += projections
     return out
 
@@ -479,8 +492,9 @@ def _window_reference(net: engine.CompiledNetwork, combo, omega: float, cfg: MCC
     reference is that sum with the engine's absolute spectrum over the same
     sum with its shot-noise spectrum; the spectra are even in w, so one
     engine sweep covers the half grid and the kernel's response is folded
-    onto it.  A grid of more than T = K L points is never needed: the
-    streams are circular with period T, and on T points the sum is exact.
+    onto it.  A grid of more than T = K H points is never needed: the
+    streams are circular with period T >= L, and on T points the sum is
+    exact.
     A tabulated input's stream, its draws through a FIR of 2 (L + D) taps,
     is read on N = 2 (L + D) points through :func:`_seen_spectrum`.
     NaN when no carrier reaches the combo.
@@ -533,10 +547,17 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
     One pass over the inputs' draws builds the combo's signal row and its
     vacuum row (every input at unit variance), so both share their
     randomness.  The Monte-Carlo value is the ratio of their mean bin powers;
-    its standard error is the delta-method error of that ratio, from the
-    per-segment variances of both rows and their covariance.  z is the
-    discrepancy from :func:`_window_reference`, the engine's expectation of
-    the ratio, in standard errors.  The requested frequency snaps to the
+    its standard error is the delta-method error of that ratio.  With
+    d_k = P_sig,k / mean(P_sig) - P_vac,k / mean(P_vac), its relative
+    variance is (g0 + 2 max(g1, 0)) / K, g0 and g1 the circular lag-0 and
+    lag-1 autocovariances of d over K - 1: g0 / K is the error of K disjoint
+    segments, and g1 adds what adjacent segments share through their half
+    overlap (segments two hops apart share no sample).  The clip keeps the
+    bar from narrowing below g0 / K where g1 comes out negative; at K = 2
+    and 3 it always does (-g0 and -g0 / 2, d having zero mean), so there
+    the bar is g0 / K although every segment shares samples with both
+    neighbours.  z is the discrepancy from :func:`_window_reference`, the
+    engine's expectation of the ratio, in standard errors.  The requested frequency snaps to the
     nearest FFT bin and the engine is evaluated there, so both sides see the
     same sideband.  The engine side reads ``reference`` (default ``net``): a
     different network there tests a deliberate mismatch.
@@ -557,9 +578,11 @@ def cross_validate(net: engine.CompiledNetwork, combo, omega: float,
 
     mc_value = est_sig.estimate / est_vac.estimate
     # relative deviations keep the covariance finite however bright the carrier
-    cov = np.cov(est_sig.powers / est_sig.estimate, est_vac.powers / est_vac.estimate)
-    rel_var = (cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1]) / cfg.segment_count
-    stderr = abs(mc_value) * max(math.sqrt(max(rel_var, 0.0)), RATIO_RESOLUTION)
+    d = est_sig.powers / est_sig.estimate - est_vac.powers / est_vac.estimate
+    d -= d.mean()
+    g0, g1 = d @ d, d @ np.roll(d, 1)
+    rel_var = (g0 + 2.0 * max(g1, 0.0)) / (cfg.segment_count - 1) / cfg.segment_count
+    stderr = abs(mc_value) * max(math.sqrt(rel_var), RATIO_RESOLUTION)
 
     engine_net = net if reference is None else reference
     engine_value = engine.spectrum(engine_net, combo, omega).normalized

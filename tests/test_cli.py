@@ -539,6 +539,19 @@ class TestOracle:
         assert captured.err.startswith("error: sampling plan of ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 1.50 GiB for an array"])
+    def test_out_of_memory_is_numerical_error(self, tmp_path, monkeypatch, capsys, message):
+        def oversized(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(montecarlo, "cross_validate", oversized)
+        path = write(tmp_path, "mz.net", MZ_THETA_PI)
+        assert main(["oracle", "--net", path, "--freq", "20.5MHz", "--segments", "8",
+                     "--sample-rate", "164e6"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory{': ' if message else ''}{message}\n"
+
     def test_zero_frequency_is_numerical_error(self, tmp_path, capsys):
         path = write(tmp_path, "mz.net", MZ_THETA_PI)
         assert main(["oracle", "--net", path, "--freq", "0Hz"]) == 5

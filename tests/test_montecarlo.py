@@ -48,12 +48,20 @@ def detector_projections(net, c):
                      for weights in np.eye(net.n_detectors)])
 
 
+def segment_windows(c):
+    """The (K, L) sample indices of the segments of a T-sample circular
+    stream: segment k is the L samples from k ceil(L/2), mod T."""
+    hop = math.ceil(c.segment_length / 2)
+    assert c.total_samples == c.segment_count * hop
+    starts = hop * np.arange(c.segment_count)
+    return (starts[:, None] + np.arange(c.segment_length)) % c.total_samples
+
+
 def project(streams, omega, c):
     """The projections of (..., T) streams onto omega's bin kernel, segment
     by segment: (..., K, 2)."""
     kernel = segment_kernel(omega, c)
-    segments = streams.reshape(*streams.shape[:-1], c.segment_count, c.segment_length)
-    return segments @ np.stack([kernel.real, kernel.imag], axis=1)
+    return streams[..., segment_windows(c)] @ np.stack([kernel.real, kernel.imag], axis=1)
 
 
 def max_relative_gap(got, ref):
@@ -279,12 +287,46 @@ class TestPairedEstimator:
         assert 0.6 <= spread / np.median([r.stderr for r in results]) <= 1.6
         assert sum(not r.passed for r in results) <= 2
 
+    def test_error_bar_is_calibrated_at_half_overlap(self):
+        # z over 300 fixed seeds on the phase preset's V- readout.  With the
+        # rect window adjacent segments' powers correlate most at half
+        # overlap (0.25 for white noise), so a bar without the lag-1 term is
+        # sqrt(1.5) too narrow: sd(z) is 1.02 here with it and 1.22 without.
+        # The sd over 300 seeds is known to about 4%
+        spec = dsl.parse(presets.load("entangled_phase"))
+        net = engine.compile(spec)
+        combo = next(m.combo for m in spec.measurements if m.name == "VMINUS")
+        zs = [montecarlo.cross_validate(net, combo, OMEGA,
+                                        cfg(seed=s, segments=256, length=64, window="rect")).z
+              for s in range(300)]
+        assert 0.85 <= np.std(zs, ddof=1) <= 1.15
+
+    @pytest.mark.parametrize("segments", [2, 3])
+    def test_two_or_three_segments_keep_the_disjoint_bar(self, segments, monkeypatch):
+        # every segment's circular neighbours are the other segments, and d
+        # has zero mean, so its lag-1 sum is -g0 (K = 2) or -g0 / 2 (K = 3):
+        # the clip leaves the bar of K disjoint segments, sqrt(var(d) / K)
+        seen = []
+        periodogram = montecarlo.periodogram
+
+        def capture(projections, *args):
+            estimate = periodogram(projections, *args)
+            seen.append(estimate.powers)
+            return estimate
+
+        monkeypatch.setattr(montecarlo, "periodogram", capture)
+        result = montecarlo.cross_validate(mz_net(), DIFF, OMEGA,
+                                           cfg(seed=8, segments=segments, length=64))
+        d = seen[0] / seen[0].mean() - seen[1] / seen[1].mean()
+        assert result.stderr == pytest.approx(
+            result.mc_value * math.sqrt(np.var(d, ddof=1) / segments), rel=1e-12)
+
     @pytest.mark.parametrize("window", ["hann", "rect"])
     @pytest.mark.parametrize("bin_", [1, 8])
     def test_reference_is_the_expected_ratio(self, window, bin_):
         # a 40-sample delay puts several fringes inside the window's main
         # lobe: the point value is far from what the segments measure
-        c = cfg(segments=8, length=64, window=window)
+        c = cfg(segments=16, length=64, window=window)
         omega = 2 * np.pi * bin_ * c.sample_rate / c.segment_length
         net = mz_net(tau=40 / c.sample_rate)
         result = montecarlo.cross_validate(net, DIFF, omega, c)
@@ -575,7 +617,7 @@ class TestComboStreams:
     def test_long_plan_matches_rolled_tap_sum(self, noise):
         # more than two blocks of draws, and a delay longer than one; a
         # tabulated input needs T >= 3 (L + D)
-        c = cfg(seed=29, segments=100, length=512)
+        c = cfg(seed=29, segments=200, length=512)
         assert c.total_samples > 2 * montecarlo.CHUNK
         spec = scenario.mz_network(tau=(montecarlo.CHUNK + 3) / c.sample_rate,
                                    carrier_phase=math.pi / 2, amp=100.0, noise=noise)
@@ -585,16 +627,16 @@ class TestComboStreams:
         assert max_relative_gap(got, ref) <= 1e-12
 
     def test_blocked_accumulation_is_the_rolled_sum(self):
-        # draws come in blocks of whole segments: with L = 100 a block is
-        # 163 segments, and T = 400 segments is no whole number of blocks;
-        # the delays read lags 0, 1 and L - 1, cross segment and block
+        # draws come in blocks of whole hops: with L = 100 a block is 327
+        # hops of 50, and T = 800 hops is no whole number of blocks; the
+        # delays read lags 0, 1 and L - 1, cross hop, segment and block
         # boundaries, and wrap round the end of the stream; a tabulated input
         # with a delay past T / 3 - L is refused
-        c = cfg(seed=31, segments=400, length=100)
-        block = montecarlo.CHUNK // c.segment_length * c.segment_length
+        c = cfg(seed=31, segments=800, length=100)
+        block = montecarlo.CHUNK // c.hop * c.hop
         assert c.total_samples % block
         n = c.total_samples
-        for d in (0, 1, 99, 100, 105, block + 7, n - 1):
+        for d in (0, 1, 50, 99, 100, 105, block + 7, n - 1):
             for noise in (QuadSpectrum.constant(0.617, 63.0), TABULATED):
                 net = engine.compile(scenario.mz_network(
                     tau=d / c.sample_rate, carrier_phase=math.pi / 2, amp=100.0, noise=noise))
@@ -605,6 +647,30 @@ class TestComboStreams:
                 got = detector_projections(net, c)
                 ref = project(rolled_tap_sum(net, c), OMEGA, c)
                 assert max_relative_gap(got, ref) <= 1e-12, (d, noise.is_constant)
+
+    @pytest.mark.parametrize("length, hop", [(12, 6), (13, 7)])
+    def test_run_reads_hop_strided_circular_segments(self, length, hop):
+        # one job's rows against its own T = K ceil(L/2) draws, cut directly:
+        # segment k is samples k H .. k H + L - 1 mod T, so adjacent segments
+        # share L - H samples and the last wraps into hop 0.  The delays sit
+        # on hop boundaries, inside a hop, across one and at the stream's end
+        count = 5
+        n = count * hop
+        c = cfg(segments=count, length=length)
+        assert (c.hop, c.total_samples) == (hop, n)
+        assert (count - 1) * hop + length > n
+        kernel = segment_kernel(OMEGA, c)
+        delays = [0, 1, hop - 1, hop, hop + 2, 2 * hop + 3, n - 1]
+        coefs = np.random.default_rng(4).uniform(-2.0, 2.0, (2, len(delays)))
+        rows = [list(zip(delays, coefs[0])), list(zip(delays[1::2], coefs[1][1::2]))]
+        got = montecarlo._run(np.random.SeedSequence(6), rows, kernel, hop, count)
+        draws = np.random.default_rng(np.random.SeedSequence(6)).standard_normal(n)
+        basis = np.stack([kernel.real, kernel.imag], axis=1)
+        for projections, terms in zip(got, rows):
+            row = sum(b * np.roll(draws, d) for d, b in terms)  # row[t] = sum b draws[t - d]
+            segments = np.array([[row[(k * hop + i) % n] for i in range(length)]
+                                 for k in range(count)])
+            assert max_relative_gap(projections, segments @ basis) <= 1e-12
 
     def test_worker_count_does_not_change_streams(self, monkeypatch):
         spec = scenario.experiment_network(scenario.ExperimentConfig(), "phase")
@@ -708,7 +774,7 @@ class TestMemory:
     @pytest.mark.parametrize("noise, streams", [(QuadSpectrum.constant(0.617, 63.0), 1),
                                                 (TABULATED, 1)])
     def test_traced_peak_at_the_acceptance_plan(self, noise, streams):
-        c = cfg(seed=3, segments=4096, length=512)  # T = 2^21 samples
+        c = cfg(seed=3, segments=4096, length=512)  # T = 2^20 samples
         net = engine.compile(scenario.mz_network(tau=TAU_PI, carrier_phase=math.pi / 2,
                                                  amp=100.0, noise=noise))
         tracemalloc.start()
@@ -791,7 +857,7 @@ class TestSegmentPowers:
         length = c.segment_length
         stream = 3.0 + np.random.default_rng(8).normal(0, 2.0, c.total_samples)
         win = np.hanning(length) if window == "hann" else np.ones(length)
-        segments = stream.reshape(c.segment_count, length)
+        segments = stream[segment_windows(c)]
         segments = segments - segments.mean(axis=1, keepdims=True)
         spectrum = np.abs(np.fft.rfft(segments * win, axis=1)) ** 2 / win.sum() ** 2
         scale = 1e-12 * spectrum.max()
@@ -836,7 +902,7 @@ class TestTabulatedInputs:
         # draws, centred by span; the vacuum row reads the draws themselves.
         # Three blocks, the last one short, and delays that cross segment,
         # block and stream ends
-        c = cfg(segments=600, length=64)
+        c = cfg(segments=1200, length=64)
         n, length = c.total_samples, c.segment_length
         assert 2 * montecarlo.CHUNK < n < 3 * montecarlo.CHUNK
         h = np.random.default_rng(1).standard_normal(150)
@@ -851,7 +917,7 @@ class TestTabulatedInputs:
                 spread[key] = spread.get(key, 0.0) + b * hm
         rows = [sorted(spread.items()), list(zip(delays, coefs[1]))]
         got = montecarlo._run(np.random.SeedSequence(2), rows, segment_kernel(OMEGA, c),
-                              c.segment_count)
+                              c.hop, c.segment_count)
         direct = np.roll(circular_filter(draws, h), span)
         for projections, stream, row_coefs in zip(got, (direct, draws), coefs):
             row = sum(b * np.roll(stream, d) for d, b in zip(delays, row_coefs))
@@ -896,13 +962,14 @@ class TestTabulatedInputs:
             assert [g.count for g in drawn] == [c.total_samples] * jobs
 
     def test_plan_shorter_than_three_spans_is_refused(self):
-        # a 4-sample delay and L = 12: span = 16, so T = 48 is the shortest
-        # plan a tabulated input may use; a constant spectrum needs no wrap
+        # a 4-sample delay and L = 12: span = 16, so T = 48 (K = 8 hops of
+        # 6) is the shortest plan a tabulated input may use; a constant
+        # spectrum needs no wrap
         net = engine.compile(scenario.mz_network(tau=TAU_PI, carrier_phase=math.pi / 2,
                                                  amp=100.0, noise=TABULATED))
         with pytest.raises(MCError, match=r"needs T >= 3 \(L \+ D\) = 48 samples, got 36"):
-            montecarlo.cross_validate(net, DIFF, OMEGA, cfg(segments=3, length=12))
-        for noise, segments in ((TABULATED, 4), (QuadSpectrum.constant(0.617, 63.0), 3)):
+            montecarlo.cross_validate(net, DIFF, OMEGA, cfg(segments=6, length=12))
+        for noise, segments in ((TABULATED, 8), (QuadSpectrum.constant(0.617, 63.0), 6)):
             net = engine.compile(scenario.mz_network(tau=TAU_PI, carrier_phase=math.pi / 2,
                                                      amp=100.0, noise=noise))
             result = montecarlo.cross_validate(net, DIFF, OMEGA, cfg(segments=segments,
